@@ -1,6 +1,6 @@
 """Prediction and credible intervals for random-effects meta-analysis.
 
-The package has four layers:
+The package has five layers:
 
 - :mod:`metapred.core` - study-level data and the classical estimators
   (Q, I^2, DerSimonian-Laird and REML heterogeneity, robust variances).
@@ -9,6 +9,9 @@ The package has four layers:
 - :mod:`metapred.priors` / :mod:`metapred.bayes` - eleven noninformative
   priors for the heterogeneity scale and a deterministic quadrature engine
   for the resulting posterior prediction/credible intervals.
+- :mod:`metapred.methods` - the registry of method tags: how each tag's
+  interval is computed and whether it predicts a new study's effect or
+  estimates the mean.
 - :mod:`metapred.simulate` / :mod:`metapred.io` - a reproducible
   Monte-Carlo coverage harness and the CSV/config/report formats used by
   the ``metapred`` command line.
@@ -60,27 +63,18 @@ from .priors import (
     BoundPrior,
     PriorFamily,
     bind_prior,
-    berger_deely_prior,
-    conventional_prior,
-    dumouchel_prior,
-    i2_prior,
     inv_gamma_prior,
-    jeffreys_prior,
     log_prior_density,
     named_prior,
     power_prior,
     prior_cdf,
     proper_uniform_prior,
-    shrinkage_prior,
-    sqrt_prior,
-    uniform_prior,
 )
 from .simulate import (
     DEFAULT_METHODS,
     CoverageRecord,
     Scenario,
     SimConfig,
-    available_methods,
     draw_within_variances,
     replication_stream,
     run_replication,
@@ -115,14 +109,6 @@ __all__ = [
     "NAMED_PRIORS",
     "named_prior",
     "power_prior",
-    "uniform_prior",
-    "sqrt_prior",
-    "jeffreys_prior",
-    "berger_deely_prior",
-    "conventional_prior",
-    "dumouchel_prior",
-    "shrinkage_prior",
-    "i2_prior",
     "proper_uniform_prior",
     "inv_gamma_prior",
     "bind_prior",
@@ -142,7 +128,6 @@ __all__ = [
     "SimConfig",
     "CoverageRecord",
     "DEFAULT_METHODS",
-    "available_methods",
     "replication_stream",
     "scenario_key",
     "draw_within_variances",

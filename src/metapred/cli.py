@@ -37,21 +37,6 @@ from .io import (
 from .priors import NAMED_PRIORS, bind_prior, log_prior_density, named_prior
 from .simulate import run_study
 
-_PRIOR_BLURBS = {
-    "uniform": "improper, flat in tau",
-    "sqrt": "improper, flat in sqrt(tau) (density 1/sqrt(tau))",
-    "jeffreys": "improper, information-based reference prior",
-    "berger-deely": "improper, per-study geometric-mean variant of jeffreys",
-    "conventional": "proper variant of jeffreys (normalized numerically)",
-    "dumouchel": "proper, log-logistic in tau with median s0",
-    "shrinkage": "proper, uniform on the average shrinkage factor",
-    "i2": "proper, uniform on the heterogeneity fraction I^2",
-    "proper1": "proper, uniform on (0, 10)",
-    "proper2": "proper, Gamma(0.001, 0.001) on the precision 1/tau^2",
-    "proper3": "proper, Gamma(0.01, 0.01) on the precision 1/tau^2",
-}
-
-
 def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -99,8 +84,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_priors_list(args) -> int:
-    for name in NAMED_PRIORS:
-        sys.stdout.write(f"{name}\t{_PRIOR_BLURBS[name]}\n")
+    for name, family in NAMED_PRIORS.items():
+        sys.stdout.write(f"{name}\t{family.blurb}\n")
     return 0
 
 

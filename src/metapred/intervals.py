@@ -18,10 +18,11 @@ from scipy import stats
 
 from .core import MetaDataset, dl_tau2, pooled_mu, reml_tau2, robust_variance
 
-__all__ = ["IntervalEstimate", "hts_interval", "wald_ci_mu"]
+__all__ = ["HTS_VARIANTS", "IntervalEstimate", "hts_interval", "wald_ci_mu"]
 
 _KINDS = ("prediction", "confidence", "credible")
-_VARIANT_TAGS = {"DL": "hts", "HK": "hts-hk", "SJ": "hts-sj"}
+# hts_interval variant -> the method tag of the interval it returns
+HTS_VARIANTS = {"DL": "hts", "HK": "hts-hk", "SJ": "hts-sj"}
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def hts_interval(
             f"plug-in prediction interval needs n >= 3, dataset has {dataset.n}"
         )
     _check_level(level)
-    if variant not in _VARIANT_TAGS:
-        raise ValueError(f"variant must be one of {tuple(_VARIANT_TAGS)}, got {variant!r}")
+    if variant not in HTS_VARIANTS:
+        raise ValueError(f"variant must be one of {tuple(HTS_VARIANTS)}, got {variant!r}")
 
     if variant == "DL":
         tau2 = dl_tau2(dataset).tau2
@@ -99,7 +100,7 @@ def hts_interval(
         lower=pooled.mu_hat - half,
         upper=pooled.mu_hat + half,
         level=level,
-        method=_VARIANT_TAGS[variant],
+        method=HTS_VARIANTS[variant],
         kind="prediction",
     )
 

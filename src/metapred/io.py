@@ -31,17 +31,11 @@ from typing import Optional, Sequence
 
 from .bayes import EngineConfig
 from .core import MetaDataset, cochran_q, dl_tau2, i_squared, pooled_mu, q_test_pvalue
-from .errors import ConfigError, DataError, NumericFailure
+from .errors import ConfigError, DataError
 from .intervals import IntervalEstimate
+from .methods import evaluate_methods
 from .priors import NAMED_PRIORS
-from .simulate import (
-    DEFAULT_METHODS,
-    CoverageRecord,
-    Scenario,
-    SimConfig,
-    _method_interval,
-    _validate_method,
-)
+from .simulate import DEFAULT_METHODS, CoverageRecord, Scenario, SimConfig
 
 __all__ = [
     "ANALYZE_METHODS",
@@ -134,16 +128,19 @@ def parse_dataset_csv(data: bytes) -> MetaDataset:
 
 def _parse_number(token: str, label: str) -> float:
     try:
-        return float(token)
+        val = float(token)
     except ValueError:
         raise ConfigError(f"{label}: expected a number, got {token!r}") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{label}: expected a finite number, got {token!r}")
+    return val
 
 
 def _parse_range(token: str, label: str, integer: bool) -> list:
     """One list element: a scalar or an inclusive ``a..b [step s]`` range."""
     if ".." not in token:
         val = _parse_number(token, label)
-        return [int(val) if integer else val]
+        return [_as_int(val, label) if integer else val]
     head, _, tail = token.partition("..")
     tail = tail.strip()
     if " step " in tail:
@@ -159,26 +156,28 @@ def _parse_range(token: str, label: str, integer: bool) -> list:
         raise ConfigError(f"{label}: bad range {token!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     vals = [round(start + i * step, 10) for i in range(count)]
-    if integer:
-        out = []
-        for v in vals:
-            if abs(v - round(v)) > 1e-9:
-                raise ConfigError(f"{label}: expected integers, got {v}")
-            out.append(int(round(v)))
-        return out
-    return vals
+    return [_as_int(v, label) for v in vals] if integer else vals
 
 
-def _parse_list(value: str, label: str, integer: bool = False) -> list:
+def _as_int(val: float, label: str) -> int:
+    if abs(val - round(val)) > 1e-9:
+        raise ConfigError(f"{label}: expected an integer, got {val}")
+    return int(round(val))
+
+
+def _list_tokens(value: str, label: str) -> list[str]:
+    """The stripped comma-separated tokens of a bracketed list."""
     value = value.strip()
     if not (value.startswith("[") and value.endswith("]")):
         raise ConfigError(f"{label}: expected a bracketed list, got {value!r}")
     inner = value[1:-1].strip()
-    if not inner:
-        return []
+    return [token.strip() for token in inner.split(",")] if inner else []
+
+
+def _parse_list(value: str, label: str, integer: bool = False) -> list:
     out = []
-    for token in inner.split(","):
-        out.extend(_parse_range(token.strip(), label, integer))
+    for token in _list_tokens(value, label):
+        out.extend(_parse_range(token, label, integer))
     return out
 
 
@@ -225,62 +224,19 @@ def parse_sim_config(data: bytes) -> SimConfig:
 
     ns = _parse_list(fields["n"], "n", integer=True)
     tau2s = _parse_list(fields["tau2"], "tau2")
-    if not ns or not tau2s:
-        raise ConfigError("n and tau2 lists must be nonempty")
-    if any(v < 3 for v in ns):
-        raise ConfigError("every n must be >= 3")
-    if any(t < 0 for t in tau2s):
-        raise ConfigError("every tau2 must be >= 0")
-
-    level = 0.95
-    if "level" in fields:
-        level = _parse_number(fields["level"], "level")
-        if not (0.0 < level < 1.0):
-            raise ConfigError(f"level must lie in (0, 1), got {level}")
-
-    reps = 1000
-    if "reps" in fields:
-        reps_f = _parse_number(fields["reps"], "reps")
-        if reps_f < 1 or reps_f != int(reps_f):
-            raise ConfigError(f"reps must be a positive integer, got {fields['reps']}")
-        reps = int(reps_f)
-
-    seed = 0
-    if "seed" in fields:
-        seed_f = _parse_number(fields["seed"], "seed")
-        if seed_f != int(seed_f):
-            raise ConfigError(f"seed must be an integer, got {fields['seed']}")
-        seed = int(seed_f)
-
+    level = _parse_number(fields["level"], "level") if "level" in fields else 0.95
+    reps = _as_int(_parse_number(fields["reps"], "reps"), "reps") if "reps" in fields else 1000
+    seed = _as_int(_parse_number(fields["seed"], "seed"), "seed") if "seed" in fields else 0
     methods = DEFAULT_METHODS
     if "methods" in fields:
-        tokens = _parse_list_of_names(fields["methods"])
-        if not tokens:
-            raise ConfigError("methods list must be nonempty")
-        for tok in tokens:
-            try:
-                _validate_method(tok)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        methods = tuple(tokens)
+        methods = tuple(t for t in _list_tokens(fields["methods"], "methods") if t)
 
-    scenarios = tuple(
-        Scenario(n=n, tau2=t, level=level) for n in ns for t in tau2s
-    )
+    # Scenario and SimConfig own the range checks
     try:
+        scenarios = [Scenario(n=n, tau2=t, level=level) for n in ns for t in tau2s]
         return SimConfig(scenarios=scenarios, methods=methods, reps=reps, master_seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _parse_list_of_names(value: str) -> list[str]:
-    value = value.strip()
-    if not (value.startswith("[") and value.endswith("]")):
-        raise ConfigError(f"methods: expected a bracketed list, got {value!r}")
-    inner = value[1:-1].strip()
-    if not inner:
-        return []
-    return [token.strip() for token in inner.split(",") if token.strip()]
 
 
 def run_analysis(
@@ -290,24 +246,18 @@ def run_analysis(
     engine_config: EngineConfig | None = None,
 ) -> AnalysisReport:
     """Dataset summary plus every requested interval (failures captured)."""
-    if engine_config is None:
-        engine_config = EngineConfig()
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    for m in methods:
-        _validate_method(m)
+    outcomes = evaluate_methods(methods, dataset, level, engine_config)
+    results = tuple(
+        MethodResult(method=m, error=str(out))
+        if isinstance(out, Exception)
+        else MethodResult(method=m, interval=out)
+        for m, out in zip(methods, outcomes)
+    )
     q = cochran_q(dataset)
     tau2 = dl_tau2(dataset).tau2
     pooled = pooled_mu(dataset, tau2)
-    grids: dict = {}
-    results = []
-    for method in methods:
-        try:
-            interval = _method_interval(method, dataset, level, grids, engine_config)
-        except (ValueError, NumericFailure) as exc:
-            results.append(MethodResult(method=method, error=str(exc)))
-        else:
-            results.append(MethodResult(method=method, interval=interval))
     return AnalysisReport(
         n=dataset.n,
         mu_hat=pooled.mu_hat,
@@ -317,7 +267,7 @@ def run_analysis(
         q=q,
         q_pvalue=q_test_pvalue(q, dataset.n),
         level=level,
-        results=tuple(results),
+        results=results,
     )
 
 

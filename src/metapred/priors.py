@@ -14,7 +14,7 @@ proper family is normalized so its density integrates to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,14 +28,6 @@ __all__ = [
     "PriorFamily",
     "BoundPrior",
     "power_prior",
-    "uniform_prior",
-    "sqrt_prior",
-    "jeffreys_prior",
-    "berger_deely_prior",
-    "conventional_prior",
-    "dumouchel_prior",
-    "shrinkage_prior",
-    "i2_prior",
     "proper_uniform_prior",
     "inv_gamma_prior",
     "named_prior",
@@ -58,6 +50,8 @@ class PriorFamily:
     kind : one of power (p ~ tau^a), jeffreys, berger-deely, conventional,
         dumouchel, shrinkage, i2, proper-uniform (flat on (0, hi)), or
         inv-gamma (Gamma(shape, rate) on the precision 1/tau^2).
+    blurb : one-line description shown by ``metapred priors list``; it
+        takes no part in equality.
     """
 
     kind: str
@@ -65,6 +59,7 @@ class PriorFamily:
     hi: Optional[float] = None
     shape: Optional[float] = None
     rate: Optional[float] = None
+    blurb: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
@@ -89,22 +84,15 @@ class PriorFamily:
 
     @property
     def name(self) -> str:
-        """Canonical tag: the registry name when the family is one of the 11."""
+        """Canonical tag: the NAMED_PRIORS name when the family is one of the 11."""
+        named = _NAME_OF.get(self)
+        if named is not None:
+            return named
         if self.kind == "power":
-            if self.a == 0.0:
-                return "uniform"
-            if self.a == -0.5:
-                return "sqrt"
             return f"power({self.a:g})"
         if self.kind == "proper-uniform":
-            if self.hi == 10.0:
-                return "proper1"
             return f"proper-uniform({self.hi:g})"
         if self.kind == "inv-gamma":
-            if self.shape == 0.001 and self.rate == 0.001:
-                return "proper2"
-            if self.shape == 0.01 and self.rate == 0.01:
-                return "proper3"
             return f"inv-gamma({self.shape:g},{self.rate:g})"
         return self.kind
 
@@ -113,39 +101,7 @@ def power_prior(a: float) -> PriorFamily:
     return PriorFamily("power", a=float(a))
 
 
-def uniform_prior() -> PriorFamily:
-    return power_prior(0.0)
-
-
-def sqrt_prior() -> PriorFamily:
-    return power_prior(-0.5)
-
-
-def jeffreys_prior() -> PriorFamily:
-    return PriorFamily("jeffreys")
-
-
-def berger_deely_prior() -> PriorFamily:
-    return PriorFamily("berger-deely")
-
-
-def conventional_prior() -> PriorFamily:
-    return PriorFamily("conventional")
-
-
-def dumouchel_prior() -> PriorFamily:
-    return PriorFamily("dumouchel")
-
-
-def shrinkage_prior() -> PriorFamily:
-    return PriorFamily("shrinkage")
-
-
-def i2_prior() -> PriorFamily:
-    return PriorFamily("i2")
-
-
-def proper_uniform_prior(hi: float = 10.0) -> PriorFamily:
+def proper_uniform_prior(hi: float) -> PriorFamily:
     return PriorFamily("proper-uniform", hi=float(hi))
 
 
@@ -153,19 +109,33 @@ def inv_gamma_prior(shape: float, rate: float) -> PriorFamily:
     return PriorFamily("inv-gamma", shape=float(shape), rate=float(rate))
 
 
+# the eleven reference priors; `metapred priors list` prints them in this order
 NAMED_PRIORS: dict[str, PriorFamily] = {
-    "uniform": uniform_prior(),
-    "sqrt": sqrt_prior(),
-    "jeffreys": jeffreys_prior(),
-    "berger-deely": berger_deely_prior(),
-    "conventional": conventional_prior(),
-    "dumouchel": dumouchel_prior(),
-    "shrinkage": shrinkage_prior(),
-    "i2": i2_prior(),
-    "proper1": proper_uniform_prior(10.0),
-    "proper2": inv_gamma_prior(0.001, 0.001),
-    "proper3": inv_gamma_prior(0.01, 0.01),
+    "uniform": PriorFamily("power", a=0.0, blurb="improper, flat in tau"),
+    "sqrt": PriorFamily("power", a=-0.5, blurb="improper, flat in sqrt(tau) (density 1/sqrt(tau))"),
+    "jeffreys": PriorFamily("jeffreys", blurb="improper, information-based reference prior"),
+    "berger-deely": PriorFamily(
+        "berger-deely", blurb="improper, per-study geometric-mean variant of jeffreys"
+    ),
+    "conventional": PriorFamily(
+        "conventional", blurb="proper variant of jeffreys (normalized numerically)"
+    ),
+    "dumouchel": PriorFamily("dumouchel", blurb="proper, log-logistic in tau with median s0"),
+    "shrinkage": PriorFamily(
+        "shrinkage", blurb="proper, uniform on the average shrinkage factor"
+    ),
+    "i2": PriorFamily("i2", blurb="proper, uniform on the heterogeneity fraction I^2"),
+    "proper1": PriorFamily("proper-uniform", hi=10.0, blurb="proper, uniform on (0, 10)"),
+    "proper2": PriorFamily(
+        "inv-gamma", shape=0.001, rate=0.001,
+        blurb="proper, Gamma(0.001, 0.001) on the precision 1/tau^2",
+    ),
+    "proper3": PriorFamily(
+        "inv-gamma", shape=0.01, rate=0.01,
+        blurb="proper, Gamma(0.01, 0.01) on the precision 1/tau^2",
+    ),
 }
+_NAME_OF = {family: name for name, family in NAMED_PRIORS.items()}
 
 
 def named_prior(name: str) -> PriorFamily:
@@ -191,12 +161,15 @@ class BoundPrior:
     s0_sq: float
     sigma_hat_sq: float
     sigma_sq: np.ndarray
-    proper: bool
     log_norm: float = 0.0
 
     @property
     def name(self) -> str:
         return self.family.name
+
+    @property
+    def proper(self) -> bool:
+        return self.family.proper
 
 
 def _conventional_log_unnorm(tau, sigma_sq):
@@ -244,7 +217,6 @@ def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
         s0_sq=s0_sq,
         sigma_hat_sq=sigma_hat_sq,
         sigma_sq=sigma_sq,
-        proper=family.proper,
         log_norm=log_norm,
     )
 

@@ -20,23 +20,16 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .bayes import (
-    EngineConfig,
-    build_posterior_grid,
-    credible_interval_mu,
-    prediction_interval,
-)
+from .bayes import EngineConfig
 from .core import MetaDataset
-from .errors import NumericFailure
-from .intervals import IntervalEstimate, hts_interval, wald_ci_mu
-from .priors import NAMED_PRIORS, bind_prior, named_prior
+from .methods import METHODS, evaluate_methods, lookup_method
+from .priors import NAMED_PRIORS
 
 __all__ = [
     "Scenario",
     "SimConfig",
     "CoverageRecord",
     "DEFAULT_METHODS",
-    "available_methods",
     "replication_stream",
     "draw_within_variances",
     "simulate_dataset",
@@ -51,27 +44,6 @@ SIGMA_SQ_HIGH = 0.6
 
 # the standard study grid: the 11 tau priors plus the plug-in t interval
 DEFAULT_METHODS: tuple[str, ...] = ("hts",) + tuple(NAMED_PRIORS)
-
-_FREQ_METHODS = {"hts": "DL", "hts-hk": "HK", "hts-sj": "SJ"}
-
-
-def available_methods() -> tuple[str, ...]:
-    """Every accepted method tag (cred:<prior> tags included)."""
-    priors = tuple(NAMED_PRIORS)
-    return (
-        tuple(_FREQ_METHODS)
-        + priors
-        + ("dl",)
-        + tuple(f"cred:{p}" for p in priors)
-    )
-
-
-def _validate_method(method: str) -> None:
-    if method in _FREQ_METHODS or method == "dl" or method in NAMED_PRIORS:
-        return
-    if method.startswith("cred:") and method[5:] in NAMED_PRIORS:
-        return
-    raise ValueError(f"unknown method tag {method!r}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +81,11 @@ class SimConfig:
         if not self.methods:
             raise ValueError("config needs at least one method")
         for m in self.methods:
-            _validate_method(m)
+            lookup_method(m)
+        for label, items in (("method tag", self.methods), ("scenario", self.scenarios)):
+            dup = next((x for i, x in enumerate(items) if x in items[:i]), None)
+            if dup is not None:
+                raise ValueError(f"config repeats {label} {dup!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
 
@@ -207,30 +183,6 @@ def simulate_dataset(
     return MetaDataset.from_arrays(y, np.sqrt(sigma_sq)), theta_new
 
 
-def _method_interval(
-    method: str,
-    dataset: MetaDataset,
-    level: float,
-    grids: dict,
-    engine_config: EngineConfig,
-) -> IntervalEstimate:
-    if method in _FREQ_METHODS:
-        return hts_interval(dataset, level, variant=_FREQ_METHODS[method])
-    if method == "dl":
-        return wald_ci_mu(dataset, level)
-    if method.startswith("cred:"):
-        prior_name, want_credible = method[5:], True
-    else:
-        prior_name, want_credible = method, False
-    if prior_name not in grids:
-        bound = bind_prior(named_prior(prior_name), dataset)
-        grids[prior_name] = build_posterior_grid(dataset, bound, engine_config)
-    grid = grids[prior_name]
-    if want_credible:
-        return credible_interval_mu(grid, level, engine_config.cdf_tolerance)
-    return prediction_interval(grid, level, engine_config.cdf_tolerance)
-
-
 def run_replication(
     scenario: Scenario,
     methods: Sequence[str],
@@ -243,29 +195,23 @@ def run_replication(
     the scenario fingerprint. Prediction methods are scored against the
     new-study effect; confidence and credible methods against the true
     mean. A method that raises is recorded as failed with no
-    coverage/width contribution.
+    coverage/width contribution; an unknown tag raises ValueError.
     """
-    if engine_config is None:
-        engine_config = EngineConfig()
     master_seed, rep_index = rep_seed
     stream = replication_stream(master_seed, scenario, rep_index)
     dataset, theta_new = simulate_dataset(stream, scenario)
-    grids: dict = {}
+    results = evaluate_methods(methods, dataset, scenario.level, engine_config)
     out: dict[str, tuple[bool, float, bool]] = {}
-    for method in methods:
-        try:
-            interval = _method_interval(
-                method, dataset, scenario.level, grids, engine_config
-            )
-        except (ValueError, NumericFailure) as exc:
+    for method, interval in zip(methods, results):
+        if isinstance(interval, Exception):
             # keep the seed in the record so the replication can be replayed
             logger.warning(
                 "method %s failed on scenario %s, rep_seed=%s: %s",
-                method, scenario, rep_seed, exc,
+                method, scenario, rep_seed, interval,
             )
             out[method] = (False, math.nan, True)
             continue
-        target = theta_new if interval.kind == "prediction" else scenario.mu
+        target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
         out[method] = (interval.contains(target), interval.width, False)
     return out
 

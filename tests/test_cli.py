@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import metapred
 from metapred.cli import main
+from metapred.priors import NAMED_PRIORS
 
 DATA = "study,effect,se\nA,0.12,0.35\nB,-0.4,0.28\nC,0.61,0.43\nD,0.25,0.30\n"
 CONFIG = """
@@ -101,6 +105,9 @@ class TestSimulate:
         path = tmp_path / "bad.cfg"
         path.write_text("n = [7]\n")
         assert main(["simulate", "--config", str(path)]) == 2
+        path.write_text("n = [7]\ntau2 = [nan]\n")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestPriors:
@@ -109,6 +116,7 @@ class TestPriors:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 11
         assert lines[0].startswith("uniform\t")
+        assert [line.split("\t")[0] for line in lines] == list(NAMED_PRIORS)
 
     def test_density(self, data_file, capsys):
         assert main(
@@ -137,11 +145,14 @@ class TestUsage:
         assert err.value.code == 2
 
     def test_console_entry_point(self, data_file):
+        # the child imports the same package as this process, installed or not
+        env = {**os.environ, "PYTHONPATH": str(Path(metapred.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "metapred.cli", "analyze", "--data", data_file,
              "--methods", "dl", "--format", "csv"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("method,kind,lower,upper,level")

@@ -109,12 +109,25 @@ class TestParseSimConfig:
             parse_sim_config(b"n = [2]\ntau2 = [0.1]\n")
         with pytest.raises(ConfigError):
             parse_sim_config(b"n = [7]\ntau2 = [0.01..0.2]\n")  # step required
+        bad_values = (
+            b"n = [7.5]\ntau2 = [0.1]\n",
+            b"n = [nan]\ntau2 = [0.1]\n",
+            b"n = [7]\ntau2 = [nan]\n",
+            b"n = [7]\ntau2 = [0.1]\nreps = nan\n",
+            b"n = [7]\ntau2 = [0.1]\nseed = inf\n",
+            b"n = [7]\ntau2 = [0.1]\nmethods = [hts, hts]\n",
+            b"n = [7, 7]\ntau2 = [0.1]\n",
+        )
+        for text in bad_values:
+            with pytest.raises(ConfigError):
+                parse_sim_config(text)
 
     def test_grid_spec(self):
         assert parse_grid_spec("0.5..2.0 step 0.5") == [0.5, 1.0, 1.5, 2.0]
         assert parse_grid_spec("0.1, 1, 10") == [0.1, 1.0, 10.0]
-        with pytest.raises(ConfigError):
-            parse_grid_spec("")
+        for bad in ("", "nan", "0..inf step 1"):
+            with pytest.raises(ConfigError):
+                parse_grid_spec(bad)
 
 
 @pytest.fixture(scope="module")

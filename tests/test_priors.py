@@ -11,14 +11,11 @@ from metapred import (
     PriorFamily,
     bind_prior,
     inv_gamma_prior,
-    jeffreys_prior,
     log_prior_density,
     named_prior,
     power_prior,
     prior_cdf,
     proper_uniform_prior,
-    sqrt_prior,
-    uniform_prior,
 )
 from metapred.priors import BoundPrior
 
@@ -64,8 +61,8 @@ class TestFamilies:
         ]
 
     def test_aliases(self):
-        assert uniform_prior() == power_prior(0.0)
-        assert sqrt_prior() == power_prior(-0.5)
+        assert named_prior("uniform") == power_prior(0.0)
+        assert named_prior("sqrt") == power_prior(-0.5)
         assert named_prior("proper1") == proper_uniform_prior(10.0)
         assert named_prior("proper2") == inv_gamma_prior(0.001, 0.001)
         assert named_prior("proper3") == inv_gamma_prior(0.01, 0.01)
@@ -96,28 +93,28 @@ class TestFamilies:
 
 class TestBindPrior:
     def test_equal_variances(self):
-        b = bind_prior(uniform_prior(), DS_EQUAL)
+        b = bind_prior(named_prior("uniform"), DS_EQUAL)
         assert b.s0_sq == pytest.approx(1.0, rel=1e-14)
         assert b.sigma_hat_sq == pytest.approx(1.0, rel=1e-14)
 
     def test_harmonic_mean(self):
         ds = MetaDataset.from_arrays([0.0, 1.0], np.sqrt([0.5, 0.25]))
-        b = bind_prior(uniform_prior(), ds)
+        b = bind_prior(named_prior("uniform"), ds)
         assert b.s0_sq == pytest.approx(1.0 / 3.0, rel=1e-14)
         # sigma_hat_sq = (n-1) S1 / (S1^2 - S2) = 6 / (36 - 20)
         assert b.sigma_hat_sq == pytest.approx(6.0 / 16.0, rel=1e-14)
 
     def test_uniform_is_improper(self):
-        assert bind_prior(uniform_prior(), DS).proper is False
+        assert bind_prior(named_prior("uniform"), DS).proper is False
 
     def test_needs_two_studies(self):
         with pytest.raises(ValueError):
-            bind_prior(uniform_prior(), MetaDataset.from_arrays([1.0], [1.0]))
+            bind_prior(named_prior("uniform"), MetaDataset.from_arrays([1.0], [1.0]))
 
 
 class TestLogDensity:
     def test_sqrt_density_ratio(self):
-        b = bind_prior(sqrt_prior(), DS)
+        b = bind_prior(named_prior("sqrt"), DS)
         ratio = math.exp(log_prior_density(b, 4.0) - log_prior_density(b, 1.0))
         assert ratio == pytest.approx(0.5, rel=1e-14)
 
@@ -128,11 +125,10 @@ class TestLogDensity:
 
     def test_jeffreys_single_component(self):
         b = BoundPrior(
-            family=jeffreys_prior(),
+            family=named_prior("jeffreys"),
             s0_sq=1.0,
             sigma_hat_sq=1.0,
             sigma_sq=np.array([1.0]),
-            proper=False,
         )
         assert math.exp(log_prior_density(b, 1.0)) == pytest.approx(0.5, rel=1e-14)
 
@@ -142,10 +138,10 @@ class TestLogDensity:
             assert log_prior_density(b, 0.0) == -math.inf
         b = bind_prior(named_prior("proper1"), DS)
         assert log_prior_density(b, 0.0) == pytest.approx(-math.log(10.0))
-        assert log_prior_density(bind_prior(uniform_prior(), DS), 0.0) == 0.0
+        assert log_prior_density(bind_prior(named_prior("uniform"), DS), 0.0) == 0.0
 
     def test_rejects_negative_tau(self):
-        b = bind_prior(uniform_prior(), DS)
+        b = bind_prior(named_prior("uniform"), DS)
         with pytest.raises(ValueError):
             log_prior_density(b, -0.5)
 
@@ -167,7 +163,7 @@ class TestLogDensity:
             assert np.all(np.isfinite(vals)), name
 
     def test_jeffreys_proportional_to_berger_deely_when_equal(self):
-        bj = bind_prior(jeffreys_prior(), DS_EQUAL)
+        bj = bind_prior(named_prior("jeffreys"), DS_EQUAL)
         bb = bind_prior(named_prior("berger-deely"), DS_EQUAL)
         grid = np.geomspace(1e-4, 50.0, 100)
         diff = log_prior_density(bj, grid) - log_prior_density(bb, grid)

@@ -7,13 +7,13 @@ from metapred import (
     DEFAULT_METHODS,
     Scenario,
     SimConfig,
-    available_methods,
     draw_within_variances,
     replication_stream,
     run_replication,
     run_study,
     simulate_dataset,
 )
+from metapred.methods import METHODS
 from metapred.simulate import SIGMA_SQ_HIGH, SIGMA_SQ_LOW
 from oracles import truncated_sigma_sq_mean
 
@@ -42,9 +42,13 @@ class TestScenarioConfig:
             SimConfig(scenarios=sc, methods=("nonsense",))
         with pytest.raises(ValueError):
             SimConfig(scenarios=sc, reps=0)
+        with pytest.raises(ValueError, match="repeats method tag 'hts'"):
+            SimConfig(scenarios=sc, methods=("hts", "uniform", "hts"))
+        with pytest.raises(ValueError, match="repeats scenario"):
+            SimConfig(scenarios=sc + (Scenario(15, 0.1), Scenario(7, 0.1)))
 
     def test_available_methods_include_credible_tags(self):
-        tags = available_methods()
+        tags = METHODS
         assert "cred:jeffreys" in tags
         assert "dl" in tags and "hts-sj" in tags
 
