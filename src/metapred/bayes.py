@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp, ndtr, roots_legendre
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 _TAU_MAX_CAP_FACTOR = 1e6  # expansion cap: tau_max = 1e6 * s0
+_TAIL_MASS_CUT = 1e-10  # relative density and tail-mass cut of the tau scan
 
 
 @dataclass(frozen=True)
@@ -50,23 +50,17 @@ class EngineConfig:
 
     mu_prior_var: float = 10_000.0
     grid_size: int = 2048
-    tail_mass_cut: float = 1e-10
     cdf_tolerance: float = 1e-8
-    tau_upper_hint: Optional[float] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.mu_prior_var) and self.mu_prior_var > 0):
             raise ValueError("mu_prior_var must be positive and finite")
         if self.grid_size < 64:
             raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
-        for label, tol in (
-            ("tail_mass_cut", self.tail_mass_cut),
-            ("cdf_tolerance", self.cdf_tolerance),
-        ):
-            if not (0.0 < tol < 1e-2):
-                raise ValueError(f"{label} must lie in (0, 1e-2), got {tol!r}")
-        if self.tau_upper_hint is not None and not (self.tau_upper_hint > 0):
-            raise ValueError("tau_upper_hint must be positive when given")
+        if not (0.0 < self.cdf_tolerance < 1e-2):
+            raise ValueError(
+                f"cdf_tolerance must lie in (0, 1e-2), got {self.cdf_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -144,31 +138,29 @@ def _log_posterior(y, sigma_sq, prior, tau, mu_prior_var):
     return log_prior_density(prior, tau) + loglik
 
 
-def _scan_tau_max(y, sigma_sq, prior, config):
+def _scan_tau_max(y, sigma_sq, prior, mu_prior_var):
     """Geometric upward scan for the tau truncation point.
 
-    Probes start at max(s0, sd(y)) (or the configured hint) and double until
-    (a) the posterior density falls below tail_mass_cut x the running peak
-    and (b) the remaining tail mass, estimated from the local decay power,
-    falls below tail_mass_cut of the accumulated mass. Starting at the data
-    scale keeps an unbounded prior density at tau -> 0 (the sqrt prior) out
-    of the peak, which would otherwise stall the scan. When (a) holds but
-    the tail is too heavy to ever meet (b) inside the cap (e.g. n = 2 with
-    a flat prior), the cap is used; only a tail that never decays raises.
+    Probes start at max(s0, sd(y)) and double up to the cap 1e6 x s0. The
+    first probe where (a) the posterior density is below _TAIL_MASS_CUT x
+    the running peak and (b) the remaining tail mass, estimated from the
+    local decay power, is below _TAIL_MASS_CUT of the accumulated mass is
+    tau_max. Starting at the data scale keeps an unbounded prior density at
+    tau -> 0 (the sqrt prior) out of the peak, which would otherwise stall
+    the scan. When (a) holds but the tail is too heavy to ever meet (b)
+    inside the cap (e.g. n = 2 with a flat prior), the cap is used; only a
+    tail that never decays raises.
     """
     s0 = math.sqrt(prior.s0_sq)
     cap = _TAU_MAX_CAP_FACTOR * s0
-    start = config.tau_upper_hint
-    if start is None:
-        spread = float(np.std(y, ddof=1)) if len(y) > 1 else 0.0
-        start = max(s0, spread)
-    start = min(max(start, 1e-8), cap / 1024.0)
+    spread = float(np.std(y, ddof=1)) if len(y) > 1 else 0.0
+    start = min(max(s0, spread, 1e-8), cap / 1024.0)
 
     n_steps = int(math.ceil(math.log2(cap / start))) + 1
     ladder = start * 2.0 ** np.arange(n_steps)
     ladder[-1] = cap
-    log_h = _log_posterior(y, sigma_sq, prior, ladder, config.mu_prior_var)
-    log_cut = math.log(config.tail_mass_cut)
+    log_h = _log_posterior(y, sigma_sq, prior, ladder, mu_prior_var)
+    log_cut = math.log(_TAIL_MASS_CUT)
 
     running_peak = np.maximum.accumulate(log_h)
     decayed = log_h <= running_peak + log_cut
@@ -240,7 +232,7 @@ def build_posterior_grid(
     if prior.family.kind == "proper-uniform":
         tau_max = float(prior.family.hi)
     else:
-        tau_max = _scan_tau_max(y, sigma_sq, prior, config)
+        tau_max = _scan_tau_max(y, sigma_sq, prior, config.mu_prior_var)
 
     w_max = math.sqrt(tau_max / (c + tau_max))
     x, gl_w = _gauss_nodes(config.grid_size)

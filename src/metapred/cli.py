@@ -72,7 +72,10 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(
                 f"METAPRED_SEED must be an integer, got {env_seed!r}"
             ) from None
-        config = dataclasses.replace(config, master_seed=seed)
+        try:
+            config = dataclasses.replace(config, master_seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"METAPRED_SEED: {exc}") from None
     records = run_study(config, parallelism=args.parallelism)
     table = emit_coverage_table(records)
     if args.out:

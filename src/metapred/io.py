@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bayes import EngineConfig
 from .core import MetaDataset, cochran_q, dl_tau2, i_squared, pooled_mu, q_test_pvalue
 from .errors import ConfigError, DataError
 from .intervals import IntervalEstimate
@@ -53,6 +52,9 @@ __all__ = [
 ANALYZE_METHODS: tuple[str, ...] = tuple(NAMED_PRIORS) + ("hts", "hts-hk", "hts-sj")
 
 _DATASET_HEADER = ["study", "effect", "se"]
+
+# most elements one ``a..b step s`` range may expand to
+_MAX_RANGE_ELEMENTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -136,11 +138,18 @@ def _parse_number(token: str, label: str) -> float:
     return val
 
 
+def _parse_int(token: str, label: str) -> int:
+    """An integer literal, read exactly; other numbers (``1e3``) must be whole."""
+    try:
+        return int(token)
+    except ValueError:
+        return _as_int(_parse_number(token, label), label)
+
+
 def _parse_range(token: str, label: str, integer: bool) -> list:
     """One list element: a scalar or an inclusive ``a..b [step s]`` range."""
     if ".." not in token:
-        val = _parse_number(token, label)
-        return [_as_int(val, label) if integer else val]
+        return [_parse_int(token, label) if integer else _parse_number(token, label)]
     head, _, tail = token.partition("..")
     tail = tail.strip()
     if " step " in tail:
@@ -154,7 +163,12 @@ def _parse_range(token: str, label: str, integer: bool) -> list:
     stop = _parse_number(stop_s.strip(), label)
     if step <= 0 or stop < start:
         raise ConfigError(f"{label}: bad range {token!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_RANGE_ELEMENTS:  # also catches an overflow to inf
+        raise ConfigError(
+            f"{label}: range {token!r} has more than {_MAX_RANGE_ELEMENTS} elements"
+        )
+    count = int(span) + 1
     vals = [round(start + i * step, 10) for i in range(count)]
     return [_as_int(v, label) for v in vals] if integer else vals
 
@@ -225,8 +239,8 @@ def parse_sim_config(data: bytes) -> SimConfig:
     ns = _parse_list(fields["n"], "n", integer=True)
     tau2s = _parse_list(fields["tau2"], "tau2")
     level = _parse_number(fields["level"], "level") if "level" in fields else 0.95
-    reps = _as_int(_parse_number(fields["reps"], "reps"), "reps") if "reps" in fields else 1000
-    seed = _as_int(_parse_number(fields["seed"], "seed"), "seed") if "seed" in fields else 0
+    reps = _parse_int(fields["reps"], "reps") if "reps" in fields else 1000
+    seed = _parse_int(fields["seed"], "seed") if "seed" in fields else 0
     methods = DEFAULT_METHODS
     if "methods" in fields:
         methods = tuple(t for t in _list_tokens(fields["methods"], "methods") if t)
@@ -243,12 +257,11 @@ def run_analysis(
     dataset: MetaDataset,
     methods: Sequence[str] = ANALYZE_METHODS,
     level: float = 0.95,
-    engine_config: EngineConfig | None = None,
 ) -> AnalysisReport:
     """Dataset summary plus every requested interval (failures captured)."""
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    outcomes = evaluate_methods(methods, dataset, level, engine_config)
+    outcomes = evaluate_methods(methods, dataset, level)
     results = tuple(
         MethodResult(method=m, error=str(out))
         if isinstance(out, Exception)

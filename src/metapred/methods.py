@@ -41,6 +41,9 @@ METHODS: dict[str, Method] = {
     **{f"cred:{name}": Method("credible", prior=name) for name in NAMED_PRIORS},
 }
 
+# every Bayesian tag uses the default grid size and inversion tolerance
+_ENGINE = EngineConfig()
+
 
 def lookup_method(tag: str) -> Method:
     """The registry entry for ``tag``; ValueError when the tag is unknown."""
@@ -50,7 +53,7 @@ def lookup_method(tag: str) -> Method:
         raise ValueError(f"unknown method tag {tag!r}") from None
 
 
-def _interval(method, dataset, level, grids, engine_config):
+def _interval(method, dataset, level, grids):
     if method.variant is not None:
         return hts_interval(dataset, level, variant=method.variant)
     if method.prior is None:
@@ -58,17 +61,14 @@ def _interval(method, dataset, level, grids, engine_config):
     grid = grids.get(method.prior)
     if grid is None:
         bound = bind_prior(named_prior(method.prior), dataset)
-        grid = grids[method.prior] = build_posterior_grid(dataset, bound, engine_config)
+        grid = grids[method.prior] = build_posterior_grid(dataset, bound, _ENGINE)
     if method.kind == "credible":
-        return credible_interval_mu(grid, level, engine_config.cdf_tolerance)
-    return prediction_interval(grid, level, engine_config.cdf_tolerance)
+        return credible_interval_mu(grid, level, _ENGINE.cdf_tolerance)
+    return prediction_interval(grid, level, _ENGINE.cdf_tolerance)
 
 
 def evaluate_methods(
-    tags: Sequence[str],
-    dataset: MetaDataset,
-    level: float,
-    engine_config: EngineConfig | None = None,
+    tags: Sequence[str], dataset: MetaDataset, level: float
 ) -> list[Union[IntervalEstimate, ValueError, NumericFailure]]:
     """Each tag's interval on one dataset, in order.
 
@@ -77,14 +77,12 @@ def evaluate_methods(
     computed. Each prior's posterior grid is built once and shared by its
     prediction and credible tags.
     """
-    if engine_config is None:
-        engine_config = EngineConfig()
     methods = [lookup_method(tag) for tag in tags]
     grids: dict = {}
     out: list = []
     for method in methods:
         try:
-            out.append(_interval(method, dataset, level, grids, engine_config))
+            out.append(_interval(method, dataset, level, grids))
         except (ValueError, NumericFailure) as exc:
             out.append(exc)
     return out

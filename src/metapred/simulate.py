@@ -15,12 +15,12 @@ import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import ndtri
 
-from .bayes import EngineConfig
 from .core import MetaDataset
 from .methods import METHODS, evaluate_methods, lookup_method
 from .priors import NAMED_PRIORS
@@ -88,6 +88,17 @@ class SimConfig:
                 raise ValueError(f"config repeats {label} {dup!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not (0 <= self.master_seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.master_seed}")
+        # distinct scenarios with one 32-bit key would share their streams
+        keys: dict[int, Scenario] = {}
+        for sc in self.scenarios:
+            other = keys.setdefault(scenario_key(sc), sc)
+            if other is not sc:
+                raise ValueError(
+                    f"scenarios {other} and {sc} share stream key "
+                    f"{scenario_key(sc):#x}; change one of them"
+                )
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,6 @@ def run_replication(
     scenario: Scenario,
     methods: Sequence[str],
     rep_seed: tuple[int, int],
-    engine_config: EngineConfig | None = None,
 ) -> dict[str, tuple[bool, float, bool]]:
     """One replication: per method, (covered, width, failed).
 
@@ -200,7 +210,7 @@ def run_replication(
     master_seed, rep_index = rep_seed
     stream = replication_stream(master_seed, scenario, rep_index)
     dataset, theta_new = simulate_dataset(stream, scenario)
-    results = evaluate_methods(methods, dataset, scenario.level, engine_config)
+    results = evaluate_methods(methods, dataset, scenario.level)
     out: dict[str, tuple[bool, float, bool]] = {}
     for method, interval in zip(methods, results):
         if isinstance(interval, Exception):
@@ -216,66 +226,43 @@ def run_replication(
     return out
 
 
-def _run_chunk(args):
-    scenario, methods, master_seed, scenario_index, rep_lo, rep_hi = args
-    rows = []
-    for rep in range(rep_lo, rep_hi):
-        res = run_replication(scenario, methods, (master_seed, rep))
-        rows.append([res[m] for m in methods])
-    return scenario_index, rep_lo, rows
-
-
 def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
-    Results are gathered into deterministic (scenario, replication) order
-    before aggregation, and sums use compensated summation, so the output
-    is bit-identical for any parallelism value under the same master seed.
+    Replications run as one ordered map over (scenario, replication), in
+    process at parallelism 1 and on a process pool otherwise, so each
+    scenario's results are one contiguous slice. Coverage is an integer
+    count and widths are summed exactly (math.fsum), so the output is
+    bit-identical for any parallelism value under the same master seed.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    n_s = len(config.scenarios)
-    n_m = len(config.methods)
-    covered = np.zeros((n_s, config.reps, n_m), dtype=bool)
-    width = np.full((n_s, config.reps, n_m), math.nan)
-    failed = np.zeros((n_s, config.reps, n_m), dtype=bool)
-
-    chunk = max(1, math.ceil(config.reps / max(parallelism * 4, 1)))
-    tasks = [
-        (sc, config.methods, config.master_seed, si, lo, min(lo + chunk, config.reps))
-        for si, sc in enumerate(config.scenarios)
-        for lo in range(0, config.reps, chunk)
-    ]
-
+    reps = config.reps
+    args = (
+        [sc for sc in config.scenarios for _ in range(reps)],
+        repeat(config.methods),
+        [(config.master_seed, rep) for rep in range(reps)] * len(config.scenarios),
+    )
     if parallelism == 1:
-        results = map(_run_chunk, tasks)
+        rows = list(map(run_replication, *args))
     else:
-        pool = ProcessPoolExecutor(max_workers=parallelism)
-        try:
-            results = list(pool.map(_run_chunk, tasks))
-        finally:
-            pool.shutdown()
-
-    for si, lo, rows in results:
-        for offset, row in enumerate(rows):
-            for mi, (cov, wid, fail) in enumerate(row):
-                covered[si, lo + offset, mi] = cov
-                width[si, lo + offset, mi] = wid
-                failed[si, lo + offset, mi] = fail
+        chunk = math.ceil(reps / (4 * parallelism))
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            rows = list(pool.map(run_replication, *args, chunksize=chunk))
 
     records = []
     for si, sc in enumerate(config.scenarios):
-        for mi, method in enumerate(config.methods):
-            ok = ~failed[si, :, mi]
-            used = int(ok.sum())
-            n_fail = config.reps - used
+        cell = rows[si * reps : (si + 1) * reps]
+        for method in config.methods:
+            ok = [res[method] for res in cell if not res[method][2]]
+            used = len(ok)
             if used == 0:
                 records.append(
-                    CoverageRecord(method, sc, math.nan, math.nan, math.nan, 0, n_fail)
+                    CoverageRecord(method, sc, math.nan, math.nan, math.nan, 0, reps)
                 )
                 continue
-            cov = math.fsum(1.0 for f in covered[si, ok, mi] if f) / used
-            mean_w = math.fsum(width[si, ok, mi].tolist()) / used
+            cov = sum(1 for covered, _, _ in ok if covered) / used
+            mean_w = math.fsum(width for _, width, _ in ok) / used
             mc_se = math.sqrt(cov * (1.0 - cov) / used)
-            records.append(CoverageRecord(method, sc, cov, mean_w, mc_se, used, n_fail))
+            records.append(CoverageRecord(method, sc, cov, mean_w, mc_se, used, reps - used))
     return records

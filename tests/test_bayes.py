@@ -46,20 +46,15 @@ class TestEngineConfig:
         cfg = EngineConfig()
         assert cfg.mu_prior_var == 10_000.0
         assert cfg.grid_size == 2048
-        assert cfg.tail_mass_cut == 1e-10
         assert cfg.cdf_tolerance == 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(grid_size=32)
         with pytest.raises(ValueError):
-            EngineConfig(tail_mass_cut=0.5)
-        with pytest.raises(ValueError):
             EngineConfig(cdf_tolerance=0.0)
         with pytest.raises(ValueError):
             EngineConfig(mu_prior_var=-1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(tau_upper_hint=0.0)
 
 
 class TestMarginalLoglik:
@@ -168,13 +163,6 @@ class TestPosteriorGrid:
         with pytest.raises(DivergedPosteriorError) as err:
             build_posterior_grid(ds, prior)
         assert err.value.prior_name == "power(3)"
-
-    def test_tau_upper_hint_respected(self):
-        cfg = EngineConfig(tau_upper_hint=50.0)
-        grid = grid_for(SPREAD, "jeffreys", cfg)
-        iv_hint = prediction_interval(grid)
-        iv_default = prediction_interval(grid_for(SPREAD, "jeffreys"))
-        assert iv_hint.upper == pytest.approx(iv_default.upper, abs=1e-5)
 
 
 class TestPredictiveCdf:

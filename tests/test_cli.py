@@ -100,6 +100,9 @@ class TestSimulate:
     def test_bad_env_seed(self, config_file, monkeypatch, capsys):
         monkeypatch.setenv("METAPRED_SEED", "not-a-number")
         assert main(["simulate", "--config", config_file]) == 2
+        monkeypatch.setenv("METAPRED_SEED", "-1")
+        assert main(["simulate", "--config", config_file]) == 2
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
 
     def test_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -92,6 +92,12 @@ class TestParseSimConfig:
         assert cfg.methods == ("hts", "uniform", "cred:jeffreys")
         assert all(s.level == 0.9 for s in cfg.scenarios)
 
+    def test_seed_and_reps_are_exact(self):
+        base = b"n = [7]\ntau2 = [0.1]\n"
+        for seed in (12345678901234567891, 12345678901234567000, 2**64 - 1):
+            assert parse_sim_config(base + b"seed = %d\n" % seed).master_seed == seed
+        assert parse_sim_config(base + b"reps = 1e3\nseed = 5e0\n").reps == 1000
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             parse_sim_config(b"tau2 = [0.1]\n")  # n missing
@@ -117,6 +123,9 @@ class TestParseSimConfig:
             b"n = [7]\ntau2 = [0.1]\nseed = inf\n",
             b"n = [7]\ntau2 = [0.1]\nmethods = [hts, hts]\n",
             b"n = [7, 7]\ntau2 = [0.1]\n",
+            b"n = [7]\ntau2 = [0.1]\nseed = -5\n",
+            b"n = [7]\ntau2 = [0.1]\nseed = 18446744073709551616\n",
+            b"n = [89, 900]\ntau2 = [0.716, 0.907]\n",  # scenario_key collision
         )
         for text in bad_values:
             with pytest.raises(ConfigError):
@@ -125,7 +134,8 @@ class TestParseSimConfig:
     def test_grid_spec(self):
         assert parse_grid_spec("0.5..2.0 step 0.5") == [0.5, 1.0, 1.5, 2.0]
         assert parse_grid_spec("0.1, 1, 10") == [0.1, 1.0, 10.0]
-        for bad in ("", "nan", "0..inf step 1"):
+        assert len(parse_grid_spec("0..999999 step 1")) == 10**6
+        for bad in ("", "nan", "0..inf step 1", "0..1e300 step 1e-300", "0..1e9 step 1"):
             with pytest.raises(ConfigError):
                 parse_grid_spec(bad)
 

@@ -46,6 +46,13 @@ class TestScenarioConfig:
             SimConfig(scenarios=sc, methods=("hts", "uniform", "hts"))
         with pytest.raises(ValueError, match="repeats scenario"):
             SimConfig(scenarios=sc + (Scenario(15, 0.1), Scenario(7, 0.1)))
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                SimConfig(scenarios=sc, master_seed=seed)
+        SimConfig(scenarios=sc, master_seed=2**64 - 1)
+        # (89, 0.716) and (900, 0.907) share one 32-bit scenario_key
+        with pytest.raises(ValueError, match="share stream key 0x312f649"):
+            SimConfig(scenarios=(Scenario(89, 0.716), Scenario(900, 0.907)))
 
     def test_available_methods_include_credible_tags(self):
         tags = METHODS
@@ -141,7 +148,7 @@ class TestRunStudy:
 
         pattern = {0: (True, 2.0), 1: (True, 2.0), 2: (False, 4.0), 3: (True, 2.0)}
 
-        def fake_replication(scenario, methods, rep_seed, engine_config=None):
+        def fake_replication(scenario, methods, rep_seed):
             covered, width = pattern[rep_seed[1]]
             return {m: (covered, width, False) for m in methods}
 
@@ -155,6 +162,36 @@ class TestRunStudy:
         assert rec.reps_used == 4
         assert rec.failures == 0
         assert rec.mc_se == pytest.approx(math.sqrt(0.75 * 0.25 / 4))
+
+    def test_aggregation_skips_failed_replications(self, monkeypatch):
+        import metapred.simulate as sim
+
+        # (covered, width, failed) per replication index
+        pattern = {
+            0: (True, 2.0, False),
+            1: (False, math.nan, True),
+            2: (False, 4.0, False),
+            3: (False, math.nan, True),
+            4: (True, 3.0, False),
+        }
+
+        def fake_replication(scenario, methods, rep_seed):
+            row = pattern[rep_seed[1]]
+            return {"hts": row, "jeffreys": (False, math.nan, True)}
+
+        monkeypatch.setattr(sim, "run_replication", fake_replication)
+        config = SimConfig(
+            scenarios=(Scenario(4, 0.1),), methods=("hts", "jeffreys"), reps=5
+        )
+        hts, jeffreys = sim.run_study(config)
+        assert (hts.reps_used, hts.failures) == (3, 2)
+        assert hts.coverage == 2 / 3
+        assert hts.mean_width == 3.0
+        assert hts.mc_se == pytest.approx(math.sqrt(2 / 3 * 1 / 3 / 3))
+        assert (jeffreys.reps_used, jeffreys.failures) == (0, 5)
+        assert math.isnan(jeffreys.coverage)
+        assert math.isnan(jeffreys.mean_width)
+        assert math.isnan(jeffreys.mc_se)
 
     def test_aggregation_and_mc_se_identity(self):
         config = SimConfig(
@@ -174,15 +211,17 @@ class TestRunStudy:
             assert rec.mean_width > 0
 
     def test_parallelism_does_not_change_records(self):
-        config = SimConfig(
-            scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
-            methods=("hts", "jeffreys", "shrinkage"),
-            reps=8,
-            master_seed=99,
-        )
-        serial = run_study(config, parallelism=1)
-        parallel = run_study(config, parallelism=2)
-        assert serial == parallel
+        # reps 9 at parallelism 2 gives chunks of 2 that cross scenarios
+        for reps in (8, 9):
+            config = SimConfig(
+                scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
+                methods=("hts", "jeffreys", "shrinkage"),
+                reps=reps,
+                master_seed=99,
+            )
+            serial = run_study(config, parallelism=1)
+            parallel = run_study(config, parallelism=2)
+            assert serial == parallel
 
     def test_scenario_order_does_not_change_cells(self):
         s1, s2 = Scenario(4, 0.1), Scenario(5, 0.02)
