@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
+import metapred.bayes as bayes
 from metapred import (
+    NAMED_PRIORS,
     DivergedPosteriorError,
     EngineConfig,
     MetaDataset,
+    NumericFailure,
     bind_prior,
     build_posterior_grid,
     credible_interval_mu,
@@ -28,6 +34,9 @@ from oracles import (
 
 SPREAD = MetaDataset.from_arrays([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
 SYMMETRIC = MetaDataset.from_arrays([-1.0, 1.0], [1.0, 1.0])
+README_DATA = MetaDataset.from_arrays(
+    [0.42, -0.08, 0.55, 0.26, 0.78, 0.11], [0.21, 0.28, 0.19, 0.24, 0.30, 0.26]
+)
 
 
 def random_dataset(rng, n_lo=3, n_hi=15):
@@ -55,6 +64,13 @@ class TestEngineConfig:
             EngineConfig(cdf_tolerance=0.0)
         with pytest.raises(ValueError):
             EngineConfig(mu_prior_var=-1.0)
+        for size in (100.5, 2048.0, True):
+            with pytest.raises(ValueError, match="grid_size must be an integer"):
+                EngineConfig(grid_size=size)
+        for tol in (0.5, float("nan")):
+            with pytest.raises(ValueError):
+                EngineConfig(cdf_tolerance=tol)
+        assert EngineConfig(grid_size=np.int64(128)).grid_size == 128
 
 
 class TestMarginalLoglik:
@@ -244,6 +260,16 @@ class TestIntervals:
         widths = [prediction_interval(grid, lvl).width for lvl in (0.5, 0.9, 0.99)]
         assert widths[0] < widths[1] < widths[2]
 
+    def test_cdf_tolerance_validation(self):
+        # the same rule as EngineConfig; a NaN tolerance used to return a
+        # zero-width interval at the mixture mean
+        grid = grid_for(README_DATA, "jeffreys")
+        for tol in (float("nan"), 0.5, 1e-2, 0.0, -1e-8):
+            with pytest.raises(ValueError, match="cdf_tolerance"):
+                prediction_interval(grid, 0.95, cdf_tolerance=tol)
+            with pytest.raises(ValueError, match="cdf_tolerance"):
+                credible_interval_mu(grid, 0.95, cdf_tolerance=tol)
+
 
 class TestMoments:
     def test_tiny_support_forces_tau_to_zero(self):
@@ -298,3 +324,126 @@ class TestConvergenceProperties:
             )
             assert shifted.lower == pytest.approx(base.lower + 1.0, abs=1e-3)
             assert shifted.upper == pytest.approx(base.upper + 1.0, abs=1e-3)
+
+
+def bisect_mixture(means, sds, weights, prob, tol_width):
+    """Plain bisection on the full mixture CDF, the reference for Newton."""
+
+    def cdf(x):
+        return float(np.sum(weights * ndtr((x - means) / sds)))
+
+    lo = float(np.min(means - 40.0 * sds))
+    hi = float(np.max(means + 40.0 * sds))
+    assert cdf(lo) <= prob <= cdf(hi)
+    while hi - lo > tol_width:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < prob:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def mixture_of(grid, kind):
+    var = grid.cond_var + grid.nodes**2 if kind == "prediction" else grid.cond_var
+    return grid.cond_mean, np.sqrt(var), grid.posterior_weights()
+
+
+def endpoint_tolerance(grid, kind, cdf_tolerance=1e-8):
+    m, s, pi = mixture_of(grid, kind)
+    mean = float(np.sum(pi * m))
+    return cdf_tolerance * math.sqrt(float(np.sum(pi * (s**2 + (m - mean) ** 2))))
+
+
+class TestMixtureInversion:
+    @pytest.mark.parametrize("prob", [1e-6, 0.025, 0.5, 0.975])
+    def test_single_component_is_normal_quantile(self, prob):
+        m, s = np.array([1.3]), np.array([0.7])
+        tol_width = 1e-9
+        x = bayes._invert_mixture_cdf(m, s, np.array([1.0]), prob, tol_width)
+        assert abs(x - (1.3 + 0.7 * float(ndtri(prob)))) <= tol_width
+
+    @pytest.mark.parametrize("prob", [0.5 - 1e-10, 0.5 + 1e-10, 0.75])
+    def test_separated_components_fall_back_to_bisection(self, prob):
+        # at p = 0.5 exactly the double-precision CDF is flat at 0.5 over
+        # about (-41, 41), so the root is moved just off the plateau: it
+        # lies near +-43.75, where the density at the Newton start (x ~ 0)
+        # underflows and every raw Newton step leaves the bracket
+        m, s, w = np.array([-50.0, 50.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5])
+        tol_width = 1e-6
+        got = bayes._invert_mixture_cdf(m, s, w, prob, tol_width)
+        want = bisect_mixture(m, s, w, prob, tol_width)
+        assert abs(got - want) <= tol_width
+
+    def test_probability_one_raises(self):
+        m, s, w = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.3, 0.7])
+        with pytest.raises(NumericFailure):
+            bayes._invert_mixture_cdf(m, s, w, 1.0, 1e-8)
+        # a level just below 1 rounds the upper tail probability to 1
+        with pytest.raises(NumericFailure):
+            prediction_interval(grid_for(README_DATA, "sqrt"), 1.0 - 2.0**-53)
+
+    def test_newton_steps_per_endpoint(self, monkeypatch):
+        # each mixture-CDF evaluation is one ndtr call over the components;
+        # bisection would need about 40 per endpoint
+        calls = []
+        real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdf
+
+        def counting_ndtr(z):
+            calls[-1] += 1
+            return real_ndtr(z)
+
+        def counting_invert(*args):
+            calls.append(0)
+            return real_invert(*args)
+
+        monkeypatch.setattr(bayes, "ndtr", counting_ndtr)
+        monkeypatch.setattr(bayes, "_invert_mixture_cdf", counting_invert)
+        for name in NAMED_PRIORS:
+            grid = grid_for(README_DATA, name)
+            prediction_interval(grid)
+            credible_interval_mu(grid)
+        assert len(calls) == 4 * len(NAMED_PRIORS)
+        assert max(calls) <= 12
+
+    def test_tolerance_below_float_resolution_terminates(self):
+        # bisection to a width under the float spacing of the endpoints
+        # never ended; the inversion stops at float resolution instead
+        grid = grid_for(README_DATA, "jeffreys")
+        tight = prediction_interval(grid, 0.95, cdf_tolerance=1e-300)
+        default = prediction_interval(grid, 0.95)
+        tol = endpoint_tolerance(grid, "prediction")
+        assert abs(tight.lower - default.lower) <= tol
+        assert abs(tight.upper - default.upper) <= tol
+
+    def test_large_mean_small_spread_terminates(self):
+        # effects near 1000 with SEs of 1e-5: the raw-moment mixture
+        # variance cancelled to <= 0 and the bisection tolerance to 1e-158
+        ds = MetaDataset.from_arrays(
+            [1000.0, 1000.00001, 999.99999, 1000.000005], [1e-5] * 4
+        )
+        grid = grid_for(ds, "uniform")
+        iv = prediction_interval(grid)
+        assert 999.9999 < iv.lower < iv.upper < 1000.0001
+        assert predictive_cdf(grid, iv.lower) == pytest.approx(0.025, abs=1e-6)
+        assert predictive_cdf(grid, iv.upper) == pytest.approx(0.975, abs=1e-6)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(sorted(NAMED_PRIORS)),
+        st.sampled_from(["prediction", "credible"]),
+        st.sampled_from([1.0, 10.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_endpoints_match_bisection(self, seed, name, kind, scale):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 31))
+        ds = MetaDataset.from_arrays(
+            scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
+        )
+        grid = grid_for(ds, name)
+        interval = (prediction_interval if kind == "prediction" else credible_interval_mu)(grid)
+        tol_width = endpoint_tolerance(grid, kind)
+        m, s, pi = mixture_of(grid, kind)
+        assert abs(interval.lower - bisect_mixture(m, s, pi, 0.025, tol_width)) <= tol_width
+        assert abs(interval.upper - bisect_mixture(m, s, pi, 0.975, tol_width)) <= tol_width
