@@ -63,12 +63,9 @@ from .priors import (
     BoundPrior,
     PriorFamily,
     bind_prior,
-    inv_gamma_prior,
     log_prior_density,
     named_prior,
-    power_prior,
     prior_cdf,
-    proper_uniform_prior,
 )
 from .simulate import (
     DEFAULT_METHODS,
@@ -108,9 +105,6 @@ __all__ = [
     "BoundPrior",
     "NAMED_PRIORS",
     "named_prior",
-    "power_prior",
-    "proper_uniform_prior",
-    "inv_gamma_prior",
     "bind_prior",
     "log_prior_density",
     "prior_cdf",

@@ -14,11 +14,12 @@ places Gauss-Legendre nodes in w: the square-root map bounds every one of
 the supported priors' integrands at the origin (including the tau^-1/2
 singularity of the sqrt prior), and the rational map absorbs heavy tails.
 
-Interval endpoints invert the mixture CDF by safeguarded Newton steps: the
-mixture density is closed-form, so each step costs one pass over the
-components, and a step that leaves the sign bracket or fails to shrink
-falls back to bisection. About five steps plus the bracket probes reach
-the tolerance where plain bisection takes about forty.
+Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
+components' own quantiles bracket each mixture quantile (the weights sum
+to 1), so the bracket costs no CDF evaluation; the mixture density is
+closed-form, so each step costs one pass over the components, and a step
+that leaves the bracket or fails to shrink falls back to bisection. About
+four steps reach the tolerance where plain bisection takes about forty.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def build_posterior_grid(
 
     Raises
     ------
+    ValueError
+        If n < 2, or if the prior was bound to other within-study variances.
     DivergedPosteriorError
         If the posterior tail has not decayed by tau = 1e6 * s0, which
         signals an improper posterior for this prior/dataset combination.
@@ -241,6 +244,8 @@ def build_posterior_grid(
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     y = dataset.effects
     sigma_sq = dataset.variances
+    if not np.array_equal(prior.sigma_sq, sigma_sq):
+        raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
     c = math.sqrt(prior.s0_sq)
 
     if prior.family.kind == "proper-uniform":
@@ -279,59 +284,62 @@ def build_posterior_grid(
     )
 
 
+def _mixture(grid: PosteriorGrid, predictive: bool):
+    """(means, sds, weights) of the posterior mixture for theta_new or for mu.
+
+    Components under 1e-17 of the peak weight (together less than 1e-13 of
+    the mass) are dropped and the rest renormalised to sum to 1.
+    """
+    pi = grid.posterior_weights()
+    keep = pi > pi.max() * 1e-17
+    var = grid.cond_var + grid.nodes**2 if predictive else grid.cond_var
+    w = pi[keep]
+    return grid.cond_mean[keep], np.sqrt(var[keep]), w / w.sum()
+
+
+def _mean_sd(m, s, w):
+    """Mean and SD of sum_k w_k N(m_k, s_k^2) for weights summing to 1.
+
+    The central second moment is summed: E[x^2] - E[x]^2 cancels when |mean| >> sd.
+    """
+    mean = float(np.sum(w * m))
+    return mean, math.sqrt(max(float(np.sum(w * (s * s + (m - mean) ** 2))), 1e-300))
+
+
 def predictive_cdf(grid: PosteriorGrid, x: float) -> float:
     """CDF of the new-study effect under the discretized posterior mixture."""
-    pi = grid.posterior_weights()
-    sd = np.sqrt(grid.cond_var + grid.nodes**2)
-    return float(np.sum(pi * ndtr((x - grid.cond_mean) / sd)))
+    m, s, w = _mixture(grid, predictive=True)
+    return float(np.sum(w * ndtr((x - m) / s)))
 
 
 def _invert_mixture_cdf(means, sds, weights, prob, tol_width):
     """Solve F(x) = sum_k w_k Phi((x - m_k)/s_k) = prob by safeguarded Newton.
 
-    A sign bracket [lo, hi] with F(lo) <= prob <= F(hi) is found by doubling
-    outwards from the mixture mean. Newton steps (prob - F)/f, with the
-    closed-form density f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from
-    the normal quantile of the mixture's own mean and SD; every evaluation
-    shrinks the bracket by the sign of F - prob, and a step that would leave
-    the bracket or not halve the previous step is replaced by the bracket
-    midpoint (as in rtsafe). The root is returned once a step is within
-    tol_width / 2 or the bracket is within tol_width - the error bound of
-    plain bisection - or once the bracket cannot be split in floating point.
+    The weights must sum to 1: then, with q = ndtri(prob), every Phi term is
+    <= prob at lo = min_k(m_k + s_k q) and >= prob at hi = max_k(m_k + s_k q),
+    so the components' own quantiles bracket the root without evaluating F.
+    Newton steps (prob - F)/f, with the closed-form density
+    f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from the normal quantile of
+    the mixture's own mean and SD; every evaluation shrinks the bracket by
+    the sign of F - prob, and a step that would leave the bracket or not
+    halve the previous step is replaced by the bracket midpoint (as in
+    rtsafe). The root is returned once a step is within tol_width / 2 or the
+    bracket is within tol_width - the error bound of plain bisection - or
+    once the bracket cannot be split in floating point.
     """
     if not (0.0 < prob < 1.0):
         raise NumericFailure(f"the mixture has no finite quantile for prob={prob}")
-    # drop numerically irrelevant components; total dropped mass < 1e-13
-    keep = weights > weights.max() * 1e-17
-    m, s, w = means[keep], sds[keep], weights[keep]
+    q = float(ndtri(prob))
+    component_quantiles = means + sds * q
+    lo, hi = float(component_quantiles.min()), float(component_quantiles.max())
 
-    center = float(np.sum(w * m))
-    half = 10.0 * float(np.max(s))
-
-    def cdf(x):
-        return float(np.sum(w * ndtr((x - m) / s)))
-
-    lo, hi = center - half, center + half
-    for _ in range(64):
-        if cdf(lo) <= prob:
-            break
-        lo = center - 2.0 * (center - lo)
-    else:
-        raise NumericFailure(f"bracket expansion failed below for prob={prob}")
-    for _ in range(64):
-        if cdf(hi) >= prob:
-            break
-        hi = center + 2.0 * (hi - center)
-    else:
-        raise NumericFailure(f"bracket expansion failed above for prob={prob}")
-
-    w_over_s = w / s
-    sd = math.sqrt(float(np.sum(w * (s * s + (m - center) ** 2))))
-    x = min(max(center + sd * float(ndtri(prob)), lo), hi)
+    w_over_s = weights / sds
+    center, sd = _mean_sd(means, sds, weights)
+    x = min(max(center + sd * q, lo), hi)
     step = step_before = hi - lo
     for _ in range(_MAX_INVERSION_STEPS):
-        z = (x - m) / s
-        resid = float(np.sum(w * ndtr(z))) - prob
+        z = (x - means) / sds
+        resid = float(np.sum(weights * ndtr(z))) - prob
         if resid == 0.0:
             return x
         if resid < 0.0:
@@ -353,20 +361,15 @@ def _invert_mixture_cdf(means, sds, weights, prob, tol_width):
     raise NumericFailure(f"mixture quantile did not converge for prob={prob}")
 
 
-def _mixture_interval(grid, level, sds, kind, cdf_tolerance):
+def _mixture_interval(grid, level, predictive, kind, cdf_tolerance):
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     _check_cdf_tolerance(cdf_tolerance)
-    pi = grid.posterior_weights()
-    m = grid.cond_mean
-    mean = float(np.sum(pi * m))
-    # central second moment: the raw-moment difference cancels to garbage
-    # when |mean| >> sd and left a tolerance bisection could never reach
-    overall_sd = math.sqrt(max(float(np.sum(pi * (sds**2 + (m - mean) ** 2))), 1e-300))
-    tol_width = cdf_tolerance * overall_sd
+    m, s, w = _mixture(grid, predictive)
+    tol_width = cdf_tolerance * _mean_sd(m, s, w)[1]
     alpha = 1.0 - level
-    lower = _invert_mixture_cdf(m, sds, pi, alpha / 2.0, tol_width)
-    upper = _invert_mixture_cdf(m, sds, pi, 1.0 - alpha / 2.0, tol_width)
+    lower = _invert_mixture_cdf(m, s, w, alpha / 2.0, tol_width)
+    upper = _invert_mixture_cdf(m, s, w, 1.0 - alpha / 2.0, tol_width)
     return IntervalEstimate(
         lower=lower, upper=upper, level=level, method=grid.prior_name, kind=kind
     )
@@ -380,30 +383,24 @@ def prediction_interval(
     cdf_tolerance is the relative endpoint error of EngineConfig and must
     lie in (0, 1e-2); anything else raises ValueError.
     """
-    sds = np.sqrt(grid.cond_var + grid.nodes**2)
-    return _mixture_interval(grid, level, sds, "prediction", cdf_tolerance)
+    return _mixture_interval(grid, level, True, "prediction", cdf_tolerance)
 
 
 def credible_interval_mu(
     grid: PosteriorGrid, level: float = 0.95, cdf_tolerance: float = 1e-8
 ) -> IntervalEstimate:
     """Equal-tail credible interval for the grand mean (cdf_tolerance as above)."""
-    sds = np.sqrt(grid.cond_var)
-    return _mixture_interval(grid, level, sds, "credible", cdf_tolerance)
+    return _mixture_interval(grid, level, False, "credible", cdf_tolerance)
 
 
 def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
     """(E[tau^2 | y], Var(mu | y), Var(theta_new | y)) at grid resolution.
 
-    The mixture identity Var(theta_new) = Var(mu) + E[tau^2] holds exactly
-    up to floating-point rounding.
+    Both variances are central moments of the mixtures that the intervals
+    invert, so the identity Var(theta_new) = Var(mu) + E[tau^2] holds up to
+    rounding and the < 1e-13 of mass the mixture reader drops.
     """
-    pi = grid.posterior_weights()
-    m = grid.cond_mean
-    mean_mu = float(np.sum(pi * m))
-    mean_tau2 = float(np.sum(pi * grid.nodes**2))
-    var_mu = float(np.sum(pi * (grid.cond_var + m**2))) - mean_mu**2
-    var_pred = (
-        float(np.sum(pi * (grid.cond_var + grid.nodes**2 + m**2))) - mean_mu**2
-    )
-    return mean_tau2, var_mu, var_pred
+    m, s_mu, w = _mixture(grid, predictive=False)
+    _, s_new, _ = _mixture(grid, predictive=True)
+    mean_tau2 = float(np.sum(grid.posterior_weights() * grid.nodes**2))
+    return mean_tau2, _mean_sd(m, s_mu, w)[1] ** 2, _mean_sd(m, s_new, w)[1] ** 2

@@ -192,16 +192,6 @@ def _restricted_score_info(y, v, tau2):
     return score, info
 
 
-def _restricted_loglik(y, v, tau2):
-    w = 1.0 / (v + tau2)
-    mu = float(np.sum(w * y) / np.sum(w))
-    return -0.5 * float(
-        np.sum(np.log(v + tau2))
-        + math.log(float(np.sum(w)))
-        + np.sum(w * (y - mu) ** 2)
-    )
-
-
 def reml_tau2(
     dataset: MetaDataset, *, tol: float = 1e-10, max_iter: int = 200
 ) -> HeterogeneityEstimate:

@@ -27,9 +27,6 @@ from .errors import NumericFailure
 __all__ = [
     "PriorFamily",
     "BoundPrior",
-    "power_prior",
-    "proper_uniform_prior",
-    "inv_gamma_prior",
     "named_prior",
     "NAMED_PRIORS",
     "bind_prior",
@@ -95,18 +92,6 @@ class PriorFamily:
         if self.kind == "inv-gamma":
             return f"inv-gamma({self.shape:g},{self.rate:g})"
         return self.kind
-
-
-def power_prior(a: float) -> PriorFamily:
-    return PriorFamily("power", a=float(a))
-
-
-def proper_uniform_prior(hi: float) -> PriorFamily:
-    return PriorFamily("proper-uniform", hi=float(hi))
-
-
-def inv_gamma_prior(shape: float, rate: float) -> PriorFamily:
-    return PriorFamily("inv-gamma", shape=float(shape), rate=float(rate))
 
 
 # the eleven reference priors; `metapred priors list` prints them in this order

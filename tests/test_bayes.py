@@ -14,16 +14,15 @@ from metapred import (
     EngineConfig,
     MetaDataset,
     NumericFailure,
+    PriorFamily,
     bind_prior,
     build_posterior_grid,
     credible_interval_mu,
     marginal_loglik,
     named_prior,
     posterior_tau_moments,
-    power_prior,
     prediction_interval,
     predictive_cdf,
-    proper_uniform_prior,
 )
 from oracles import (
     interval_from_mixture,
@@ -175,10 +174,19 @@ class TestPosteriorGrid:
 
     def test_improper_posterior_raises(self):
         ds = MetaDataset.from_arrays([0.0, 1.0], [0.3, 0.4])
-        prior = bind_prior(power_prior(3.0), ds)
+        prior = bind_prior(PriorFamily("power", a=3.0), ds)
         with pytest.raises(DivergedPosteriorError) as err:
             build_posterior_grid(ds, prior)
         assert err.value.prior_name == "power(3)"
+
+    def test_prior_bound_to_other_dataset_raises(self):
+        # jeffreys, dumouchel and i2 read the bound variances; a prior bound
+        # to three studies with SEs 2-3 moved the README interval silently
+        other = MetaDataset.from_arrays([0.1, 0.5, -0.3], [2.0, 2.5, 3.0])
+        for name in ("jeffreys", "dumouchel", "i2"):
+            prior = bind_prior(named_prior(name), other)
+            with pytest.raises(ValueError, match="bound to other within-study variances"):
+                build_posterior_grid(README_DATA, prior)
 
 
 class TestPredictiveCdf:
@@ -273,16 +281,20 @@ class TestIntervals:
 
 class TestMoments:
     def test_tiny_support_forces_tau_to_zero(self):
-        prior = bind_prior(proper_uniform_prior(1e-6), SPREAD)
+        prior = bind_prior(PriorFamily("proper-uniform", hi=1e-6), SPREAD)
         grid = build_posterior_grid(SPREAD, prior)
         mean_tau2, _, _ = posterior_tau_moments(grid)
         assert mean_tau2 <= 1e-12
 
     def test_variance_decomposition_identity(self):
         rng = np.random.default_rng(3)
-        for name in ("uniform", "sqrt", "proper3"):
-            ds = random_dataset(rng)
-            grid = grid_for(ds, name)
+        cases = [(random_dataset(rng), name, None) for name in ("uniform", "sqrt", "proper3")]
+        # effects shifted by 1e5: a raw-moment E[x^2] - E[x]^2 cancels here
+        shifted = MetaDataset.from_arrays(README_DATA.effects + 1e5, README_DATA.std_errs)
+        wide = EngineConfig(mu_prior_var=1e12)
+        cases += [(shifted, name, wide) for name in ("uniform", "jeffreys")]
+        for ds, name, config in cases:
+            grid = grid_for(ds, name, config)
             mean_tau2, var_mu, var_pred = posterior_tau_moments(grid)
             assert var_pred - var_mu - mean_tau2 == pytest.approx(
                 0.0, abs=1e-8 * var_pred
@@ -385,7 +397,7 @@ class TestMixtureInversion:
 
     def test_newton_steps_per_endpoint(self, monkeypatch):
         # each mixture-CDF evaluation is one ndtr call over the components;
-        # bisection would need about 40 per endpoint
+        # the bracket costs none, and bisection would need about 40
         calls = []
         real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdf
 
@@ -404,7 +416,7 @@ class TestMixtureInversion:
             prediction_interval(grid)
             credible_interval_mu(grid)
         assert len(calls) == 4 * len(NAMED_PRIORS)
-        assert max(calls) <= 12
+        assert max(calls) <= 5
 
     def test_tolerance_below_float_resolution_terminates(self):
         # bisection to a width under the float spacing of the endpoints

@@ -10,12 +10,9 @@ from metapred import (
     NAMED_PRIORS,
     PriorFamily,
     bind_prior,
-    inv_gamma_prior,
     log_prior_density,
     named_prior,
-    power_prior,
     prior_cdf,
-    proper_uniform_prior,
 )
 from metapred.priors import BoundPrior
 
@@ -61,16 +58,16 @@ class TestFamilies:
         ]
 
     def test_aliases(self):
-        assert named_prior("uniform") == power_prior(0.0)
-        assert named_prior("sqrt") == power_prior(-0.5)
-        assert named_prior("proper1") == proper_uniform_prior(10.0)
-        assert named_prior("proper2") == inv_gamma_prior(0.001, 0.001)
-        assert named_prior("proper3") == inv_gamma_prior(0.01, 0.01)
+        assert named_prior("uniform") == PriorFamily("power", a=0.0)
+        assert named_prior("sqrt") == PriorFamily("power", a=-0.5)
+        assert named_prior("proper1") == PriorFamily("proper-uniform", hi=10.0)
+        assert named_prior("proper2") == PriorFamily("inv-gamma", shape=0.001, rate=0.001)
+        assert named_prior("proper3") == PriorFamily("inv-gamma", shape=0.01, rate=0.01)
 
     def test_canonical_names(self):
         for name, fam in NAMED_PRIORS.items():
             assert fam.name == name
-        assert power_prior(0.25).name == "power(0.25)"
+        assert PriorFamily("power", a=0.25).name == "power(0.25)"
 
     def test_properness_flags(self):
         for name in PROPER_NAMES:
@@ -80,11 +77,11 @@ class TestFamilies:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            power_prior(-1.0)  # integrability at 0 needs a > -1
+            PriorFamily("power", a=-1.0)  # integrability at 0 needs a > -1
         with pytest.raises(ValueError):
-            proper_uniform_prior(0.0)
+            PriorFamily("proper-uniform", hi=0.0)
         with pytest.raises(ValueError):
-            inv_gamma_prior(0.0, 1.0)
+            PriorFamily("inv-gamma", shape=0.0, rate=1.0)
         with pytest.raises(ValueError):
             PriorFamily("cauchy")
         with pytest.raises(ValueError):
