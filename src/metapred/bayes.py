@@ -9,10 +9,17 @@ in a new study and credible intervals for the mean are quantiles of the
 resulting discrete mixture of normals - no Monte Carlo anywhere in this
 path.
 
-Grid construction compactifies tau through w = sqrt(tau / (s0 + tau)) and
-places Gauss-Legendre nodes in w: the square-root map bounds every one of
-the supported priors' integrands at the origin (including the tau^-1/2
-singularity of the sqrt prior), and the rational map absorbs heavy tails.
+Grid construction compactifies tau through w = sqrt(tau / (s0 + tau)): the
+square-root map bounds every one of the supported priors' integrands at the
+origin (including the tau^-1/2 singularity of the sqrt prior), and the
+rational map absorbs heavy tails. The w range is cut into panels at the
+tail scan's octave ladder in tau, extended down to a quarter of the
+smallest within-study SE, and each panel carries a 16-point Gauss-Legendre
+rule on each of its halves. A panel whose whole-panel rule disagrees with
+its two half rules, in posterior mass or in tau^2-weighted mass, by more
+than cdf_tolerance / 100 of the total is bisected and checked again
+(adaptive panels as in QUADPACK), so nodes go where the posterior has
+features - a few hundred on typical data - up to a 16384-node cap.
 
 Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
 components' own quantiles bracket each mixture quantile (the weights sum
@@ -25,7 +32,6 @@ four steps reach the tolerance where plain bisection takes about forty.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,7 +41,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 from .core import MetaDataset
 from .errors import DivergedPosteriorError, NumericFailure
 from .intervals import IntervalEstimate
-from .priors import BoundPrior, log_prior_density
+from .priors import BoundPrior, log_prior_kernel
 
 __all__ = [
     "EngineConfig",
@@ -51,6 +57,9 @@ __all__ = [
 _TAU_MAX_CAP_FACTOR = 1e6  # expansion cap: tau_max = 1e6 * s0
 _TAIL_MASS_CUT = 1e-10  # relative density and tail-mass cut of the tau scan
 _MAX_INVERSION_STEPS = 200  # bisection alone needs < 130 at cdf_tolerance 1e-8
+_PANEL_ORDER = 16  # Gauss-Legendre points per half panel
+_MAX_GRID_NODES = 16384  # refinement stops before the grid would exceed this
+_QUAD_TOLERANCE_SHARE = 1e-2  # panel error tolerance as a share of cdf_tolerance
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -64,24 +73,21 @@ def _check_cdf_tolerance(cdf_tolerance):
 class EngineConfig:
     """Knobs for posterior-grid construction and quantile inversion.
 
+    mu_prior_var is the variance S of the N(0, S) prior on the mean.
     cdf_tolerance bounds the endpoint error relative to the mixture's own
     spread: every interval endpoint is within cdf_tolerance x the mixture
-    SD of the exact quantile of the discretised posterior mixture.
+    SD of the exact quantile of the discretised posterior mixture. It also
+    sets the quadrature accuracy: the grid refines each panel until its
+    local error estimate is within cdf_tolerance / 100 of the posterior
+    mass and of the tau^2-weighted mass.
     """
 
     mu_prior_var: float = 10_000.0
-    grid_size: int = 2048
     cdf_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.mu_prior_var) and self.mu_prior_var > 0):
             raise ValueError("mu_prior_var must be positive and finite")
-        if not isinstance(self.grid_size, numbers.Integral) or isinstance(
-            self.grid_size, bool
-        ):
-            raise ValueError(f"grid_size must be an integer, got {self.grid_size!r}")
-        if self.grid_size < 64:
-            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
         _check_cdf_tolerance(self.cdf_tolerance)
 
 
@@ -89,13 +95,22 @@ class EngineConfig:
 class PosteriorGrid:
     """Quadrature view of the marginal posterior of tau.
 
-    nodes        increasing tau values (> 0)
+    nodes        increasing tau values (> 0); len(nodes) is the node count
     quad_weights positive quadrature weights in tau space
-    log_post     log(prior density x integrated likelihood) at the nodes
+    log_post     log(prior density x integrated likelihood) at the nodes, up
+                 to an additive constant (the conventional prior's
+                 normalizer is left out)
     cond_mean    posterior mean of mu given tau, per node
     cond_var     posterior variance of mu given tau, per node
-    log_norm     log of the normalizing sum Z
+    log_norm     log of the normalizing sum Z of the weighted exp(log_post)
     prior_name   tag of the prior that produced the grid
+    tau_max      upper end of the tau range: the tail scan's truncation
+                 point, or the support end of a proper-uniform prior
+    quad_error   summed local error estimates of the accepted panels,
+                 relative to Z (the larger of the ratios for the mass and
+                 for the tau^2-weighted mass); each panel's own estimate is
+                 within cdf_tolerance / 100 of Z unless the node cap
+                 stopped refinement
     """
 
     nodes: np.ndarray
@@ -105,6 +120,8 @@ class PosteriorGrid:
     cond_var: np.ndarray
     log_norm: float
     prior_name: str
+    tau_max: float
+    quad_error: float
 
     def posterior_weights(self) -> np.ndarray:
         """Normalized node masses; they sum to 1 by construction."""
@@ -112,14 +129,29 @@ class PosteriorGrid:
 
 
 def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
-    """Closed-form marginal log likelihood pieces for an array of tau."""
+    """Closed-form marginal log likelihood pieces for an array of tau.
+
+    The quadratic form sum(y^2/v) - (sum(y/v))^2/prec is computed about the
+    1/sigma^2-weighted mean c, as sum(d^2/v) - D^2/prec + (2cD + c^2 A)/(S
+    prec) with d = y - c, D = sum(d/v), A = sum(1/v): the raw form cancels
+    catastrophically when |y| is large against the spread of the effects.
+    """
+    inv_s = 1.0 / sigma_sq
+    c = float(inv_s @ y) / float(inv_s.sum())
+    d = y - c
     t2 = np.asarray(tau, dtype=float)[..., None] ** 2
     v = sigma_sq[None, :] + t2
     inv_v = 1.0 / v
-    prec = np.sum(inv_v, axis=-1) + 1.0 / mu_prior_var
+    a = np.sum(inv_v, axis=-1)
+    prec = a + 1.0 / mu_prior_var
     cond_var = 1.0 / prec
-    cond_mean = (inv_v @ y) * cond_var
-    quad_form = inv_v @ (y * y) - cond_mean**2 * prec
+    dev = inv_v @ d
+    cond_mean = c + (dev - c / mu_prior_var) * cond_var
+    quad_form = (
+        inv_v @ (d * d)
+        - dev**2 * cond_var
+        + (2.0 * c * dev + c * c * a) * cond_var / mu_prior_var
+    )
     loglik = (
         -0.5 * (np.log(v).sum(axis=-1) + len(y) * _LOG_2PI)
         - 0.5 * np.log(mu_prior_var * prec)
@@ -155,33 +187,35 @@ def _gauss_nodes(size: int):
     return x, w
 
 
-def _log_posterior(y, sigma_sq, prior, tau, mu_prior_var):
-    loglik, _, _ = _loglik_terms(y, sigma_sq, tau, mu_prior_var)
-    return log_prior_density(prior, tau) + loglik
+def _tau_ladder(y, s0):
+    """The tail scan's probes: start * 2^k from max(s0, sd(y)), the last
+    point clipped to the cap 1e6 x s0. They double as panel breakpoints."""
+    cap = _TAU_MAX_CAP_FACTOR * s0
+    spread = float(np.std(y, ddof=1)) if len(y) > 1 else 0.0
+    start = min(max(s0, spread, 1e-8), cap / 1024.0)
+    n_steps = int(math.ceil(math.log2(cap / start))) + 1
+    ladder = start * 2.0 ** np.arange(n_steps)
+    ladder[-1] = cap
+    return ladder
 
 
-def _scan_tau_max(y, sigma_sq, prior, mu_prior_var):
+def _scan_tau_max(y, sigma_sq, prior, mu_prior_var, ladder):
     """Geometric upward scan for the tau truncation point.
 
-    Probes start at max(s0, sd(y)) and double up to the cap 1e6 x s0. The
-    first probe where (a) the posterior density is below _TAIL_MASS_CUT x
-    the running peak and (b) the remaining tail mass, estimated from the
-    local decay power, is below _TAIL_MASS_CUT of the accumulated mass is
-    tau_max. Starting at the data scale keeps an unbounded prior density at
+    Probes (ladder, from _tau_ladder) start at max(s0, sd(y)) and double up
+    to the cap 1e6 x s0. The first probe where (a) the posterior density is below
+    _TAIL_MASS_CUT x the running peak and (b) the remaining tail mass,
+    estimated from the local decay power, is below _TAIL_MASS_CUT of the
+    accumulated mass is tau_max. Starting at the data scale keeps an unbounded prior density at
     tau -> 0 (the sqrt prior) out of the peak, which would otherwise stall
     the scan. When (a) holds but the tail is too heavy to ever meet (b)
     inside the cap (e.g. n = 2 with a flat prior), the cap is used; only a
     tail that never decays raises.
     """
-    s0 = math.sqrt(prior.s0_sq)
-    cap = _TAU_MAX_CAP_FACTOR * s0
-    spread = float(np.std(y, ddof=1)) if len(y) > 1 else 0.0
-    start = min(max(s0, spread, 1e-8), cap / 1024.0)
-
-    n_steps = int(math.ceil(math.log2(cap / start))) + 1
-    ladder = start * 2.0 ** np.arange(n_steps)
-    ladder[-1] = cap
-    log_h = _log_posterior(y, sigma_sq, prior, ladder, mu_prior_var)
+    cap = ladder[-1]
+    log_h = log_prior_kernel(prior, ladder) + _loglik_terms(
+        y, sigma_sq, ladder, mu_prior_var
+    )[0]
     log_cut = math.log(_TAIL_MASS_CUT)
 
     running_peak = np.maximum.accumulate(log_h)
@@ -220,6 +254,104 @@ def _scan_tau_max(y, sigma_sq, prior, mu_prior_var):
     return float(cap)
 
 
+def _panel_breaks(ladder, sigma_sq, tau_max):
+    """Panel ends in tau: 0, the tail-scan ladder below tau_max extended
+    down by halving to 0.25 x the smallest within-study SE, and tau_max."""
+    floor = 0.25 * math.sqrt(float(sigma_sq.min()))
+    n_down = max(int(math.ceil(math.log2(ladder[0] / floor))), 0)
+    below = ladder[0] * 2.0 ** -np.arange(n_down, 0, -1)
+    inner = np.concatenate([below, ladder])
+    return np.concatenate([[0.0], inner[inner < tau_max], [tau_max]])
+
+
+def _panel_nodes(y, sigma_sq, prior, c, mu_prior_var, lo, hi):
+    """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
+    tau, quadrature weight in tau, log posterior, conditional mean and
+    variance of mu."""
+    x, gl_w = _gauss_nodes(_PANEL_ORDER)
+    half = 0.5 * (hi - lo)[:, None]
+    w = (0.5 * (hi + lo))[:, None] + half * x
+    one_minus = 1.0 - w**2
+    tau = (c * w**2 / one_minus).ravel()
+    quad_weights = (half * gl_w * (2.0 * c * w / one_minus**2)).ravel()
+    loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau, mu_prior_var)
+    log_post = log_prior_kernel(prior, tau) + loglik
+    return tau, quad_weights, log_post, cond_mean, cond_var
+
+
+def _adaptive_panels(evaluate, w_breaks, tol):
+    """Bisect the w-panels between w_breaks until each passes its error test.
+
+    evaluate(lo, hi) returns (tau, quad weight, log posterior, conditional
+    mean, conditional variance) of the _PANEL_ORDER-point rule on each panel
+    [lo, hi], panel after panel; the halves of a panel are evaluated next to
+    each other, so the nodes of one pass come out sorted. A panel's error estimate is the difference
+    between its whole-panel rule and the sum of its two half rules, for the
+    mass and for the tau^2-weighted mass. A panel whose estimate exceeds tol
+    x the running total of either is bisected; an accepted panel keeps its
+    half-panel nodes. The first pass also evaluates the whole-panel rules;
+    a bisected panel's halves inherit theirs from its half rules. When
+    refining would take the grid past _MAX_GRID_NODES, every open panel is
+    accepted as it stands.
+
+    Returns the accepted nodes' arrays, sorted by tau, and the summed
+    estimates of the accepted panels relative to the totals (the larger of
+    the two ratios); a first pass with no finite mass returns unrefined.
+    """
+    m = _PANEL_ORDER
+    lo, hi = w_breaks[:-1], w_breaks[1:]
+    whole = None
+    ref = -math.inf  # panel sums are (mass, tau^2 mass) x exp(-ref)
+    total = np.zeros(2)
+    error = np.zeros(2)
+    accepted = []
+    n_nodes = 0
+    while len(lo):
+        k = len(lo)
+        mid = 0.5 * (lo + hi)
+        half_lo, half_hi = np.stack([lo, mid], 1), np.stack([mid, hi], 1)
+        a, b = half_lo.ravel(), half_hi.ravel()
+        if whole is None:
+            a, b = np.concatenate([lo, a]), np.concatenate([hi, b])
+        nodes = evaluate(a, b)
+        log_mass = (nodes[2] + np.log(nodes[1])).reshape(-1, m)
+        top = float(log_mass.max())
+        if whole is None and not math.isfinite(top):
+            return tuple(arr[k * m :] for arr in nodes), math.inf
+        if top > ref:
+            scale = math.exp(ref - top)
+            total, error = total * scale, error * scale
+            if whole is not None:
+                whole = whole * scale
+            ref = top
+        f = np.exp(log_mass - ref)
+        sums = np.stack([f.sum(axis=1), (f * nodes[0].reshape(-1, m) ** 2).sum(axis=1)], 1)
+        if whole is None:
+            whole, sums = sums[:k], sums[k:]
+            nodes = tuple(arr[k * m :] for arr in nodes)
+        pairs = sums.reshape(k, 2, 2)  # (panel, half, mass | tau^2 mass)
+        halves = pairs[:, 0] + pairs[:, 1]
+        est = np.abs(whole - halves)
+        refine = np.any(est > tol * (total + halves.sum(axis=0)), axis=1)
+        if n_nodes + 2 * m * (k + int(refine.sum())) > _MAX_GRID_NODES:
+            refine[:] = False
+        done = ~refine
+        if refine.any():
+            keep = done.repeat(2 * m)
+            nodes = tuple(arr[keep] for arr in nodes)
+        accepted.append(nodes)
+        total += halves[done].sum(axis=0)
+        error += est[done].sum(axis=0)
+        n_nodes += 2 * m * int(done.sum())
+        lo, hi = half_lo[refine].ravel(), half_hi[refine].ravel()
+        whole = pairs[refine].reshape(-1, 2)
+    merged = [np.concatenate(parts) for parts in zip(*accepted)]
+    if len(accepted) > 1:
+        order = np.argsort(merged[0])
+        merged = [arr[order] for arr in merged]
+    return tuple(merged), float(np.max(error / total))
+
+
 def build_posterior_grid(
     dataset: MetaDataset, prior: BoundPrior, config: EngineConfig | None = None
 ) -> PosteriorGrid:
@@ -227,8 +359,12 @@ def build_posterior_grid(
 
     The grid spans (0, tau_max] with tau_max found by the geometric tail
     scan (for the proper-uniform family the support endpoint is used
-    directly). Nodes never touch tau = 0, so integrable endpoint
-    singularities are fine.
+    directly). Composite Gauss-Legendre panels in w = sqrt(tau / (s0 + tau))
+    are bisected until each one's local error estimate, in posterior mass
+    and in tau^2-weighted mass, is within config.cdf_tolerance / 100 of the
+    total, or until the grid would exceed 16384 nodes (quad_error then
+    records the shortfall). Nodes never touch tau = 0, so integrable
+    endpoint singularities are fine.
 
     Raises
     ------
@@ -247,23 +383,20 @@ def build_posterior_grid(
     if not np.array_equal(prior.sigma_sq, sigma_sq):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
     c = math.sqrt(prior.s0_sq)
+    mu_var = config.mu_prior_var
 
+    ladder = _tau_ladder(y, c)
     if prior.family.kind == "proper-uniform":
         tau_max = float(prior.family.hi)
     else:
-        tau_max = _scan_tau_max(y, sigma_sq, prior, config.mu_prior_var)
-
-    w_max = math.sqrt(tau_max / (c + tau_max))
-    x, gl_w = _gauss_nodes(config.grid_size)
-    w = (x + 1.0) * (w_max / 2.0)
-    base_w = gl_w * (w_max / 2.0)
-    one_minus = 1.0 - w**2
-    tau = c * w**2 / one_minus
-    jac = 2.0 * c * w / one_minus**2
-    quad_weights = base_w * jac
-
-    loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau, config.mu_prior_var)
-    log_post = log_prior_density(prior, tau) + loglik
+        tau_max = _scan_tau_max(y, sigma_sq, prior, mu_var, ladder)
+    breaks = _panel_breaks(ladder, sigma_sq, tau_max)
+    w_breaks = np.sqrt(breaks / (c + breaks))
+    (tau, quad_weights, log_post, cond_mean, cond_var), quad_error = _adaptive_panels(
+        lambda lo, hi: _panel_nodes(y, sigma_sq, prior, c, mu_var, lo, hi),
+        w_breaks,
+        _QUAD_TOLERANCE_SHARE * config.cdf_tolerance,
+    )
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
     if math.isfinite(log_norm):
@@ -281,6 +414,8 @@ def build_posterior_grid(
         cond_var=cond_var,
         log_norm=log_norm,
         prior_name=prior.name,
+        tau_max=tau_max,
+        quad_error=quad_error,
     )
 
 
@@ -323,9 +458,10 @@ def _invert_mixture_cdf(means, sds, weights, prob, tol_width):
     the mixture's own mean and SD; every evaluation shrinks the bracket by
     the sign of F - prob, and a step that would leave the bracket or not
     halve the previous step is replaced by the bracket midpoint (as in
-    rtsafe). The root is returned once a step is within tol_width / 2 or the
-    bracket is within tol_width - the error bound of plain bisection - or
-    once the bracket cannot be split in floating point.
+    rtsafe). The root is returned once a Newton step is within tol_width / 2
+    (whether or not it stays strictly inside the bracket) or the bracket is
+    within tol_width - the error bound of plain bisection - or once the
+    bracket cannot be split in floating point.
     """
     if not (0.0 < prob < 1.0):
         raise NumericFailure(f"the mixture has no finite quantile for prob={prob}")
@@ -350,14 +486,16 @@ def _invert_mixture_cdf(means, sds, weights, prob, tol_width):
             return 0.5 * (lo + hi)
         dens = float(np.sum(w_over_s * np.exp(-0.5 * z * z))) * _INV_SQRT_2PI
         step_before, step = step, -resid / dens if dens > 0.0 else math.inf
+        if abs(step) <= 0.5 * tol_width:
+            # tested before the bracket: a converged step under half an ulp
+            # of x rounds x + step onto the bracket end x
+            return x + step
         if not (lo < x + step < hi) or abs(step) > 0.5 * abs(step_before):
             mid = 0.5 * (lo + hi)
             if mid in (lo, hi):
                 return mid
             step = mid - x
         x += step
-        if abs(step) <= 0.5 * tol_width:
-            return x
     raise NumericFailure(f"mixture quantile did not converge for prob={prob}")
 
 

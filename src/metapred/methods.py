@@ -41,7 +41,7 @@ METHODS: dict[str, Method] = {
     **{f"cred:{name}": Method("credible", prior=name) for name in NAMED_PRIORS},
 }
 
-# every Bayesian tag uses the default grid size and inversion tolerance
+# every Bayesian tag uses the default mean prior and tolerance
 _ENGINE = EngineConfig()
 
 

@@ -8,13 +8,16 @@ Jeffreys-type densities.
 
 Improper families (uniform, sqrt, jeffreys, berger-deely) are evaluated in
 their unnormalized form with the arbitrary constant fixed to 1; every
-proper family is normalized so its density integrates to one.
+proper family is normalized so its density integrates to one (the
+conventional family's constant has no closed form and is integrated
+numerically on first use).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,6 +34,7 @@ __all__ = [
     "NAMED_PRIORS",
     "bind_prior",
     "log_prior_density",
+    "log_prior_kernel",
     "prior_cdf",
 ]
 
@@ -138,15 +142,12 @@ class BoundPrior:
 
     s0_sq is the harmonic mean n / sum(sigma_i^-2); sigma_hat_sq is
     (n-1) sum(sigma_i^-2) / ((sum sigma_i^-2)^2 - sum sigma_i^-4).
-    log_norm is the log normalizing constant subtracted from the
-    conventional family's displayed form (0 for every other family).
     """
 
     family: PriorFamily
     s0_sq: float
     sigma_hat_sq: float
     sigma_sq: np.ndarray
-    log_norm: float = 0.0
 
     @property
     def name(self) -> str:
@@ -155,6 +156,27 @@ class BoundPrior:
     @property
     def proper(self) -> bool:
         return self.family.proper
+
+    @cached_property
+    def log_norm(self) -> float:
+        """Log normalizing constant that log_prior_density subtracts from
+        the conventional family's kernel (0 for every other family).
+
+        There is no closed form, so it is integrated numerically on first
+        use; the posterior engine never needs it, since a constant cancels
+        from the normalized posterior.
+        """
+        if self.family.kind != "conventional":
+            return 0.0
+        total, _ = integrate.quad(
+            lambda t: math.exp(_conventional_log_unnorm(t, self.sigma_sq)),
+            0.0,
+            np.inf,
+            epsabs=1e-12,
+            epsrel=1e-10,
+            limit=200,
+        )
+        return math.log(total)
 
 
 def _conventional_log_unnorm(tau, sigma_sq):
@@ -183,26 +205,11 @@ def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
             "within-study variances are numerically degenerate"
         )
     sigma_hat_sq = (n - 1) * s1 / denom
-
-    log_norm = 0.0
-    if family.kind == "conventional":
-        # no closed form; normalize the displayed density numerically
-        total, _ = integrate.quad(
-            lambda t: math.exp(_conventional_log_unnorm(t, sigma_sq)),
-            0.0,
-            np.inf,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-        )
-        log_norm = math.log(total)
-
     return BoundPrior(
         family=family,
         s0_sq=s0_sq,
         sigma_hat_sq=sigma_hat_sq,
         sigma_sq=sigma_sq,
-        log_norm=log_norm,
     )
 
 
@@ -217,8 +224,21 @@ def log_prior_density(prior: BoundPrior, tau) -> float | np.ndarray:
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
         raise ValueError("tau must be finite and >= 0")
-    scalar = arr.ndim == 0
-    t = np.atleast_1d(arr)
+    out = log_prior_kernel(prior, np.atleast_1d(arr)) - prior.log_norm
+    if arr.ndim == 0:
+        return float(out[0])
+    return out
+
+
+def log_prior_kernel(prior: BoundPrior, tau: np.ndarray) -> np.ndarray:
+    """log_prior_density without the conventional family's normalizer.
+
+    Takes a 1-d array of tau >= 0 and does not validate it. Every other
+    family returns exactly log_prior_density; the conventional one differs
+    by the constant prior.log_norm, which cancels from a normalized
+    posterior, so the posterior engine skips its quadrature.
+    """
+    t = np.asarray(tau, dtype=float)
     fam = prior.family
     kind = fam.kind
     zero = t == 0.0
@@ -237,7 +257,7 @@ def log_prior_density(prior: BoundPrior, tau) -> float | np.ndarray:
                 np.log(prior.sigma_sq[None, :] + t[:, None] ** 2), axis=1
             )
         elif kind == "conventional":
-            out = _conventional_log_unnorm(t, prior.sigma_sq) - prior.log_norm
+            out = _conventional_log_unnorm(t, prior.sigma_sq)
         elif kind == "dumouchel":
             s0 = math.sqrt(prior.s0_sq)
             out = math.log(s0) - 2.0 * np.log(s0 + t)
@@ -262,11 +282,7 @@ def log_prior_density(prior: BoundPrior, tau) -> float | np.ndarray:
             )
         else:  # pragma: no cover - guarded by PriorFamily validation
             raise AssertionError(kind)
-
-    out = np.asarray(out, dtype=float)
-    if scalar:
-        return float(out[0])
-    return out
+    return np.asarray(out, dtype=float)
 
 
 def prior_cdf(prior: BoundPrior, tau: float) -> float:

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_legendre
 
 import metapred.bayes as bayes
 from metapred import (
@@ -14,6 +16,7 @@ from metapred import (
     EngineConfig,
     MetaDataset,
     NumericFailure,
+    PosteriorGrid,
     PriorFamily,
     bind_prior,
     build_posterior_grid,
@@ -24,6 +27,7 @@ from metapred import (
     prediction_interval,
     predictive_cdf,
 )
+from metapred.priors import log_prior_kernel
 from oracles import (
     interval_from_mixture,
     loglik_by_mu_integration,
@@ -49,27 +53,55 @@ def grid_for(dataset, name, config=None):
     return build_posterior_grid(dataset, bind_prior(named_prior(name), dataset), config)
 
 
+@lru_cache(maxsize=None)
+def _legendre(size):
+    return roots_legendre(size)
+
+
+def fixed_grid(dataset, name, tau_max, size=16384):
+    """The posterior on one size-node Gauss-Legendre rule over w in (0, w_max)
+    - the fixed rule the adaptive panels replaced - as the reference."""
+    prior = bind_prior(named_prior(name), dataset)
+    c = math.sqrt(prior.s0_sq)
+    x, gl_w = _legendre(size)
+    w_max = math.sqrt(tau_max / (c + tau_max))
+    w = (x + 1.0) * (w_max / 2.0)
+    tau = c * w**2 / (1.0 - w**2)
+    quad_weights = gl_w * (w_max / 2.0) * 2.0 * c * w / (1.0 - w**2) ** 2
+    loglik, cond_mean, cond_var = bayes._loglik_terms(
+        dataset.effects, dataset.variances, tau, 10_000.0
+    )
+    log_post = log_prior_kernel(prior, tau) + loglik
+    log_mass = log_post + np.log(quad_weights)
+    log_norm = float(log_mass.max())
+    log_norm += math.log(float(np.exp(log_mass - log_norm).sum()))
+    return PosteriorGrid(
+        tau, quad_weights, log_post, cond_mean, cond_var, log_norm, name, tau_max, 0.0
+    )
+
+
+def max_endpoint_diff(grid, reference):
+    diff = 0.0
+    for interval in (prediction_interval, credible_interval_mu):
+        a, b = interval(grid), interval(reference)
+        diff = max(diff, abs(a.lower - b.lower), abs(a.upper - b.upper))
+    return diff
+
+
 class TestEngineConfig:
     def test_defaults(self):
         cfg = EngineConfig()
         assert cfg.mu_prior_var == 10_000.0
-        assert cfg.grid_size == 2048
         assert cfg.cdf_tolerance == 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(grid_size=32)
-        with pytest.raises(ValueError):
             EngineConfig(cdf_tolerance=0.0)
         with pytest.raises(ValueError):
             EngineConfig(mu_prior_var=-1.0)
-        for size in (100.5, 2048.0, True):
-            with pytest.raises(ValueError, match="grid_size must be an integer"):
-                EngineConfig(grid_size=size)
         for tol in (0.5, float("nan")):
             with pytest.raises(ValueError):
                 EngineConfig(cdf_tolerance=tol)
-        assert EngineConfig(grid_size=np.int64(128)).grid_size == 128
 
 
 class TestMarginalLoglik:
@@ -107,6 +139,37 @@ class TestMarginalLoglik:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             marginal_loglik(SPREAD, -1.0)
+
+    def test_large_offset_matches_exact_arithmetic(self):
+        # effects near 1000 with SEs of 1e-5: the uncentred quadratic form
+        # sum(y^2/v) - (sum(y/v))^2/prec cancelled terms of ~4e16, leaving
+        # log_post with noise of order 10. The reference computes the
+        # quadratic form in exact rationals; the log terms are well
+        # conditioned in floating point.
+        ds = MetaDataset.from_arrays(
+            [1000.0, 1000.00001, 999.99999, 1000.000005], [1e-5] * 4
+        )
+        grid = grid_for(ds, "jeffreys")
+        y = [Fraction(v) for v in ds.effects]
+        big_s = Fraction(10_000)
+        worst = 0.0
+        for k in np.linspace(0, len(grid.nodes) - 1, 40).astype(int):
+            tau = float(grid.nodes[k])
+            v = [Fraction(s) + Fraction(tau) ** 2 for s in ds.variances]
+            prec = sum(1 / vi for vi in v) + 1 / big_s
+            lin = sum(yi / vi for yi, vi in zip(y, v))
+            quad_form = sum(yi * yi / vi for yi, vi in zip(y, v)) - lin * lin / prec
+            log_post = math.fsum(
+                [-0.5 * math.log(vi) for vi in v]
+                + [
+                    -0.5 * len(v) * math.log(2.0 * math.pi),
+                    -0.5 * math.log(big_s * prec),
+                    -0.5 * float(quad_form),
+                    0.5 * math.log(sum(float(tau / vi) ** 2 for vi in v)),  # jeffreys
+                ]
+            )
+            worst = max(worst, abs(log_post - grid.log_post[k]))
+        assert worst <= 1e-6
 
     def test_vectorized(self):
         taus = np.array([0.0, 0.5, 2.0])
@@ -310,14 +373,74 @@ class TestMoments:
             assert g == pytest.approx(w, rel=1e-4, abs=1e-6)
 
 
+class TestAdaptivePanels:
+    def test_extreme_se_ratios_match_16384_nodes(self):
+        # SEs log-uniform on [1e-4, 1]: a fixed 2048-node rule missed the
+        # 16384-node endpoints here by up to 6.7e-4
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(3, 31))
+            se = np.exp(rng.uniform(math.log(1e-4), 0.0, n))
+            ds = MetaDataset.from_arrays(rng.uniform(-2, 2, n), se)
+            for name in NAMED_PRIORS:
+                grid = grid_for(ds, name)
+                reference = fixed_grid(ds, name, grid.tau_max)
+                assert max_endpoint_diff(grid, reference) <= 1e-4, (n, name)
+
+    def test_inv_gamma_spike_refines_first_panel(self):
+        # x10-scale data: proper2's exp(-0.001 / tau^2) factor rises near
+        # tau = 0.04, inside the first panel; 32 nodes there missed the
+        # endpoints by 1.5e-4, so the error estimate must bisect that panel
+        ds = MetaDataset.from_arrays(
+            [10.23569657884223, -7.1375305131622255, 4.439565395320918],
+            [6.804794866432826, 6.157503277074804, 5.303458642770115],
+        )
+        grid = grid_for(ds, "proper2")
+        s0 = math.sqrt(bind_prior(named_prior("proper2"), ds).s0_sq)
+        breaks = bayes._panel_breaks(bayes._tau_ladder(ds.effects, s0), ds.variances, grid.tau_max)
+        assert np.sum(grid.nodes < breaks[1]) > 2 * bayes._PANEL_ORDER
+        assert max_endpoint_diff(grid, fixed_grid(ds, "proper2", grid.tau_max)) <= 1e-6
+
+    def test_quad_error_within_tolerance(self):
+        for name in NAMED_PRIORS:
+            grid = grid_for(README_DATA, name)
+            assert 0.0 <= grid.quad_error <= 1e-8 / 100, name
+            assert len(grid.nodes) < 16384
+            assert grid.nodes[-1] < grid.tau_max
+
+    def test_node_cap_returns_grid(self):
+        # a tolerance below double-precision rounding can never be met, so
+        # refinement runs into the node cap; the grid still comes back and
+        # quad_error reports the shortfall
+        config = EngineConfig(cdf_tolerance=1e-300)
+        grid = grid_for(README_DATA, "jeffreys", config)
+        assert len(grid.nodes) <= 16384
+        assert grid.quad_error > 1e-302
+        assert abs(grid.posterior_weights().sum() - 1.0) < 1e-10
+        default = prediction_interval(grid_for(README_DATA, "jeffreys"))
+        capped = prediction_interval(grid)
+        assert abs(capped.lower - default.lower) < 1e-6
+        assert abs(capped.upper - default.upper) < 1e-6
+
+    def test_breaks_extend_the_scan_ladder(self):
+        s0 = math.sqrt(bind_prior(named_prior("uniform"), README_DATA).s0_sq)
+        ladder = bayes._tau_ladder(README_DATA.effects, s0)
+        breaks = bayes._panel_breaks(ladder, README_DATA.variances, ladder[5])
+        assert breaks[0] == 0.0 and breaks[-1] == ladder[5]
+        assert breaks[1] <= 0.25 * README_DATA.std_errs.min() < breaks[2]
+        np.testing.assert_array_equal(breaks[-6:], ladder[:6])
+        np.testing.assert_allclose(breaks[2:] / breaks[1:-1], 2.0, rtol=1e-14)
+
+
 class TestConvergenceProperties:
     def test_grid_refinement_stability(self):
         rng = np.random.default_rng(17)
+        tight = EngineConfig(cdf_tolerance=1e-10)
         for _ in range(3):
             ds = random_dataset(rng)
             for name in ("sqrt", "jeffreys", "proper2"):
-                iv_a = prediction_interval(grid_for(ds, name, EngineConfig(grid_size=2048)))
-                iv_b = prediction_interval(grid_for(ds, name, EngineConfig(grid_size=4096)))
+                iv_a = prediction_interval(grid_for(ds, name))
+                iv_b = prediction_interval(grid_for(ds, name, tight))
                 assert abs(iv_a.lower - iv_b.lower) < 1e-5
                 assert abs(iv_a.upper - iv_b.upper) < 1e-5
 
@@ -417,6 +540,33 @@ class TestMixtureInversion:
             credible_interval_mu(grid)
         assert len(calls) == 4 * len(NAMED_PRIORS)
         assert max(calls) <= 5
+
+    def test_newton_converging_from_one_side_stops(self, monkeypatch):
+        # a last Newton step under half an ulp of x rounds x + step onto the
+        # bracket end x; rejecting it as outside the bracket fell back to
+        # bisection and cost up to 39 CDF evaluations on this draw
+        calls = []
+        real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdf
+
+        def counting_ndtr(z):
+            calls[-1] += 1
+            return real_ndtr(z)
+
+        def counting_invert(*args):
+            calls.append(0)
+            return real_invert(*args)
+
+        monkeypatch.setattr(bayes, "ndtr", counting_ndtr)
+        monkeypatch.setattr(bayes, "_invert_mixture_cdf", counting_invert)
+        rng = np.random.default_rng(11)
+        for _ in range(41):
+            ds = random_dataset(rng, n_lo=3, n_hi=30)
+            for name in NAMED_PRIORS:
+                grid = grid_for(ds, name)
+                prediction_interval(grid)
+                credible_interval_mu(grid)
+        assert len(calls) == 41 * 4 * len(NAMED_PRIORS)
+        assert max(calls) <= 8
 
     def test_tolerance_below_float_resolution_terminates(self):
         # bisection to a width under the float spacing of the endpoints
