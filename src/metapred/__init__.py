@@ -2,8 +2,9 @@
 
 The package has five layers:
 
-- :mod:`metapred.core` - study-level data and the classical estimators
-  (Q, I^2, DerSimonian-Laird and REML heterogeneity, robust variances).
+- :mod:`metapred.core` - the dataset (effects and their SEs) and the
+  classical estimators (Q, I^2, DerSimonian-Laird and REML heterogeneity,
+  robust variances).
 - :mod:`metapred.intervals` - plug-in t prediction intervals and the Wald
   confidence interval for the mean.
 - :mod:`metapred.priors` / :mod:`metapred.bayes` - eleven noninformative
@@ -31,7 +32,6 @@ from .core import (
     HeterogeneityEstimate,
     MetaDataset,
     PooledEstimate,
-    Study,
     cochran_q,
     dl_tau2,
     i_squared,
@@ -85,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Study",
     "MetaDataset",
     "HeterogeneityEstimate",
     "PooledEstimate",

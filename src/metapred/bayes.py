@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
@@ -58,6 +57,7 @@ _TAU_MAX_CAP_FACTOR = 1e6  # expansion cap: tau_max = 1e6 * s0
 _TAIL_MASS_CUT = 1e-10  # relative density and tail-mass cut of the tau scan
 _MAX_INVERSION_STEPS = 200  # bisection alone needs < 130 at cdf_tolerance 1e-8
 _PANEL_ORDER = 16  # Gauss-Legendre points per half panel
+_GL_NODES, _GL_WEIGHTS = roots_legendre(_PANEL_ORDER)
 _MAX_GRID_NODES = 16384  # refinement stops before the grid would exceed this
 _QUAD_TOLERANCE_SHARE = 1e-2  # panel error tolerance as a share of cdf_tolerance
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -128,6 +128,11 @@ class PosteriorGrid:
         return self.quad_weights * np.exp(self.log_post - self.log_norm)
 
 
+def _weighted_mean(y, sigma_sq):
+    inv_s = 1.0 / sigma_sq
+    return float(inv_s @ y) / float(inv_s.sum())
+
+
 def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
     """Closed-form marginal log likelihood pieces for an array of tau.
 
@@ -136,8 +141,7 @@ def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
     prec) with d = y - c, D = sum(d/v), A = sum(1/v): the raw form cancels
     catastrophically when |y| is large against the spread of the effects.
     """
-    inv_s = 1.0 / sigma_sq
-    c = float(inv_s @ y) / float(inv_s.sum())
+    c = _weighted_mean(y, sigma_sq)
     d = y - c
     t2 = np.asarray(tau, dtype=float)[..., None] ** 2
     v = sigma_sq[None, :] + t2
@@ -161,7 +165,7 @@ def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
 
 
 def marginal_loglik(
-    dataset: MetaDataset, tau, mu_prior_var: float = 10_000.0
+    dataset: MetaDataset, tau, mu_prior_var: float = EngineConfig.mu_prior_var
 ) -> float | np.ndarray:
     """Log of the likelihood with the mean integrated out against N(0, S).
 
@@ -179,12 +183,6 @@ def marginal_loglik(
     if arr.ndim == 0:
         return float(loglik[0])
     return loglik
-
-
-@lru_cache(maxsize=8)
-def _gauss_nodes(size: int):
-    x, w = roots_legendre(size)
-    return x, w
 
 
 def _tau_ladder(y, s0):
@@ -210,7 +208,8 @@ def _scan_tau_max(y, sigma_sq, prior, mu_prior_var, ladder):
     tau -> 0 (the sqrt prior) out of the peak, which would otherwise stall
     the scan. When (a) holds but the tail is too heavy to ever meet (b)
     inside the cap (e.g. n = 2 with a flat prior), the cap is used; only a
-    tail that never decays raises.
+    tail that never decays raises; the error blames the N(0, S) mean prior
+    when the 1/sigma^2-weighted mean lies more than one prior SD from 0.
     """
     cap = ladder[-1]
     log_h = log_prior_kernel(prior, ladder) + _loglik_terms(
@@ -232,6 +231,14 @@ def _scan_tau_max(y, sigma_sq, prior, mu_prior_var, ladder):
         # as long as the tail is clearly decaying at an integrable rate
         if log_h[-1] <= running_peak[-1] + 0.5 * log_cut and power[-1] > 1.05:
             return float(cap)
+        prior_sds = abs(_weighted_mean(y, sigma_sq)) / math.sqrt(mu_prior_var)
+        if prior_sds > 1.0:
+            raise DivergedPosteriorError(
+                prior.name,
+                f"posterior for prior '{prior.name}' does not decay: the weighted mean "
+                f"of the effects lies {prior_sds:.3g} SDs from 0 under the N(0, "
+                f"{mu_prior_var:g}) mean prior; try a larger EngineConfig.mu_prior_var",
+            )
         raise DivergedPosteriorError(prior.name)
 
     # crude running mass: ladder trapezoids plus a floor for mass below the
@@ -268,12 +275,11 @@ def _panel_nodes(y, sigma_sq, prior, c, mu_prior_var, lo, hi):
     """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
     tau, quadrature weight in tau, log posterior, conditional mean and
     variance of mu."""
-    x, gl_w = _gauss_nodes(_PANEL_ORDER)
     half = 0.5 * (hi - lo)[:, None]
-    w = (0.5 * (hi + lo))[:, None] + half * x
+    w = (0.5 * (hi + lo))[:, None] + half * _GL_NODES
     one_minus = 1.0 - w**2
     tau = (c * w**2 / one_minus).ravel()
-    quad_weights = (half * gl_w * (2.0 * c * w / one_minus**2)).ravel()
+    quad_weights = (half * _GL_WEIGHTS * (2.0 * c * w / one_minus**2)).ravel()
     loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau, mu_prior_var)
     log_post = log_prior_kernel(prior, tau) + loglik
     return tau, quad_weights, log_post, cond_mean, cond_var
@@ -372,7 +378,8 @@ def build_posterior_grid(
         If n < 2, or if the prior was bound to other within-study variances.
     DivergedPosteriorError
         If the posterior tail has not decayed by tau = 1e6 * s0, which
-        signals an improper posterior for this prior/dataset combination.
+        signals an improper posterior for this prior/dataset combination,
+        or, on effects far from 0, a mean prior too narrow for the data.
     """
     if config is None:
         config = EngineConfig()

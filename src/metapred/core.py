@@ -1,4 +1,4 @@
-"""Study-level data containers and classical random-effects estimators.
+"""The meta-analysis dataset and classical random-effects estimators.
 
 The model is the standard two-level Gaussian one: each study reports an
 effect ``y_i`` with known within-study standard error ``sigma_i``, and the
@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import stats
 
 from .errors import DegenerateDispersionWarning, NumericFailure
 
 __all__ = [
-    "Study",
     "MetaDataset",
     "HeterogeneityEstimate",
     "PooledEstimate",
@@ -35,58 +34,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Study:
-    """One study's effect estimate and its standard error (same units)."""
-
-    effect: float
-    std_err: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.effect):
-            raise ValueError(f"study effect must be finite, got {self.effect!r}")
-        if not (math.isfinite(self.std_err) and self.std_err > 0):
-            raise ValueError(
-                f"study std_err must be positive and finite, got {self.std_err!r}"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetaDataset:
-    """An ordered collection of studies entering one meta-analysis."""
+    """The studies entering one meta-analysis: effects and their SEs.
 
-    studies: tuple[Study, ...]
+    ``effects`` and ``std_errs`` are read-only 1-D float arrays of equal
+    length (at least one study, finite effects, positive finite SEs);
+    ``variances`` is ``std_errs**2``. Build one with :meth:`from_arrays`.
+    """
+
+    effects: np.ndarray
+    std_errs: np.ndarray
+    variances: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "studies", tuple(self.studies))
-        if len(self.studies) < 1:
-            raise ValueError("a dataset needs at least one study")
-
-    @classmethod
-    def from_arrays(
-        cls, effects: Iterable[float], std_errs: Iterable[float]
-    ) -> "MetaDataset":
-        effects = list(effects)
-        std_errs = list(std_errs)
+        effects = np.array(self.effects, dtype=float)
+        std_errs = np.array(self.std_errs, dtype=float)
+        if effects.ndim != 1 or std_errs.ndim != 1:
+            raise ValueError("effects and std_errs must be 1-D")
         if len(effects) != len(std_errs):
             raise ValueError("effects and std_errs must have equal length")
-        return cls(tuple(Study(float(y), float(s)) for y, s in zip(effects, std_errs)))
+        if len(effects) < 1:
+            raise ValueError("a dataset needs at least one study")
+        bad_effects = effects[~np.isfinite(effects)]
+        if len(bad_effects):
+            raise ValueError(f"study effect must be finite, got {bad_effects[0]}")
+        bad_ses = std_errs[~((std_errs > 0) & (std_errs < np.inf))]
+        if len(bad_ses):
+            raise ValueError(f"study std_err must be positive and finite, got {bad_ses[0]}")
+        arrays = {"effects": effects, "std_errs": std_errs, "variances": std_errs**2}
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_arrays(cls, effects: ArrayLike, std_errs: ArrayLike) -> "MetaDataset":
+        """A dataset from per-study effects and SEs (copied, then validated)."""
+        return cls(effects, std_errs)
 
     @property
     def n(self) -> int:
-        return len(self.studies)
-
-    @property
-    def effects(self) -> np.ndarray:
-        return np.array([s.effect for s in self.studies], dtype=float)
-
-    @property
-    def std_errs(self) -> np.ndarray:
-        return np.array([s.std_err for s in self.studies], dtype=float)
-
-    @property
-    def variances(self) -> np.ndarray:
-        return self.std_errs**2
+        return len(self.effects)
 
 
 @dataclass(frozen=True)

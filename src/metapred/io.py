@@ -125,7 +125,7 @@ def parse_dataset_csv(data: bytes) -> MetaDataset:
         studies.append((effect, se))
     if len(studies) < 2:
         raise DataError(f"dataset needs at least 2 data rows, got {len(studies)}")
-    return MetaDataset.from_arrays(*zip(*studies))
+    return MetaDataset(*zip(*studies))
 
 
 def _parse_number(token: str, label: str) -> float:

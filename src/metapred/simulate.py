@@ -16,12 +16,13 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from .core import MetaDataset
+from .errors import NumericFailure
 from .methods import METHODS, evaluate_methods, lookup_method
 from .priors import NAMED_PRIORS
 
@@ -136,20 +137,18 @@ def scenario_key(scenario: Scenario) -> int:
 
 
 def replication_stream(
-    master_seed: int, scenario: Union[Scenario, int], rep_index: int
+    master_seed: int, scenario: Scenario, rep_index: int
 ) -> np.random.Generator:
     """Counter-based stream for one replication.
 
     The Philox key is (master_seed, scenario_key << 32 | rep_index), so
     streams are independent, splittable, and identical no matter how work
-    is scheduled across processes. ``scenario`` may be a Scenario (its
-    content fingerprint is used) or a raw 32-bit subkey.
+    is scheduled across processes.
     """
-    sub = scenario_key(scenario) if isinstance(scenario, Scenario) else scenario
     key = np.array(
         [
             master_seed & _MASK64,
-            ((sub & _MASK32) << 32) | (rep_index & _MASK32),
+            (scenario_key(scenario) << 32) | (rep_index & _MASK32),
         ],
         dtype=np.uint64,
     )
@@ -191,7 +190,7 @@ def simulate_dataset(
     theta = scenario.mu + tau * _std_normals(stream, scenario.n)
     y = theta + np.sqrt(sigma_sq) * _std_normals(stream, scenario.n)
     theta_new = scenario.mu + tau * float(_std_normals(stream, 1)[0])
-    return MetaDataset.from_arrays(y, np.sqrt(sigma_sq)), theta_new
+    return MetaDataset(y, np.sqrt(sigma_sq)), theta_new
 
 
 def run_replication(
@@ -204,8 +203,9 @@ def run_replication(
     ``rep_seed`` is (master_seed, rep_index); the stream key also folds in
     the scenario fingerprint. Prediction methods are scored against the
     new-study effect; confidence and credible methods against the true
-    mean. A method that raises is recorded as failed with no
-    coverage/width contribution; an unknown tag raises ValueError.
+    mean. A method that raises NumericFailure is recorded as failed with no
+    coverage/width contribution; any other error is raised (a Scenario's n
+    and level are valid, so a ValueError here is a bug, not a failure).
     """
     master_seed, rep_index = rep_seed
     stream = replication_stream(master_seed, scenario, rep_index)
@@ -213,7 +213,7 @@ def run_replication(
     results = evaluate_methods(methods, dataset, scenario.level)
     out: dict[str, tuple[bool, float, bool]] = {}
     for method, interval in zip(methods, results):
-        if isinstance(interval, Exception):
+        if isinstance(interval, NumericFailure):
             # keep the seed in the record so the replication can be replayed
             logger.warning(
                 "method %s failed on scenario %s, rep_seed=%s: %s",
@@ -221,6 +221,8 @@ def run_replication(
             )
             out[method] = (False, math.nan, True)
             continue
+        if isinstance(interval, Exception):
+            raise interval
         target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
         out[method] = (interval.contains(target), interval.width, False)
     return out

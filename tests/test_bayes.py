@@ -238,9 +238,22 @@ class TestPosteriorGrid:
     def test_improper_posterior_raises(self):
         ds = MetaDataset.from_arrays([0.0, 1.0], [0.3, 0.4])
         prior = bind_prior(PriorFamily("power", a=3.0), ds)
-        with pytest.raises(DivergedPosteriorError) as err:
+        with pytest.raises(DivergedPosteriorError, match="appears improper") as err:
             build_posterior_grid(ds, prior)
         assert err.value.prior_name == "power(3)"
+
+    def test_scan_failure_on_large_offset_names_the_mean_prior(self):
+        # effects near 1000 sit 10 SDs out under N(0, 10000); the tau prior
+        # is proper and the posterior is fine under a wide mean prior
+        ds = MetaDataset.from_arrays(
+            [1000.0047, 999.9920, 1000.0096], [0.0021, 0.0063, 0.0061]
+        )
+        with pytest.raises(DivergedPosteriorError, match="mu_prior_var") as err:
+            grid_for(ds, "proper2")
+        assert err.value.prior_name == "proper2"
+        assert "lies 10 SDs from 0 under the N(0, 10000) mean prior" in str(err.value)
+        wide = prediction_interval(grid_for(ds, "proper2", EngineConfig(mu_prior_var=1e12)))
+        assert (wide.lower, wide.upper) == pytest.approx((999.84, 1000.17), abs=0.01)
 
     def test_prior_bound_to_other_dataset_raises(self):
         # jeffreys, dumouchel and i2 read the bound variances; a prior bound

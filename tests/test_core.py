@@ -9,7 +9,6 @@ from scipy.special import erfc
 from metapred import (
     DegenerateDispersionWarning,
     MetaDataset,
-    Study,
     cochran_q,
     dl_tau2,
     i_squared,
@@ -45,21 +44,33 @@ def dataset_strategy(min_n=2, max_n=8):
 
 class TestStudyData:
     def test_study_validation(self):
-        with pytest.raises(ValueError):
-            Study(effect=math.nan, std_err=1.0)
-        with pytest.raises(ValueError):
-            Study(effect=0.0, std_err=0.0)
-        with pytest.raises(ValueError):
-            Study(effect=0.0, std_err=-1.0)
+        with pytest.raises(ValueError, match="effect must be finite"):
+            dataset([math.nan], [1.0])
+        for se in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="std_err must be positive and finite"):
+                dataset([0.0], [se])
+        with pytest.raises(ValueError, match="equal length"):
+            dataset([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            dataset([[0.0, 1.0]], [[1.0, 1.0]])
 
     def test_dataset_arrays(self):
         assert SPREAD.n == 3
         np.testing.assert_array_equal(SPREAD.effects, [-2.0, 0.0, 2.0])
         np.testing.assert_array_equal(SPREAD.variances, [1.0, 1.0, 1.0])
 
+    def test_arrays_are_read_only_copies(self):
+        effects = np.array([0.5, 1.5])
+        ds = dataset(effects, [1.0, 2.0])
+        effects[0] = 9.0
+        assert ds.effects[0] == 0.5
+        for arr in (ds.effects, ds.std_errs, ds.variances):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            MetaDataset(())
+            dataset([], [])
 
 
 class TestCochranQ:

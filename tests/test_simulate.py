@@ -13,6 +13,8 @@ from metapred import (
     run_study,
     simulate_dataset,
 )
+from metapred import methods as methods_module
+from metapred.errors import NumericFailure
 from metapred.methods import METHODS
 from metapred.simulate import SIGMA_SQ_HIGH, SIGMA_SQ_LOW
 from oracles import truncated_sigma_sq_mean
@@ -60,34 +62,38 @@ class TestScenarioConfig:
         assert "dl" in tags and "hts-sj" in tags
 
 
+# streams take a Scenario; its content fingerprint is the stream subkey
+SC = Scenario(7, 0.1)
+
+
 class TestStreams:
     def test_replay_is_identical(self):
-        a = replication_stream(42, 3, 17).random(8)
-        b = replication_stream(42, 3, 17).random(8)
+        a = replication_stream(42, SC, 17).random(8)
+        b = replication_stream(42, SC, 17).random(8)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_replications_differ(self):
-        a = replication_stream(42, 3, 17).random(8)
-        b = replication_stream(42, 3, 18).random(8)
-        c = replication_stream(42, 4, 17).random(8)
+        a = replication_stream(42, SC, 17).random(8)
+        b = replication_stream(42, SC, 18).random(8)
+        c = replication_stream(42, Scenario(15, 0.1), 17).random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 class TestWithinVariances:
     def test_truncation_interval(self):
-        stream = replication_stream(0, 0, 0)
+        stream = replication_stream(0, SC, 0)
         vals = draw_within_variances(stream, 5000)
         assert vals.min() >= SIGMA_SQ_LOW
         assert vals.max() <= SIGMA_SQ_HIGH
 
     def test_replay_determinism(self):
-        a = draw_within_variances(replication_stream(1, 0, 5), 64)
-        b = draw_within_variances(replication_stream(1, 0, 5), 64)
+        a = draw_within_variances(replication_stream(1, SC, 5), 64)
+        b = draw_within_variances(replication_stream(1, SC, 5), 64)
         np.testing.assert_array_equal(a, b)
 
     def test_mean_matches_truncated_chi2_oracle(self):
-        stream = replication_stream(7, 0, 0)
+        stream = replication_stream(7, SC, 0)
         vals = draw_within_variances(stream, 100_000)
         want = truncated_sigma_sq_mean()
         se = vals.std(ddof=1) / math.sqrt(len(vals))
@@ -96,22 +102,24 @@ class TestWithinVariances:
 
 class TestSimulateDataset:
     def test_zero_heterogeneity_is_degenerate(self):
-        stream = replication_stream(3, 0, 0)
-        dataset, theta_new = simulate_dataset(stream, Scenario(5, 0.0))
+        scenario = Scenario(5, 0.0)
+        dataset, theta_new = simulate_dataset(replication_stream(3, scenario, 0), scenario)
         assert theta_new == 0.0
 
     def test_replay_determinism(self):
-        d1, t1 = simulate_dataset(replication_stream(9, 1, 2), Scenario(6, 0.05))
-        d2, t2 = simulate_dataset(replication_stream(9, 1, 2), Scenario(6, 0.05))
+        scenario = Scenario(6, 0.05)
+        d1, t1 = simulate_dataset(replication_stream(9, scenario, 2), scenario)
+        d2, t2 = simulate_dataset(replication_stream(9, scenario, 2), scenario)
         assert t1 == t2
         np.testing.assert_array_equal(d1.effects, d2.effects)
         np.testing.assert_array_equal(d1.std_errs, d2.std_errs)
 
     def test_theta_new_variance(self):
         tau2 = 0.1
+        scenario = Scenario(3, tau2)
         draws = np.array(
             [
-                simulate_dataset(replication_stream(11, 0, r), Scenario(3, tau2))[1]
+                simulate_dataset(replication_stream(11, scenario, r), scenario)[1]
                 for r in range(10_000)
             ]
         )
@@ -140,6 +148,22 @@ class TestRunReplication:
         for rep in range(20):
             out = run_replication(Scenario(4, 0.1), DEFAULT_METHODS, (33, rep))
             assert not any(failed for _, _, failed in out.values())
+
+    def test_only_numeric_failures_count_as_failed(self, monkeypatch):
+        # a Scenario guarantees n >= 3 and a valid level, so a ValueError
+        # from a method is a bug and must not show up as lower coverage
+        def stall(*args, **kwargs):
+            raise NumericFailure("stall")
+
+        def bug(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(methods_module, "hts_interval", stall)
+        covered, width, failed = run_replication(SC, ("hts",), (33, 0))["hts"]
+        assert (covered, failed) == (False, True) and math.isnan(width)
+        monkeypatch.setattr(methods_module, "hts_interval", bug)
+        with pytest.raises(ValueError, match="bug"):
+            run_replication(SC, ("hts", "dl"), (33, 0))
 
 
 class TestRunStudy:
