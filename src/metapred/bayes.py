@@ -4,9 +4,9 @@ The hierarchical model puts y_i ~ N(theta_i, sigma_i^2), theta_i ~
 N(mu, tau^2), a diffuse N(0, S) prior on mu (S = 10000 by default), and one
 of the tau priors from :mod:`metapred.priors`. The mean integrates out in
 closed form, leaving a one-dimensional marginal posterior over tau that is
-represented on a fixed quadrature grid. Prediction intervals for the effect
-in a new study and credible intervals for the mean are quantiles of the
-resulting discrete mixture of normals - no Monte Carlo anywhere in this
+represented on adaptive quadrature panels. Prediction intervals for the
+effect in a new study and credible intervals for the mean are quantiles of
+the resulting discrete mixture of normals - no Monte Carlo anywhere in this
 path.
 
 Grid construction compactifies tau through w = sqrt(tau / (s0 + tau)): the
@@ -27,6 +27,18 @@ to 1), so the bracket costs no CDF evaluation; the mixture density is
 closed-form, so each step costs one pass over the components, and a step
 that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
+
+One dataset is one batch. The marginal likelihood does not depend on the
+prior, and every prior of a dataset shares s0 and so the scan's ladder;
+each prior's panel breaks are a prefix of those of the prior with the
+largest tau_max (proper1 adds its own last panel). _posterior_grids
+therefore evaluates the likelihood once on the ladder, scans all priors as
+one (priors, ladder) array, and evaluates it once per refinement pass on
+the distinct panels of all priors, adding each prior's kernel afterwards;
+_mixture_intervals inverts every (mixture, endpoint) row in one masked
+Newton loop. Reductions run within a row (row sums, np.add.reduceat over
+flat segments), never across rows, so a prior's grid and endpoints equal
+its batch-of-one result - the public single-prior functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -142,22 +154,29 @@ def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
     catastrophically when |y| is large against the spread of the effects.
     """
     c = _weighted_mean(y, sigma_sq)
-    d = y - c
-    t2 = np.asarray(tau, dtype=float)[..., None] ** 2
-    v = sigma_sq[None, :] + t2
+    t2 = np.asarray(tau, dtype=float) ** 2
+    # studies along axis 0, tau along the rest: with two or more nodes each
+    # sum over studies runs as elementwise adds, study after study, so a
+    # node's value does not depend on the other nodes of the call (a BLAS
+    # product may round a row differently depending on how many rows share
+    # it), and a prior's grid does not depend on which other priors share
+    # its likelihood evaluation
+    column = (-1,) + (1,) * t2.ndim
+    d = (y - c).reshape(column)
+    v = sigma_sq.reshape(column) + t2
     inv_v = 1.0 / v
-    a = np.sum(inv_v, axis=-1)
+    a = inv_v.sum(axis=0)
     prec = a + 1.0 / mu_prior_var
     cond_var = 1.0 / prec
-    dev = inv_v @ d
+    dev = (inv_v * d).sum(axis=0)
     cond_mean = c + (dev - c / mu_prior_var) * cond_var
     quad_form = (
-        inv_v @ (d * d)
+        (inv_v * (d * d)).sum(axis=0)
         - dev**2 * cond_var
         + (2.0 * c * dev + c * c * a) * cond_var / mu_prior_var
     )
     loglik = (
-        -0.5 * (np.log(v).sum(axis=-1) + len(y) * _LOG_2PI)
+        -0.5 * (np.log(v).sum(axis=0) + len(y) * _LOG_2PI)
         - 0.5 * np.log(mu_prior_var * prec)
         - 0.5 * quad_form
     )
@@ -197,56 +216,37 @@ def _tau_ladder(y, s0):
     return ladder
 
 
-def _scan_tau_max(y, sigma_sq, prior, mu_prior_var, ladder):
-    """Geometric upward scan for the tau truncation point.
+def _scan_tau_max(log_h, ladder):
+    """Geometric upward scan for the tau truncation point, one row per prior.
 
-    Probes (ladder, from _tau_ladder) start at max(s0, sd(y)) and double up
-    to the cap 1e6 x s0. The first probe where (a) the posterior density is below
-    _TAIL_MASS_CUT x the running peak and (b) the remaining tail mass,
-    estimated from the local decay power, is below _TAIL_MASS_CUT of the
-    accumulated mass is tau_max. Starting at the data scale keeps an unbounded prior density at
-    tau -> 0 (the sqrt prior) out of the peak, which would otherwise stall
-    the scan. When (a) holds but the tail is too heavy to ever meet (b)
-    inside the cap (e.g. n = 2 with a flat prior), the cap is used; only a
-    tail that never decays raises; the error blames the N(0, S) mean prior
-    when the 1/sigma^2-weighted mean lies more than one prior SD from 0.
+    log_h[p, j] is prior p's log posterior density at ladder[j] (from
+    _tau_ladder: max(s0, sd(y)) doubling up to the cap 1e6 x s0). In each
+    row the first probe where (a) the density is below _TAIL_MASS_CUT x the
+    running peak and (b) the remaining tail mass, estimated from the local
+    decay power, is below _TAIL_MASS_CUT of the accumulated mass is tau_max.
+    Starting at the data scale keeps an unbounded prior density at tau -> 0
+    (the sqrt prior) out of the peak, which would otherwise stall the scan.
+    When (a) holds but the tail is too heavy to ever meet (b) inside the cap
+    (e.g. n = 2 with a flat prior), the cap is used. A row whose tail never
+    decays gets NaN. Every operation runs along the ladder axis, so a row's
+    result does not depend on the other rows.
     """
     cap = ladder[-1]
-    log_h = log_prior_kernel(prior, ladder) + _loglik_terms(
-        y, sigma_sq, ladder, mu_prior_var
-    )[0]
     log_cut = math.log(_TAIL_MASS_CUT)
 
-    running_peak = np.maximum.accumulate(log_h)
+    running_peak = np.maximum.accumulate(log_h, axis=1)
     decayed = log_h <= running_peak + log_cut
 
     # local decay power between ladder points (tail ~ tau^-power)
-    power = np.zeros(len(ladder))
-    power[1:] = -(log_h[1:] - log_h[:-1]) / np.diff(np.log(ladder))
-
-    hits = np.nonzero(decayed)[0]
-    if len(hits) == 0:
-        # proper posteriors with very heavy tails (n = 2 with a flat prior)
-        # may not reach the full density cut inside the cap; accept the cap
-        # as long as the tail is clearly decaying at an integrable rate
-        if log_h[-1] <= running_peak[-1] + 0.5 * log_cut and power[-1] > 1.05:
-            return float(cap)
-        prior_sds = abs(_weighted_mean(y, sigma_sq)) / math.sqrt(mu_prior_var)
-        if prior_sds > 1.0:
-            raise DivergedPosteriorError(
-                prior.name,
-                f"posterior for prior '{prior.name}' does not decay: the weighted mean "
-                f"of the effects lies {prior_sds:.3g} SDs from 0 under the N(0, "
-                f"{mu_prior_var:g}) mean prior; try a larger EngineConfig.mu_prior_var",
-            )
-        raise DivergedPosteriorError(prior.name)
+    power = np.zeros(log_h.shape)
+    power[:, 1:] = -(log_h[:, 1:] - log_h[:, :-1]) / np.diff(np.log(ladder))
 
     # crude running mass: ladder trapezoids plus a floor for mass below the
     # start; underestimating the total only makes the tail check stricter
     gaps = np.diff(ladder, append=2.0 * ladder[-1] - ladder[-2])
     log_mass = np.logaddexp(
-        np.maximum.accumulate(np.logaddexp.accumulate(log_h + np.log(gaps))),
-        log_h[0] + math.log(ladder[0]),
+        np.maximum.accumulate(np.logaddexp.accumulate(log_h + np.log(gaps), axis=1), axis=1),
+        (log_h[:, 0] + math.log(ladder[0]))[:, None],
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         log_tail = np.where(
@@ -255,10 +255,29 @@ def _scan_tau_max(y, sigma_sq, prior, mu_prior_var, ladder):
             np.inf,
         )
     ok = decayed & (log_tail <= log_mass + log_cut)
-    both = np.nonzero(ok)[0]
-    if len(both) > 0:
-        return float(ladder[both[0]])
-    return float(cap)
+    # proper posteriors with very heavy tails (n = 2 with a flat prior) may
+    # not reach the full density cut inside the cap; the cap is accepted as
+    # long as the tail is clearly decaying at an integrable rate
+    heavy = (log_h[:, -1] <= running_peak[:, -1] + 0.5 * log_cut) & (power[:, -1] > 1.05)
+    return np.where(
+        ok.any(axis=1),
+        ladder[ok.argmax(axis=1)],
+        np.where(decayed.any(axis=1) | heavy, cap, np.nan),
+    )
+
+
+def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
+    """The error for a tail that never decays; it blames the N(0, S) mean
+    prior when the 1/sigma^2-weighted mean lies more than one prior SD from 0."""
+    prior_sds = abs(_weighted_mean(y, sigma_sq)) / math.sqrt(mu_prior_var)
+    if prior_sds > 1.0:
+        return DivergedPosteriorError(
+            prior_name,
+            f"posterior for prior '{prior_name}' does not decay: the weighted mean "
+            f"of the effects lies {prior_sds:.3g} SDs from 0 under the N(0, "
+            f"{mu_prior_var:g}) mean prior; try a larger EngineConfig.mu_prior_var",
+        )
+    return DivergedPosteriorError(prior_name)
 
 
 def _panel_breaks(ladder, sigma_sq, tau_max):
@@ -271,34 +290,32 @@ def _panel_breaks(ladder, sigma_sq, tau_max):
     return np.concatenate([[0.0], inner[inner < tau_max], [tau_max]])
 
 
-def _panel_nodes(y, sigma_sq, prior, c, mu_prior_var, lo, hi):
+def _panel_nodes(c, lo, hi):
     """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
-    tau, quadrature weight in tau, log posterior, conditional mean and
-    variance of mu."""
+    tau and the quadrature weight in tau."""
     half = 0.5 * (hi - lo)[:, None]
     w = (0.5 * (hi + lo))[:, None] + half * _GL_NODES
     one_minus = 1.0 - w**2
-    tau = (c * w**2 / one_minus).ravel()
-    quad_weights = (half * _GL_WEIGHTS * (2.0 * c * w / one_minus**2)).ravel()
-    loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau, mu_prior_var)
-    log_post = log_prior_kernel(prior, tau) + loglik
-    return tau, quad_weights, log_post, cond_mean, cond_var
+    tau = c * w**2 / one_minus
+    quad_weights = half * _GL_WEIGHTS * (2.0 * c * w / one_minus**2)
+    return tau, quad_weights
 
 
-def _adaptive_panels(evaluate, w_breaks, tol):
+def _adaptive_panels(w_breaks, tol):
     """Bisect the w-panels between w_breaks until each passes its error test.
 
-    evaluate(lo, hi) returns (tau, quad weight, log posterior, conditional
-    mean, conditional variance) of the _PANEL_ORDER-point rule on each panel
-    [lo, hi], panel after panel; the halves of a panel are evaluated next to
-    each other, so the nodes of one pass come out sorted. A panel's error estimate is the difference
-    between its whole-panel rule and the sum of its two half rules, for the
-    mass and for the tau^2-weighted mass. A panel whose estimate exceeds tol
-    x the running total of either is bisected; an accepted panel keeps its
-    half-panel nodes. The first pass also evaluates the whole-panel rules;
-    a bisected panel's halves inherit theirs from its half rules. When
-    refining would take the grid past _MAX_GRID_NODES, every open panel is
-    accepted as it stands.
+    A generator: it yields the panels (lo, hi) of one pass and is sent back
+    (tau, quad weight, log posterior, conditional mean, conditional
+    variance) of the _PANEL_ORDER-point rule on each of them, panel after
+    panel; the halves of a panel are requested next to each other, so the
+    nodes of one pass come out sorted. A panel's error estimate is the
+    difference between its whole-panel rule and the sum of its two half
+    rules, for the mass and for the tau^2-weighted mass. A panel whose
+    estimate exceeds tol x the running total of either is bisected; an
+    accepted panel keeps its half-panel nodes. The first pass also requests
+    the whole-panel rules; a bisected panel's halves inherit theirs from its
+    half rules. When refining would take the grid past _MAX_GRID_NODES,
+    every open panel is accepted as it stands.
 
     Returns the accepted nodes' arrays, sorted by tau, and the summed
     estimates of the accepted panels relative to the totals (the larger of
@@ -319,7 +336,7 @@ def _adaptive_panels(evaluate, w_breaks, tol):
         a, b = half_lo.ravel(), half_hi.ravel()
         if whole is None:
             a, b = np.concatenate([lo, a]), np.concatenate([hi, b])
-        nodes = evaluate(a, b)
+        nodes = yield a, b
         log_mass = (nodes[2] + np.log(nodes[1])).reshape(-1, m)
         top = float(log_mass.max())
         if whole is None and not math.isfinite(top):
@@ -358,6 +375,117 @@ def _adaptive_panels(evaluate, w_breaks, tol):
     return tuple(merged), float(np.max(error / total))
 
 
+def _refine_together(y, sigma_sq, c, mu_prior_var, priors, panel_jobs):
+    """Drive every prior's _adaptive_panels in lockstep, one likelihood
+    evaluation per pass for all of them.
+
+    The requested panels of all priors are pooled and deduplicated (the
+    priors' first passes share most panels), the likelihood is evaluated
+    once on the distinct panels' nodes, and each prior gets its own panels'
+    rows back with its log prior kernel added. Every step is elementwise or
+    reduces within one node's row, so a prior's grid does not depend on
+    which other priors share the pass. Returns each job's result in order.
+    """
+    m = _PANEL_ORDER
+    results = [None] * len(panel_jobs)
+    requests = {i: next(job) for i, job in enumerate(panel_jobs)}
+    while requests:
+        lo = np.concatenate([a for a, _ in requests.values()])
+        hi = np.concatenate([b for _, b in requests.values()])
+        panels, which = np.unique(lo + 1j * hi, return_inverse=True)
+        tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
+        loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
+        shared = (tau, quad_weights) + tuple(arr.reshape(-1, m) for arr in (loglik, cond_mean, cond_var))
+        start = 0
+        for i, (a, _) in list(requests.items()):
+            rows = which[start : start + len(a)]
+            start += len(a)
+            t, qw, ll, cm, cv = (arr[rows].ravel() for arr in shared)
+            try:
+                requests[i] = panel_jobs[i].send(
+                    (t, qw, log_prior_kernel(priors[i], t) + ll, cm, cv)
+                )
+            except StopIteration as finished:
+                results[i] = finished.value
+                del requests[i]
+    return results
+
+
+def _posterior_grids(
+    dataset: MetaDataset, priors, config: EngineConfig | None = None
+) -> list:
+    """Posterior grids of several priors on one dataset, in one pass.
+
+    The batch behind build_posterior_grid (one prior) and evaluate_methods
+    (every prior its tags need). All priors share s0 and so the tail-scan
+    ladder: the likelihood is evaluated once on the ladder, the scans run as
+    one (priors, ladder) array, and each pass of panel refinement evaluates
+    the likelihood once on the distinct panels of all priors (see
+    _refine_together). A prior's result equals its batch-of-one result bit
+    for bit. Returns one PosteriorGrid or DivergedPosteriorError per prior.
+
+    Raises ValueError if n < 2, or if a prior was bound to other
+    within-study variances or another s0.
+    """
+    if config is None:
+        config = EngineConfig()
+    if dataset.n < 2:
+        raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
+    y = dataset.effects
+    sigma_sq = dataset.variances
+    for prior in priors:
+        if not np.array_equal(prior.sigma_sq, sigma_sq):
+            raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
+        if prior.s0_sq != priors[0].s0_sq:
+            raise ValueError("the priors of one batch must share s0")
+    c = math.sqrt(priors[0].s0_sq)
+    mu_var = config.mu_prior_var
+
+    ladder = _tau_ladder(y, c)
+    uniform = [p.family.kind == "proper-uniform" for p in priors]
+    tau_max = np.array([p.family.hi if u else math.nan for p, u in zip(priors, uniform)])
+    scanned = [i for i, u in enumerate(uniform) if not u]
+    if scanned:
+        ladder_loglik = _loglik_terms(y, sigma_sq, ladder, mu_var)[0]
+        log_h = np.stack([log_prior_kernel(priors[i], ladder) + ladder_loglik for i in scanned])
+        tau_max[scanned] = _scan_tau_max(log_h, ladder)
+
+    tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+    out: list = [None] * len(priors)
+    good, jobs = [], []
+    for i, prior in enumerate(priors):
+        if math.isnan(tau_max[i]):
+            out[i] = _scan_failure(prior.name, y, sigma_sq, mu_var)
+            continue
+        breaks = _panel_breaks(ladder, sigma_sq, tau_max[i])
+        good.append(i)
+        jobs.append(_adaptive_panels(np.sqrt(breaks / (c + breaks)), tol))
+    refined = _refine_together(y, sigma_sq, c, mu_var, [priors[i] for i in good], jobs)
+    for i, ((tau, quad_weights, log_post, cond_mean, cond_var), quad_error) in zip(good, refined):
+        name = priors[i].name
+        log_mass = log_post + np.log(quad_weights)
+        log_norm = float(log_mass.max())
+        if math.isfinite(log_norm):
+            log_norm += math.log(float(np.exp(log_mass - log_norm).sum()))
+        if not math.isfinite(log_norm):
+            out[i] = DivergedPosteriorError(
+                name, f"posterior normalization for prior '{name}' is not finite"
+            )
+            continue
+        out[i] = PosteriorGrid(
+            nodes=tau,
+            quad_weights=quad_weights,
+            log_post=log_post,
+            cond_mean=cond_mean,
+            cond_var=cond_var,
+            log_norm=log_norm,
+            prior_name=name,
+            tau_max=float(tau_max[i]),
+            quad_error=quad_error,
+        )
+    return out
+
+
 def build_posterior_grid(
     dataset: MetaDataset, prior: BoundPrior, config: EngineConfig | None = None
 ) -> PosteriorGrid:
@@ -381,143 +509,180 @@ def build_posterior_grid(
         signals an improper posterior for this prior/dataset combination,
         or, on effects far from 0, a mean prior too narrow for the data.
     """
-    if config is None:
-        config = EngineConfig()
-    if dataset.n < 2:
-        raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
-    y = dataset.effects
-    sigma_sq = dataset.variances
-    if not np.array_equal(prior.sigma_sq, sigma_sq):
-        raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-    c = math.sqrt(prior.s0_sq)
-    mu_var = config.mu_prior_var
-
-    ladder = _tau_ladder(y, c)
-    if prior.family.kind == "proper-uniform":
-        tau_max = float(prior.family.hi)
-    else:
-        tau_max = _scan_tau_max(y, sigma_sq, prior, mu_var, ladder)
-    breaks = _panel_breaks(ladder, sigma_sq, tau_max)
-    w_breaks = np.sqrt(breaks / (c + breaks))
-    (tau, quad_weights, log_post, cond_mean, cond_var), quad_error = _adaptive_panels(
-        lambda lo, hi: _panel_nodes(y, sigma_sq, prior, c, mu_var, lo, hi),
-        w_breaks,
-        _QUAD_TOLERANCE_SHARE * config.cdf_tolerance,
-    )
-    log_mass = log_post + np.log(quad_weights)
-    log_norm = float(log_mass.max())
-    if math.isfinite(log_norm):
-        log_norm += math.log(float(np.exp(log_mass - log_norm).sum()))
-    if not math.isfinite(log_norm):
-        raise DivergedPosteriorError(
-            prior.name, f"posterior normalization for prior '{prior.name}' is not finite"
-        )
-
-    return PosteriorGrid(
-        nodes=tau,
-        quad_weights=quad_weights,
-        log_post=log_post,
-        cond_mean=cond_mean,
-        cond_var=cond_var,
-        log_norm=log_norm,
-        prior_name=prior.name,
-        tau_max=tau_max,
-        quad_error=quad_error,
-    )
+    (grid,) = _posterior_grids(dataset, [prior], config)
+    if isinstance(grid, Exception):
+        raise grid
+    return grid
 
 
-def _mixture(grid: PosteriorGrid, predictive: bool):
-    """(means, sds, weights) of the posterior mixture for theta_new or for mu.
+def _mixtures(requests):
+    """Flat (means, sds, weights, lengths) of several posterior mixtures.
 
-    Components under 1e-17 of the peak weight (together less than 1e-13 of
-    the mass) are dropped and the rest renormalised to sum to 1.
+    requests holds (grid, predictive) pairs: the theta_new mixture of the
+    grid when predictive, else the mu mixture. Mixture r occupies the next
+    lengths[r] entries of the flat arrays. Components under 1e-17 of their
+    mixture's peak weight (together less than 1e-13 of the mass) are
+    dropped and the rest renormalised to sum to 1. Segment reductions use
+    np.add.reduceat, which gives a segment the same bits wherever it lies in
+    the flat arrays, so a mixture does not depend on the others.
     """
-    pi = grid.posterior_weights()
-    keep = pi > pi.max() * 1e-17
-    var = grid.cond_var + grid.nodes**2 if predictive else grid.cond_var
+    grids = [grid for grid, _ in requests]
+    counts = [len(grid.nodes) for grid in grids]
+    log_norm = np.repeat([grid.log_norm for grid in grids], counts)
+    pi = np.concatenate([grid.quad_weights for grid in grids]) * np.exp(
+        np.concatenate([grid.log_post for grid in grids]) - log_norm
+    )
+    starts = np.cumsum(counts) - counts
+    keep = pi > np.repeat(np.maximum.reduceat(pi, starts), counts) * 1e-17
+    var = np.concatenate(
+        [grid.cond_var + grid.nodes**2 if pred else grid.cond_var for grid, pred in requests]
+    )
+    means = np.concatenate([grid.cond_mean for grid in grids])[keep]
+    lengths = np.add.reduceat(keep, starts, dtype=np.intp)
     w = pi[keep]
-    return grid.cond_mean[keep], np.sqrt(var[keep]), w / w.sum()
+    weights = w / np.repeat(np.add.reduceat(w, np.cumsum(lengths) - lengths), lengths)
+    return means, np.sqrt(var[keep]), weights, lengths
 
 
-def _mean_sd(m, s, w):
-    """Mean and SD of sum_k w_k N(m_k, s_k^2) for weights summing to 1.
+def _mean_sd(m, s, w, lengths):
+    """Mean and SD of each mixture sum_k w_k N(m_k, s_k^2) of a flat layout
+    (weights summing to 1 per mixture).
 
     The central second moment is summed: E[x^2] - E[x]^2 cancels when |mean| >> sd.
     """
-    mean = float(np.sum(w * m))
-    return mean, math.sqrt(max(float(np.sum(w * (s * s + (m - mean) ** 2))), 1e-300))
+    starts = np.cumsum(lengths) - lengths
+    mean = np.add.reduceat(w * m, starts)
+    var = np.add.reduceat(w * (s * s + (m - np.repeat(mean, lengths)) ** 2), starts)
+    return mean, np.sqrt(np.maximum(var, 1e-300))
 
 
 def predictive_cdf(grid: PosteriorGrid, x: float) -> float:
     """CDF of the new-study effect under the discretized posterior mixture."""
-    m, s, w = _mixture(grid, predictive=True)
+    m, s, w, _ = _mixtures([(grid, True)])
     return float(np.sum(w * ndtr((x - m) / s)))
 
 
-def _invert_mixture_cdf(means, sds, weights, prob, tol_width):
-    """Solve F(x) = sum_k w_k Phi((x - m_k)/s_k) = prob by safeguarded Newton.
+def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths):
+    """Solve F_r(x) = sum_k w_k Phi((x - m_k)/s_k) = probs[r] for every
+    mixture r of a flat layout by safeguarded Newton, all rows at once.
 
-    The weights must sum to 1: then, with q = ndtri(prob), every Phi term is
-    <= prob at lo = min_k(m_k + s_k q) and >= prob at hi = max_k(m_k + s_k q),
-    so the components' own quantiles bracket the root without evaluating F.
-    Newton steps (prob - F)/f, with the closed-form density
-    f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from the normal quantile of
-    the mixture's own mean and SD; every evaluation shrinks the bracket by
-    the sign of F - prob, and a step that would leave the bracket or not
-    halve the previous step is replaced by the bracket midpoint (as in
-    rtsafe). The root is returned once a Newton step is within tol_width / 2
-    (whether or not it stays strictly inside the bracket) or the bracket is
-    within tol_width - the error bound of plain bisection - or once the
-    bracket cannot be split in floating point.
+    The weights must sum to 1 per mixture: then, with q = ndtri(prob), every
+    Phi term is <= prob at lo = min_k(m_k + s_k q) and >= prob at hi =
+    max_k(m_k + s_k q), so the components' own quantiles bracket the root
+    without evaluating F. Newton steps (prob - F)/f, with the closed-form
+    density f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from the normal
+    quantile of the mixture's own mean and SD; every evaluation shrinks the
+    bracket by the sign of F - prob, and a step that would leave the
+    bracket or not halve the previous step is replaced by the bracket
+    midpoint (as in rtsafe). A row's root is returned once a Newton step is
+    within tol_width / 2 (whether or not it stays strictly inside the
+    bracket) or the bracket is within tol_width - the error bound of plain
+    bisection - or once the bracket cannot be split in floating point.
+
+    Each row keeps its own bracket, step and stopping test, and each pass
+    evaluates the rows still open in one array over their components; a
+    finished row's components leave the arrays. Returns one root per row,
+    or a NumericFailure for a probability outside (0, 1) or a row that has
+    not converged after _MAX_INVERSION_STEPS steps.
     """
-    if not (0.0 < prob < 1.0):
-        raise NumericFailure(f"the mixture has no finite quantile for prob={prob}")
-    q = float(ndtri(prob))
-    component_quantiles = means + sds * q
-    lo, hi = float(component_quantiles.min()), float(component_quantiles.max())
-
+    all_probs = probs
+    keep = (probs > 0.0) & (probs < 1.0)  # rows still open, among the last pass's
+    rows = np.flatnonzero(keep)
+    q = ndtri(np.where(keep, probs, 0.5))
+    starts = np.cumsum(lengths) - lengths
+    component_quantiles = means + sds * np.repeat(q, lengths)
+    lo = np.minimum.reduceat(component_quantiles, starts)
+    hi = np.maximum.reduceat(component_quantiles, starts)
+    center, sd = _mean_sd(means, sds, weights, lengths)
+    x = np.minimum(np.maximum(center + sd * q, lo), hi)
+    step = hi - lo
     w_over_s = weights / sds
-    center, sd = _mean_sd(means, sds, weights)
-    x = min(max(center + sd * q, lo), hi)
-    step = step_before = hi - lo
-    for _ in range(_MAX_INVERSION_STEPS):
-        z = (x - means) / sds
-        resid = float(np.sum(weights * ndtr(z))) - prob
-        if resid == 0.0:
-            return x
-        if resid < 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= tol_width:
-            return 0.5 * (lo + hi)
-        dens = float(np.sum(w_over_s * np.exp(-0.5 * z * z))) * _INV_SQRT_2PI
-        step_before, step = step, -resid / dens if dens > 0.0 else math.inf
-        if abs(step) <= 0.5 * tol_width:
-            # tested before the bracket: a converged step under half an ulp
-            # of x rounds x + step onto the bracket end x
-            return x + step
-        if not (lo < x + step < hi) or abs(step) > 0.5 * abs(step_before):
+    roots = np.full(len(lengths), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_INVERSION_STEPS):
+            if not keep.all():  # drop finished rows and their components
+                comp = np.repeat(keep, lengths)
+                means, sds, weights, w_over_s = (a[comp] for a in (means, sds, weights, w_over_s))
+                x, lo, hi, step, probs, tol_widths, lengths = (
+                    a[keep] for a in (x, lo, hi, step, probs, tol_widths, lengths)
+                )
+                starts = np.cumsum(lengths) - lengths
+            if not len(rows):
+                break
+            z = (np.repeat(x, lengths) - means) / sds
+            resid = np.add.reduceat(weights * ndtr(z), starts) - probs
+            lo = np.where(resid < 0.0, x, lo)
+            hi = np.where(resid > 0.0, x, hi)
+            dens = np.add.reduceat(w_over_s * np.exp(-0.5 * z * z), starts) * _INV_SQRT_2PI
+            step_before, step = step, np.where(dens > 0.0, -resid / dens, np.inf)
             mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                return mid
-            step = mid - x
-        x += step
-    raise NumericFailure(f"mixture quantile did not converge for prob={prob}")
+            newton = x + step
+            size = np.abs(step)
+            bisect = (newton <= lo) | (newton >= hi) | (size > 0.5 * np.abs(step_before))
+            # the stopping tests, first to last: an exact root, a bracket
+            # within tolerance, a converged Newton step (tested before the
+            # bracket: a step under half an ulp of x rounds x + step onto
+            # the bracket end x), a bracket that cannot be split
+            exact = resid == 0.0
+            narrow = hi - lo <= tol_widths
+            converged = size <= 0.5 * tol_widths
+            done = exact | narrow | converged | (bisect & ((mid == lo) | (mid == hi)))
+            if done.any():
+                root = np.where(exact, x, np.where(narrow | ~converged, mid, newton))
+                roots[rows[done]] = root[done]
+            step = np.where(bisect, mid - x, step)
+            x = x + step
+            keep = ~done
+            rows = rows[keep]
+    return [
+        float(root)
+        if not math.isnan(root)
+        else NumericFailure(
+            f"mixture quantile did not converge for prob={prob}"
+            if 0.0 < prob < 1.0
+            else f"the mixture has no finite quantile for prob={prob}"
+        )
+        for root, prob in zip(roots, all_probs.tolist())
+    ]
 
 
-def _mixture_interval(grid, level, predictive, kind, cdf_tolerance):
+def _mixture_intervals(requests, level, cdf_tolerance):
+    """Equal-tail intervals of the mixtures of requests ((grid, predictive)
+    pairs, as in _mixtures), every endpoint in one _invert_mixture_cdfs
+    batch. A request's interval does not depend on the other requests.
+
+    Returns one IntervalEstimate or NumericFailure per request (the lower
+    endpoint's failure first); a level outside (0, 1) or a cdf_tolerance
+    outside (0, 1e-2) raises ValueError.
+    """
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     _check_cdf_tolerance(cdf_tolerance)
-    m, s, w = _mixture(grid, predictive)
-    tol_width = cdf_tolerance * _mean_sd(m, s, w)[1]
     alpha = 1.0 - level
-    lower = _invert_mixture_cdf(m, s, w, alpha / 2.0, tol_width)
-    upper = _invert_mixture_cdf(m, s, w, 1.0 - alpha / 2.0, tol_width)
-    return IntervalEstimate(
-        lower=lower, upper=upper, level=level, method=grid.prior_name, kind=kind
-    )
+    probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(requests))
+    m, s, w, lengths = _mixtures([request for request in requests for _ in range(2)])
+    tol_widths = cdf_tolerance * _mean_sd(m, s, w, lengths)[1]
+    roots = _invert_mixture_cdfs(m, s, w, lengths, probs, tol_widths)
+    out = []
+    for (grid, predictive), lower, upper in zip(requests, roots[::2], roots[1::2]):
+        failure = next((r for r in (lower, upper) if isinstance(r, NumericFailure)), None)
+        if failure is not None:
+            out.append(failure)
+            continue
+        kind = "prediction" if predictive else "credible"
+        out.append(
+            IntervalEstimate(
+                lower=lower, upper=upper, level=level, method=grid.prior_name, kind=kind
+            )
+        )
+    return out
+
+
+def _one_interval(grid, level, predictive, cdf_tolerance):
+    (interval,) = _mixture_intervals([(grid, predictive)], level, cdf_tolerance)
+    if isinstance(interval, NumericFailure):
+        raise interval
+    return interval
 
 
 def prediction_interval(
@@ -528,14 +693,14 @@ def prediction_interval(
     cdf_tolerance is the relative endpoint error of EngineConfig and must
     lie in (0, 1e-2); anything else raises ValueError.
     """
-    return _mixture_interval(grid, level, True, "prediction", cdf_tolerance)
+    return _one_interval(grid, level, True, cdf_tolerance)
 
 
 def credible_interval_mu(
     grid: PosteriorGrid, level: float = 0.95, cdf_tolerance: float = 1e-8
 ) -> IntervalEstimate:
     """Equal-tail credible interval for the grand mean (cdf_tolerance as above)."""
-    return _mixture_interval(grid, level, False, "credible", cdf_tolerance)
+    return _one_interval(grid, level, False, cdf_tolerance)
 
 
 def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
@@ -545,7 +710,7 @@ def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
     invert, so the identity Var(theta_new) = Var(mu) + E[tau^2] holds up to
     rounding and the < 1e-13 of mass the mixture reader drops.
     """
-    m, s_mu, w = _mixture(grid, predictive=False)
-    _, s_new, _ = _mixture(grid, predictive=True)
+    m, s, w, lengths = _mixtures([(grid, False), (grid, True)])
+    sd_mu, sd_new = _mean_sd(m, s, w, lengths)[1].tolist()
     mean_tau2 = float(np.sum(grid.posterior_weights() * grid.nodes**2))
-    return mean_tau2, _mean_sd(m, s_mu, w)[1] ** 2, _mean_sd(m, s_new, w)[1] ** 2
+    return mean_tau2, sd_mu**2, sd_new**2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import stats
+from scipy import special
 
 from .errors import DegenerateDispersionWarning, NumericFailure
 
@@ -122,7 +122,7 @@ def q_test_pvalue(q: float, n: int) -> float:
         raise ValueError(f"Q test needs at least 2 studies, got n={n}")
     if not (math.isfinite(q) and q >= 0):
         raise ValueError(f"Q statistic must be finite and >= 0, got {q!r}")
-    return float(stats.chi2.sf(q, n - 1))
+    return float(special.chdtrc(n - 1, q))
 
 
 def i_squared(dataset: MetaDataset) -> float:

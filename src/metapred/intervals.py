@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+import numpy as np
+from scipy import special
 
 from .core import MetaDataset, dl_tau2, pooled_mu, reml_tau2, robust_variance
+from .errors import NumericFailure
 
 __all__ = ["HTS_VARIANTS", "IntervalEstimate", "hts_interval", "wald_ci_mu"]
 
@@ -57,9 +59,43 @@ def _check_level(level: float) -> None:
 
 
 def _t_quantile(p: float, df: int) -> float:
-    """t inverse CDF, Newton-polished to ~1e-15 relative error."""
-    x = float(stats.t.ppf(p, df))
-    return x - float(stats.t.cdf(x, df) - p) / float(stats.t.pdf(x, df))
+    """t inverse CDF, Newton-polished to ~1e-15 relative error.
+
+    special.stdtrit and special.stdtr are what scipy.stats.t's ppf and cdf
+    wrap; the density is the closed form scipy.stats.t evaluates, so this
+    returns the same bits without the rv_continuous dispatch.
+    """
+    x = float(special.stdtrit(df, p))
+    log_pdf = (
+        np.log(special.poch(0.5 * df, 0.5))
+        - 0.5 * (np.log(df) + np.log(np.pi))
+        - (df + 1) / 2 * np.log1p(x * x / df)
+    )
+    return x - float(special.stdtr(df, x) - p) / float(np.exp(log_pdf))
+
+
+class _Fits:
+    """The heterogeneity fits of one dataset, each run on first use.
+
+    tau2(estimator) returns estimator(dataset).tau2 (dl_tau2 or reml_tau2);
+    a fit that fails raises the same exception again for every later
+    caller, so intervals sharing a fit fail with the same message.
+    """
+
+    def __init__(self, dataset: MetaDataset):
+        self.dataset = dataset
+        self._done: dict = {}
+
+    def tau2(self, estimator) -> float:
+        if estimator not in self._done:
+            try:
+                self._done[estimator] = estimator(self.dataset).tau2
+            except (ValueError, NumericFailure) as exc:
+                self._done[estimator] = exc
+        result = self._done[estimator]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 def hts_interval(
@@ -77,6 +113,10 @@ def hts_interval(
         "DL" uses tau2_DL and inverse-variance Var[mu_hat]; "HK"/"SJ" use
         tau2_REML and the matching robust variance in its place.
     """
+    return _hts_interval(dataset, level, variant, _Fits(dataset))
+
+
+def _hts_interval(dataset, level, variant, fits: _Fits) -> IntervalEstimate:
     if dataset.n < 3:
         raise ValueError(
             f"plug-in prediction interval needs n >= 3, dataset has {dataset.n}"
@@ -86,11 +126,11 @@ def hts_interval(
         raise ValueError(f"variant must be one of {tuple(HTS_VARIANTS)}, got {variant!r}")
 
     if variant == "DL":
-        tau2 = dl_tau2(dataset).tau2
+        tau2 = fits.tau2(dl_tau2)
         pooled = pooled_mu(dataset, tau2)
         spread = tau2 + pooled.var_mu_hat
     else:
-        tau2 = reml_tau2(dataset).tau2
+        tau2 = fits.tau2(reml_tau2)
         pooled = pooled_mu(dataset, tau2)
         spread = tau2 + robust_variance(dataset, tau2, kind=variant)
 
@@ -107,10 +147,14 @@ def hts_interval(
 
 def wald_ci_mu(dataset: MetaDataset, level: float = 0.95) -> IntervalEstimate:
     """Wald confidence interval for the grand mean with DL weights."""
+    return _wald_ci_mu(dataset, level, _Fits(dataset))
+
+
+def _wald_ci_mu(dataset, level, fits: _Fits) -> IntervalEstimate:
     _check_level(level)
-    tau2 = dl_tau2(dataset).tau2
+    tau2 = fits.tau2(dl_tau2)
     pooled = pooled_mu(dataset, tau2)
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    z = float(special.ndtri(0.5 + level / 2.0))
     half = z * math.sqrt(pooled.var_mu_hat)
     return IntervalEstimate(
         lower=pooled.mu_hat - half,

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -53,21 +52,24 @@ def grid_for(dataset, name, config=None):
     return build_posterior_grid(dataset, bind_prior(named_prior(name), dataset), config)
 
 
-@lru_cache(maxsize=None)
-def _legendre(size):
-    return roots_legendre(size)
+_GL16 = roots_legendre(16)
 
 
-def fixed_grid(dataset, name, tau_max, size=16384):
-    """The posterior on one size-node Gauss-Legendre rule over w in (0, w_max)
-    - the fixed rule the adaptive panels replaced - as the reference."""
+def fixed_grid(dataset, name, tau_max, panels=1024):
+    """The posterior on a fixed composite rule over w in (0, w_max) - the
+    16-point Gauss-Legendre rule on each of 1024 panels - as the reference.
+    The panel ends are Chebyshev-spaced, w_max (1 - cos(pi k / 1024)) / 2,
+    so they crowd both ends of the range the way the nodes of one
+    16384-point rule do: at SE ratios down to 1e-4 the mass sits within
+    1e-4 of w = 1, where equal panels in w would miss it."""
     prior = bind_prior(named_prior(name), dataset)
     c = math.sqrt(prior.s0_sq)
-    x, gl_w = _legendre(size)
     w_max = math.sqrt(tau_max / (c + tau_max))
-    w = (x + 1.0) * (w_max / 2.0)
+    ends = 0.5 * w_max * (1.0 - np.cos(np.pi * np.arange(panels + 1) / panels))
+    half = 0.5 * np.diff(ends)[:, None]
+    w = ((0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]).ravel()
     tau = c * w**2 / (1.0 - w**2)
-    quad_weights = gl_w * (w_max / 2.0) * 2.0 * c * w / (1.0 - w**2) ** 2
+    quad_weights = (half * _GL16[1]).ravel() * 2.0 * c * w / (1.0 - w**2) ** 2
     loglik, cond_mean, cond_var = bayes._loglik_terms(
         dataset.effects, dataset.variances, tau, 10_000.0
     )
@@ -503,12 +505,42 @@ def endpoint_tolerance(grid, kind, cdf_tolerance=1e-8):
     return cdf_tolerance * math.sqrt(float(np.sum(pi * (s**2 + (m - mean) ** 2))))
 
 
+def invert_one(means, sds, weights, prob, tol_width):
+    """One root of the batched Newton inversion; its failure is raised."""
+    (root,) = bayes._invert_mixture_cdfs(
+        means, sds, weights, np.array([len(means)]), np.array([prob]), np.array([tol_width])
+    )
+    if isinstance(root, Exception):
+        raise root
+    return root
+
+
+def count_cdf_evaluations(monkeypatch):
+    """Per inversion batch, the number of mixture-CDF evaluations: each
+    Newton pass is one ndtr call over the components of the rows still
+    open, so a batch's count is the largest count of any of its endpoints."""
+    calls = []
+    real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdfs
+
+    def counting_ndtr(z):
+        calls[-1] += 1
+        return real_ndtr(z)
+
+    def counting_invert(*args):
+        calls.append(0)
+        return real_invert(*args)
+
+    monkeypatch.setattr(bayes, "ndtr", counting_ndtr)
+    monkeypatch.setattr(bayes, "_invert_mixture_cdfs", counting_invert)
+    return calls
+
+
 class TestMixtureInversion:
     @pytest.mark.parametrize("prob", [1e-6, 0.025, 0.5, 0.975])
     def test_single_component_is_normal_quantile(self, prob):
         m, s = np.array([1.3]), np.array([0.7])
         tol_width = 1e-9
-        x = bayes._invert_mixture_cdf(m, s, np.array([1.0]), prob, tol_width)
+        x = invert_one(m, s, np.array([1.0]), prob, tol_width)
         assert abs(x - (1.3 + 0.7 * float(ndtri(prob)))) <= tol_width
 
     @pytest.mark.parametrize("prob", [0.5 - 1e-10, 0.5 + 1e-10, 0.75])
@@ -519,14 +551,14 @@ class TestMixtureInversion:
         # underflows and every raw Newton step leaves the bracket
         m, s, w = np.array([-50.0, 50.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5])
         tol_width = 1e-6
-        got = bayes._invert_mixture_cdf(m, s, w, prob, tol_width)
+        got = invert_one(m, s, w, prob, tol_width)
         want = bisect_mixture(m, s, w, prob, tol_width)
         assert abs(got - want) <= tol_width
 
     def test_probability_one_raises(self):
         m, s, w = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.3, 0.7])
         with pytest.raises(NumericFailure):
-            bayes._invert_mixture_cdf(m, s, w, 1.0, 1e-8)
+            invert_one(m, s, w, 1.0, 1e-8)
         # a level just below 1 rounds the upper tail probability to 1
         with pytest.raises(NumericFailure):
             prediction_interval(grid_for(README_DATA, "sqrt"), 1.0 - 2.0**-53)
@@ -534,43 +566,19 @@ class TestMixtureInversion:
     def test_newton_steps_per_endpoint(self, monkeypatch):
         # each mixture-CDF evaluation is one ndtr call over the components;
         # the bracket costs none, and bisection would need about 40
-        calls = []
-        real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdf
-
-        def counting_ndtr(z):
-            calls[-1] += 1
-            return real_ndtr(z)
-
-        def counting_invert(*args):
-            calls.append(0)
-            return real_invert(*args)
-
-        monkeypatch.setattr(bayes, "ndtr", counting_ndtr)
-        monkeypatch.setattr(bayes, "_invert_mixture_cdf", counting_invert)
+        calls = count_cdf_evaluations(monkeypatch)
         for name in NAMED_PRIORS:
             grid = grid_for(README_DATA, name)
             prediction_interval(grid)
             credible_interval_mu(grid)
-        assert len(calls) == 4 * len(NAMED_PRIORS)
+        assert len(calls) == 2 * len(NAMED_PRIORS)  # one batch of 2 endpoints each
         assert max(calls) <= 5
 
     def test_newton_converging_from_one_side_stops(self, monkeypatch):
         # a last Newton step under half an ulp of x rounds x + step onto the
         # bracket end x; rejecting it as outside the bracket fell back to
         # bisection and cost up to 39 CDF evaluations on this draw
-        calls = []
-        real_ndtr, real_invert = bayes.ndtr, bayes._invert_mixture_cdf
-
-        def counting_ndtr(z):
-            calls[-1] += 1
-            return real_ndtr(z)
-
-        def counting_invert(*args):
-            calls.append(0)
-            return real_invert(*args)
-
-        monkeypatch.setattr(bayes, "ndtr", counting_ndtr)
-        monkeypatch.setattr(bayes, "_invert_mixture_cdf", counting_invert)
+        calls = count_cdf_evaluations(monkeypatch)
         rng = np.random.default_rng(11)
         for _ in range(41):
             ds = random_dataset(rng, n_lo=3, n_hi=30)
@@ -578,7 +586,7 @@ class TestMixtureInversion:
                 grid = grid_for(ds, name)
                 prediction_interval(grid)
                 credible_interval_mu(grid)
-        assert len(calls) == 41 * 4 * len(NAMED_PRIORS)
+        assert len(calls) == 41 * 2 * len(NAMED_PRIORS)
         assert max(calls) <= 8
 
     def test_tolerance_below_float_resolution_terminates(self):
@@ -622,3 +630,71 @@ class TestMixtureInversion:
         m, s, pi = mixture_of(grid, kind)
         assert abs(interval.lower - bisect_mixture(m, s, pi, 0.025, tol_width)) <= tol_width
         assert abs(interval.upper - bisect_mixture(m, s, pi, 0.975, tol_width)) <= tol_width
+
+
+GRID_ARRAYS = ("nodes", "quad_weights", "log_post", "cond_mean", "cond_var")
+
+
+class TestBatch:
+    """The per-dataset batch (every prior's grid from shared likelihood
+    evaluations, every endpoint in one Newton batch) and the public
+    single-prior functions must agree bit for bit: a row's result may not
+    depend on which other rows share its batch."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_batch_of_one_equals_batch(self, scale):
+        rng = np.random.default_rng(29 if scale == 1.0 else 31)
+        for n in (3, 4, 7, 15, 31, 64, 100):
+            ds = MetaDataset.from_arrays(
+                scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
+            )
+            priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
+            batch = bayes._posterior_grids(ds, priors, EngineConfig())
+            requests = [(grid, predictive) for grid in batch for predictive in (True, False)]
+            intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            for prior, batched in zip(priors, batch):
+                grid = build_posterior_grid(ds, prior)
+                for field in GRID_ARRAYS:
+                    assert np.array_equal(getattr(grid, field), getattr(batched, field)), (
+                        n, prior.name, field,
+                    )
+                assert (grid.log_norm, grid.tau_max, grid.quad_error) == (
+                    batched.log_norm, batched.tau_max, batched.quad_error,
+                )
+                for single in (prediction_interval(grid), credible_interval_mu(grid)):
+                    together = next(intervals)
+                    assert (single.lower, single.upper) == (together.lower, together.upper)
+                    assert single == together
+
+    def test_batch_order_and_subsets_do_not_matter(self):
+        # the same prior in a batch of one, of three and of eleven, in
+        # reversed order: its grid and interval arrays stay the same bits
+        ds = random_dataset(np.random.default_rng(37), n_lo=8, n_hi=8)
+        priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
+        full = bayes._posterior_grids(ds, priors, EngineConfig())
+        backwards = bayes._posterior_grids(ds, priors[::-1], EngineConfig())[::-1]
+        some = bayes._posterior_grids(ds, priors[2:5], EngineConfig())
+        for a, b in zip(full[2:5], some):
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
+        for a, b in zip(full, backwards):
+            assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
+        forwards = bayes._mixture_intervals([(g, True) for g in full], 0.9, 1e-8)
+        reverse = bayes._mixture_intervals([(g, True) for g in full[::-1]], 0.9, 1e-8)
+        assert forwards == reverse[::-1]
+
+    def test_failures_stay_in_their_row(self):
+        # a level just below 1 rounds the upper tail probability to 1: every
+        # row fails, each with the message of its own public call
+        grids = [grid_for(README_DATA, name) for name in ("sqrt", "proper1")]
+        level = 1.0 - 2.0**-53
+        out = bayes._mixture_intervals([(g, True) for g in grids], level, 1e-8)
+        for grid, failure in zip(grids, out):
+            with pytest.raises(NumericFailure) as err:
+                prediction_interval(grid, level)
+            assert type(failure) is NumericFailure and str(failure) == str(err.value)
+        # a prior whose tail never decays fails alone in the grid batch
+        ds = MetaDataset.from_arrays([0.0, 1.0], [0.3, 0.4])
+        priors = [bind_prior(f, ds) for f in (PriorFamily("power", a=3.0), named_prior("proper1"))]
+        bad, good = bayes._posterior_grids(ds, priors, EngineConfig())
+        assert isinstance(bad, DivergedPosteriorError) and bad.prior_name == "power(3)"
+        assert np.array_equal(good.nodes, build_posterior_grid(ds, priors[1]).nodes)

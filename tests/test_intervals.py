@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from metapred import IntervalEstimate, MetaDataset, hts_interval, wald_ci_mu
+from metapred.intervals import _t_quantile
 from oracles import grid_search_reml
 
 SPREAD = MetaDataset.from_arrays([-2.0, 0.0, 2.0], [1.0, 1.0, 1.0])
@@ -113,6 +114,16 @@ class TestHtsInterval:
         pred = hts_interval(ds, 0.95)
         ci = wald_ci_mu(ds, 0.95)
         assert pred.lower <= ci.lower and ci.upper <= pred.upper
+
+
+class TestTQuantile:
+    def test_matches_scipy_stats(self):
+        # the plug-in interval asks for p = 0.5 + level / 2
+        for df in range(1, 201):
+            for level in np.linspace(0.5, 0.999, 300):
+                p = 0.5 + float(level) / 2.0
+                want = float(stats.t.ppf(p, df))
+                assert abs(_t_quantile(p, df) - want) <= 1e-14 * abs(want), (df, level)
 
 
 class TestWaldCI:

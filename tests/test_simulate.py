@@ -158,10 +158,10 @@ class TestRunReplication:
         def bug(*args, **kwargs):
             raise ValueError("bug")
 
-        monkeypatch.setattr(methods_module, "hts_interval", stall)
+        monkeypatch.setattr(methods_module, "_hts_interval", stall)
         covered, width, failed = run_replication(SC, ("hts",), (33, 0))["hts"]
         assert (covered, failed) == (False, True) and math.isnan(width)
-        monkeypatch.setattr(methods_module, "hts_interval", bug)
+        monkeypatch.setattr(methods_module, "_hts_interval", bug)
         with pytest.raises(ValueError, match="bug"):
             run_replication(SC, ("hts", "dl"), (33, 0))
 
