@@ -383,7 +383,7 @@ def _refine_together(y, sigma_sq, c, mu_prior_var, priors, panel_jobs):
     priors' first passes share most panels), the likelihood is evaluated
     once on the distinct panels' nodes, and each prior gets its own panels'
     rows back with its log prior kernel added. Every step is elementwise or
-    reduces within one node's row, so a prior's grid does not depend on
+    reduces over one node's studies, so a prior's grid does not depend on
     which other priors share the pass. Returns each job's result in order.
     """
     m = _PANEL_ORDER
@@ -395,7 +395,8 @@ def _refine_together(y, sigma_sq, c, mu_prior_var, priors, panel_jobs):
         panels, which = np.unique(lo + 1j * hi, return_inverse=True)
         tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
         loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
-        shared = (tau, quad_weights) + tuple(arr.reshape(-1, m) for arr in (loglik, cond_mean, cond_var))
+        per_panel = (loglik, cond_mean, cond_var)
+        shared = (tau, quad_weights) + tuple(arr.reshape(-1, m) for arr in per_panel)
         start = 0
         for i, (a, _) in list(requests.items()):
             rows = which[start : start + len(a)]
