@@ -32,13 +32,16 @@ One dataset is one batch. The marginal likelihood does not depend on the
 prior, and every prior of a dataset shares s0 and so the scan's ladder;
 each prior's panel breaks are a prefix of those of the prior with the
 largest tau_max (proper1 adds its own last panel). _posterior_grids
-therefore evaluates the likelihood once on the ladder, scans all priors as
-one (priors, ladder) array, and evaluates it once per refinement pass on
-the distinct panels of all priors, adding each prior's kernel afterwards;
-_mixture_intervals inverts every (mixture, endpoint) row in one masked
-Newton loop. Reductions run within a row (row sums, np.add.reduceat over
-flat segments), never across rows, so a prior's grid and endpoints equal
-its batch-of-one result - the public single-prior functions - bit for bit.
+therefore evaluates the likelihood once on the ladder and scans all priors
+as one (priors, ladder) array. _refine_panels keeps the open panels of all
+priors as the rows of one set of arrays, tagged with their prior, and
+evaluates the likelihood once per pass on the distinct panels, adding each
+prior's kernel to its own rows. _mixture_intervals inverts every (mixture,
+endpoint) row in one masked Newton loop. Reductions run within a row (row
+sums, np.add.reduceat over flat segments) or over one prior's rows in
+order (np.add.at into zeroed per-prior sums), never across priors, so a
+prior's grid and endpoints equal its batch-of-one result - the public
+single-prior functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -301,115 +304,107 @@ def _panel_nodes(c, lo, hi):
     return tau, quad_weights
 
 
-def _adaptive_panels(w_breaks, tol):
-    """Bisect the w-panels between w_breaks until each passes its error test.
+def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, w_breaks, tol):
+    """Bisect every prior's w-panels (between its w_breaks) until each
+    passes its error test.
 
-    A generator: it yields the panels (lo, hi) of one pass and is sent back
-    (tau, quad weight, log posterior, conditional mean, conditional
-    variance) of the _PANEL_ORDER-point rule on each of them, panel after
-    panel; the halves of a panel are requested next to each other, so the
-    nodes of one pass come out sorted. A panel's error estimate is the
-    difference between its whole-panel rule and the sum of its two half
-    rules, for the mass and for the tau^2-weighted mass. A panel whose
-    estimate exceeds tol x the running total of either is bisected; an
-    accepted panel keeps its half-panel nodes. The first pass also requests
-    the whole-panel rules; a bisected panel's halves inherit theirs from its
-    half rules. When refining would take the grid past _MAX_GRID_NODES,
-    every open panel is accepted as it stands.
+    The open panels of all priors are the rows of one set of arrays; owner
+    gives each row's prior. A pass evaluates the likelihood once on the
+    distinct panels' _PANEL_ORDER-point half rules (the first pass also on
+    the whole-panel rules) and adds each prior's kernel to its own rows. A
+    panel's error estimate is the difference between its whole-panel rule
+    and the sum of its two half rules, for the mass and for the
+    tau^2-weighted mass. A panel whose estimate exceeds tol x its prior's
+    running total of either is bisected, and its halves inherit their
+    whole-panel sums from its half rules; an accepted panel keeps its
+    half-panel nodes. When refining would take a prior's grid past
+    _MAX_GRID_NODES, every open panel of that prior is accepted as it
+    stands. Sums over a prior's panels add its rows in order into zeroed
+    per-prior arrays, and every other step is elementwise, within a row or
+    a maximum, so a prior's result does not depend on the other priors.
 
-    Returns the accepted nodes' arrays, sorted by tau, and the summed
-    estimates of the accepted panels relative to the totals (the larger of
-    the two ratios); a first pass with no finite mass returns unrefined.
+    Returns, per prior, the accepted nodes' (tau, quad weight, log
+    posterior, conditional mean, conditional variance), sorted by tau, and
+    the summed estimates of the accepted panels relative to the totals
+    (the larger of the two ratios); a prior whose first pass has no finite
+    mass keeps that pass unrefined, with an infinite estimate.
     """
-    m = _PANEL_ORDER
-    lo, hi = w_breaks[:-1], w_breaks[1:]
+    m, n = _PANEL_ORDER, len(priors)
+    if not n:
+        return []
+
+    def per_prior(rows, values):
+        sums = np.zeros((n, 2))
+        np.add.at(sums, rows, values)
+        return sums
+
+    owner = np.repeat(np.arange(n), [len(b) - 1 for b in w_breaks])
+    lo = np.concatenate([b[:-1] for b in w_breaks])
+    hi = np.concatenate([b[1:] for b in w_breaks])
     whole = None
-    ref = -math.inf  # panel sums are (mass, tau^2 mass) x exp(-ref)
-    total = np.zeros(2)
-    error = np.zeros(2)
+    ref = np.full(n, -np.inf)  # prior p's panel sums are (mass, tau^2 mass) x exp(-ref[p])
+    total, error = np.zeros((n, 2)), np.zeros((n, 2))
+    n_nodes = np.zeros(n, dtype=np.intp)
     accepted = []
-    n_nodes = 0
     while len(lo):
         k = len(lo)
         mid = 0.5 * (lo + hi)
         half_lo, half_hi = np.stack([lo, mid], 1), np.stack([mid, hi], 1)
-        a, b = half_lo.ravel(), half_hi.ravel()
+        a, b, rows = half_lo.ravel(), half_hi.ravel(), owner.repeat(2)
         if whole is None:
-            a, b = np.concatenate([lo, a]), np.concatenate([hi, b])
-        nodes = yield a, b
-        log_mass = (nodes[2] + np.log(nodes[1])).reshape(-1, m)
-        top = float(log_mass.max())
-        if whole is None and not math.isfinite(top):
-            return tuple(arr[k * m :] for arr in nodes), math.inf
-        if top > ref:
-            scale = math.exp(ref - top)
-            total, error = total * scale, error * scale
-            if whole is not None:
-                whole = whole * scale
-            ref = top
-        f = np.exp(log_mass - ref)
-        sums = np.stack([f.sum(axis=1), (f * nodes[0].reshape(-1, m) ** 2).sum(axis=1)], 1)
+            a, b, rows = (np.concatenate(pair) for pair in ((lo, a), (hi, b), (owner, rows)))
+        panels, which = np.unique(a + 1j * b, return_inverse=True)
+        tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
+        terms = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
+        # tau, quad weight, log posterior, conditional mean and variance: a row per panel
+        nodes = [arr.reshape(-1, m)[which] for arr in (tau, quad_weights) + terms]
+        for p in np.unique(rows):
+            mine = rows == p
+            nodes[2][mine] += log_prior_kernel(priors[p], nodes[0][mine].ravel()).reshape(-1, m)
+        log_mass = nodes[2] + np.log(nodes[1])
+        top = np.full(n, -np.inf)
+        np.maximum.at(top, rows, log_mass.max(axis=1))
         if whole is None:
-            whole, sums = sums[:k], sums[k:]
-            nodes = tuple(arr[k * m :] for arr in nodes)
+            failed = ~np.isfinite(top)
+            top[failed] = 0.0  # keeps the unused sums of a failed prior finite
+            log_mass[failed[rows]] = 0.0
+        grow = top > ref
+        scale = np.ones(n)
+        # math.exp, not np.exp, which can round the last bit differently
+        scale[grow] = [math.exp(d) for d in (ref - top)[grow].tolist()]
+        total, error = total * scale[:, None], error * scale[:, None]
+        ref = np.where(grow, top, ref)
+        f = np.exp(log_mass - ref[rows, None])
+        sums = np.stack([f.sum(axis=1), (f * nodes[0] ** 2).sum(axis=1)], 1)
+        if whole is None:
+            whole, sums, rows = sums[:k], sums[k:], rows[k:]
+            nodes = [arr[k:] for arr in nodes]
+        else:
+            whole = whole * scale[owner, None]
         pairs = sums.reshape(k, 2, 2)  # (panel, half, mass | tau^2 mass)
         halves = pairs[:, 0] + pairs[:, 1]
         est = np.abs(whole - halves)
-        refine = np.any(est > tol * (total + halves.sum(axis=0)), axis=1)
-        if n_nodes + 2 * m * (k + int(refine.sum())) > _MAX_GRID_NODES:
-            refine[:] = False
+        refine = np.any(est > tol * (total + per_prior(owner, halves))[owner], axis=1)
+        grown = n_nodes + 2 * m * np.bincount(owner, 1 + refine, n)  # kept and new halves
+        refine &= ~failed[owner] & (grown <= _MAX_GRID_NODES)[owner]
         done = ~refine
-        if refine.any():
-            keep = done.repeat(2 * m)
-            nodes = tuple(arr[keep] for arr in nodes)
-        accepted.append(nodes)
-        total += halves[done].sum(axis=0)
-        error += est[done].sum(axis=0)
-        n_nodes += 2 * m * int(done.sum())
+        keep = done.repeat(2)
+        accepted.append([rows[keep]] + [arr[keep] for arr in nodes])
+        total += per_prior(owner[done], halves[done])
+        error += per_prior(owner[done], est[done])
+        n_nodes += 2 * m * np.bincount(owner[done], minlength=n)
         lo, hi = half_lo[refine].ravel(), half_hi[refine].ravel()
         whole = pairs[refine].reshape(-1, 2)
-    merged = [np.concatenate(parts) for parts in zip(*accepted)]
-    if len(accepted) > 1:
-        order = np.argsort(merged[0])
-        merged = [arr[order] for arr in merged]
-    return tuple(merged), float(np.max(error / total))
-
-
-def _refine_together(y, sigma_sq, c, mu_prior_var, priors, panel_jobs):
-    """Drive every prior's _adaptive_panels in lockstep, one likelihood
-    evaluation per pass for all of them.
-
-    The requested panels of all priors are pooled and deduplicated (the
-    priors' first passes share most panels), the likelihood is evaluated
-    once on the distinct panels' nodes, and each prior gets its own panels'
-    rows back with its log prior kernel added. Every step is elementwise or
-    reduces over one node's studies, so a prior's grid does not depend on
-    which other priors share the pass. Returns each job's result in order.
-    """
-    m = _PANEL_ORDER
-    results = [None] * len(panel_jobs)
-    requests = {i: next(job) for i, job in enumerate(panel_jobs)}
-    while requests:
-        lo = np.concatenate([a for a, _ in requests.values()])
-        hi = np.concatenate([b for _, b in requests.values()])
-        panels, which = np.unique(lo + 1j * hi, return_inverse=True)
-        tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
-        loglik, cond_mean, cond_var = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
-        per_panel = (loglik, cond_mean, cond_var)
-        shared = (tau, quad_weights) + tuple(arr.reshape(-1, m) for arr in per_panel)
-        start = 0
-        for i, (a, _) in list(requests.items()):
-            rows = which[start : start + len(a)]
-            start += len(a)
-            t, qw, ll, cm, cv = (arr[rows].ravel() for arr in shared)
-            try:
-                requests[i] = panel_jobs[i].send(
-                    (t, qw, log_prior_kernel(priors[i], t) + ll, cm, cv)
-                )
-            except StopIteration as finished:
-                results[i] = finished.value
-                del requests[i]
-    return results
+        owner = owner[refine].repeat(2)
+    rows, *nodes = (np.concatenate(parts) for parts in zip(*accepted))
+    order = np.lexsort((nodes[0][:, 0], rows))  # panels are disjoint: sorts every tau
+    nodes = [arr[order].ravel() for arr in nodes]
+    bounds = [0] + (m * np.cumsum(np.bincount(rows, minlength=n))).tolist()
+    quad_error = np.where(failed, math.inf, (error / total).max(axis=1))
+    return [
+        (tuple(arr[start:end] for arr in nodes), err)
+        for start, end, err in zip(bounds, bounds[1:], quad_error.tolist())
+    ]
 
 
 def _posterior_grids(
@@ -420,10 +415,11 @@ def _posterior_grids(
     The batch behind build_posterior_grid (one prior) and evaluate_methods
     (every prior its tags need). All priors share s0 and so the tail-scan
     ladder: the likelihood is evaluated once on the ladder, the scans run as
-    one (priors, ladder) array, and each pass of panel refinement evaluates
-    the likelihood once on the distinct panels of all priors (see
-    _refine_together). A prior's result equals its batch-of-one result bit
-    for bit. Returns one PosteriorGrid or DivergedPosteriorError per prior.
+    one (priors, ladder) array, and _refine_panels refines the panels of all
+    priors together, one likelihood evaluation per pass on their distinct
+    panels. A prior's result equals its batch-of-one result bit for bit.
+    Returns one PosteriorGrid or DivergedPosteriorError per prior; an empty
+    list of priors gives an empty list.
 
     Raises ValueError if n < 2, or if a prior was bound to other
     within-study variances or another s0.
@@ -432,6 +428,8 @@ def _posterior_grids(
         config = EngineConfig()
     if dataset.n < 2:
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
+    if not priors:
+        return []
     y = dataset.effects
     sigma_sq = dataset.variances
     for prior in priors:
@@ -451,17 +449,17 @@ def _posterior_grids(
         log_h = np.stack([log_prior_kernel(priors[i], ladder) + ladder_loglik for i in scanned])
         tau_max[scanned] = _scan_tau_max(log_h, ladder)
 
-    tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
     out: list = [None] * len(priors)
-    good, jobs = [], []
+    good, w_breaks = [], []
     for i, prior in enumerate(priors):
         if math.isnan(tau_max[i]):
             out[i] = _scan_failure(prior.name, y, sigma_sq, mu_var)
             continue
         breaks = _panel_breaks(ladder, sigma_sq, tau_max[i])
         good.append(i)
-        jobs.append(_adaptive_panels(np.sqrt(breaks / (c + breaks)), tol))
-    refined = _refine_together(y, sigma_sq, c, mu_var, [priors[i] for i in good], jobs)
+        w_breaks.append(np.sqrt(breaks / (c + breaks)))
+    tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+    refined = _refine_panels(y, sigma_sq, c, mu_var, [priors[i] for i in good], w_breaks, tol)
     for i, ((tau, quad_weights, log_post, cond_mean, cond_var), quad_error) in zip(good, refined):
         name = priors[i].name
         log_mass = log_post + np.log(quad_weights)

@@ -16,6 +16,7 @@ METAPRED_SEED environment variable overrides the config seed for
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -76,13 +77,15 @@ def _cmd_simulate(args) -> int:
             config = dataclasses.replace(config, master_seed=seed)
         except ValueError as exc:
             raise ConfigError(f"METAPRED_SEED: {exc}") from None
-    records = run_study(config, parallelism=args.parallelism)
-    table = emit_coverage_table(records)
+    # open the output first: an unwritable path fails before the study runs
+    sink = contextlib.nullcontext(sys.stdout.buffer)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(table)
-    else:
-        sys.stdout.buffer.write(table)
+        try:
+            sink = open(args.out, "wb")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
+    with sink as fh:
+        fh.write(emit_coverage_table(run_study(config, parallelism=args.parallelism)))
     return 0
 
 

@@ -238,6 +238,11 @@ def parse_sim_config(data: bytes) -> SimConfig:
 
     ns = _parse_list(fields["n"], "n", integer=True)
     tau2s = _parse_list(fields["tau2"], "tau2")
+    if len(ns) * len(tau2s) > _MAX_RANGE_ELEMENTS:
+        raise ConfigError(
+            f"config has {len(ns)} x {len(tau2s)} scenarios (n x tau2), "
+            f"more than {_MAX_RANGE_ELEMENTS}"
+        )
     level = _parse_number(fields["level"], "level") if "level" in fields else 0.95
     reps = _parse_int(fields["reps"], "reps") if "reps" in fields else 1000
     seed = _parse_int(fields["seed"], "seed") if "seed" in fields else 0

@@ -84,9 +84,11 @@ class SimConfig:
         for m in self.methods:
             lookup_method(m)
         for label, items in (("method tag", self.methods), ("scenario", self.scenarios)):
-            dup = next((x for i, x in enumerate(items) if x in items[:i]), None)
-            if dup is not None:
-                raise ValueError(f"config repeats {label} {dup!r}")
+            seen = set()
+            for x in items:
+                if x in seen:
+                    raise ValueError(f"config repeats {label} {x!r}")
+                seen.add(x)
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (0 <= self.master_seed < 2**64):

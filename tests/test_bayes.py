@@ -641,19 +641,28 @@ class TestBatch:
     single-prior functions must agree bit for bit: a row's result may not
     depend on which other rows share its batch."""
 
-    @pytest.mark.parametrize("scale", [1.0, 10.0])
-    def test_batch_of_one_equals_batch(self, scale):
+    @pytest.mark.parametrize(
+        "scale, config, sizes",
+        [
+            pytest.param(1.0, EngineConfig(), (3, 4, 7, 15, 31, 64, 100), id="1.0"),
+            pytest.param(10.0, EngineConfig(), (3, 4, 7, 15, 31, 64, 100), id="10.0"),
+            # every prior refines until the 16384-node cap stops it, each at
+            # its own pass, while the other priors of the batch go on
+            pytest.param(1.0, EngineConfig(cdf_tolerance=1e-300), (4, 15), id="node-cap"),
+        ],
+    )
+    def test_batch_of_one_equals_batch(self, scale, config, sizes):
         rng = np.random.default_rng(29 if scale == 1.0 else 31)
-        for n in (3, 4, 7, 15, 31, 64, 100):
+        for n in sizes:
             ds = MetaDataset.from_arrays(
                 scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
             )
             priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-            batch = bayes._posterior_grids(ds, priors, EngineConfig())
+            batch = bayes._posterior_grids(ds, priors, config)
             requests = [(grid, predictive) for grid in batch for predictive in (True, False)]
             intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
             for prior, batched in zip(priors, batch):
-                grid = build_posterior_grid(ds, prior)
+                grid = build_posterior_grid(ds, prior, config)
                 for field in GRID_ARRAYS:
                     assert np.array_equal(getattr(grid, field), getattr(batched, field)), (
                         n, prior.name, field,
@@ -674,6 +683,7 @@ class TestBatch:
         full = bayes._posterior_grids(ds, priors, EngineConfig())
         backwards = bayes._posterior_grids(ds, priors[::-1], EngineConfig())[::-1]
         some = bayes._posterior_grids(ds, priors[2:5], EngineConfig())
+        assert bayes._posterior_grids(ds, [], EngineConfig()) == []
         for a, b in zip(full[2:5], some):
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
         for a, b in zip(full, backwards):

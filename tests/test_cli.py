@@ -86,6 +86,18 @@ class TestSimulate:
         assert main(["simulate", "--config", config_file]) == 0
         assert out.read_bytes() == capsys.readouterr().out.encode()
 
+    def test_out_into_missing_directory_is_config_error(
+        self, config_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran before the output was opened")
+
+        monkeypatch.setattr(metapred.cli, "run_study", no_study)
+        out = tmp_path / "missing" / "table.csv"
+        assert main(["simulate", "--config", config_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"metapred: config error: cannot write {out}: No such file or directory\n"
+
     def test_env_seed_override(self, config_file, tmp_path, monkeypatch, capsys):
         assert main(["simulate", "--config", config_file]) == 0
         base = capsys.readouterr().out

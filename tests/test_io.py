@@ -131,6 +131,13 @@ class TestParseSimConfig:
             with pytest.raises(ConfigError):
                 parse_sim_config(text)
 
+    def test_scenario_count_is_bounded(self):
+        # 1998 x 1001 scenarios are refused before any Scenario is built;
+        # 8000 scenarios parse, the repeat checks being set lookups
+        with pytest.raises(ConfigError, match="1998 x 1001 scenarios"):
+            parse_sim_config(b"n = [3..2000]\ntau2 = [0..1 step 0.001]\n")
+        assert len(parse_sim_config(b"n = [3..8002]\ntau2 = [0.1]\n").scenarios) == 8000
+
     def test_grid_spec(self):
         assert parse_grid_spec("0.5..2.0 step 0.5") == [0.5, 1.0, 1.5, 2.0]
         assert parse_grid_spec("0.1, 1, 10") == [0.1, 1.0, 10.0]

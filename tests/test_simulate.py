@@ -56,6 +56,13 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="share stream key 0x312f649"):
             SimConfig(scenarios=(Scenario(89, 0.716), Scenario(900, 0.907)))
 
+    def test_repeat_checks_scale_to_large_configs(self):
+        # 20000 scenarios: a scan of every earlier element took about a minute
+        sc = tuple(Scenario(n, 0.0) for n in range(3, 20003))
+        assert len(SimConfig(scenarios=sc, methods=("hts",)).scenarios) == 20000
+        with pytest.raises(ValueError, match=r"repeats scenario Scenario\(n=3,"):
+            SimConfig(scenarios=sc + (Scenario(3, 0.0),), methods=("hts",))
+
     def test_available_methods_include_credible_tags(self):
         tags = METHODS
         assert "cred:jeffreys" in tags
