@@ -19,7 +19,10 @@ rule on each of its halves. A panel whose whole-panel rule disagrees with
 its two half rules, in posterior mass or in tau^2-weighted mass, by more
 than cdf_tolerance / 100 of the total is bisected and checked again
 (adaptive panels as in QUADPACK), so nodes go where the posterior has
-features - a few hundred on typical data - up to a 16384-node cap.
+features - a few hundred on typical data - up to a 16384-node cap. A
+grid's normaliser Z is the refinement's running total of its accepted
+panels' mass: the sum that decides every bisection also scales quad_error
+and gives log_norm.
 
 Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
 components' own quantiles bracket each mixture quantile (the weights sum
@@ -32,15 +35,16 @@ One dataset is one batch. The marginal likelihood does not depend on the
 prior, and every prior of a dataset shares s0 and so the scan's ladder;
 each prior's panel breaks are a prefix of those of the prior with the
 largest tau_max (proper1 adds its own last panel). _posterior_grids
-therefore evaluates the likelihood once on the ladder and scans all priors
-as one (priors, ladder) array. _refine_panels keeps the open panels of all
-priors as the rows of one set of arrays, tagged with their prior, and
-evaluates the likelihood once per pass on the distinct panels, adding each
-prior's kernel to its own rows. _mixture_intervals inverts every (mixture,
-endpoint) row in one masked Newton loop. Reductions run within a row (row
-sums, np.add.reduceat over flat segments) or over one prior's rows in
-order (np.add.at into zeroed per-prior sums), never across priors, so a
-prior's grid and endpoints equal its batch-of-one result - the public
+therefore evaluates the likelihood once on the ladder, scans all priors as
+one (priors, ladder) array and cuts every prior's breaks from one extended
+ladder. _refine_panels keeps the open panels of all priors as the rows of
+one set of arrays, tagged with their prior, evaluates the likelihood once
+per pass on the distinct panels, adding each prior's kernel to its own
+rows, and returns the finished grids. _mixture_intervals inverts every
+(mixture, endpoint) row in one masked Newton loop. Reductions run within a
+row (row sums, np.add.reduceat over flat segments) or over one prior's
+rows in order (np.add.at into zeroed per-prior sums), never across priors,
+so a prior's grid and endpoints equal its batch-of-one result - the public
 single-prior functions - bit for bit.
 """
 
@@ -117,7 +121,8 @@ class PosteriorGrid:
                  normalizer is left out)
     cond_mean    posterior mean of mu given tau, per node
     cond_var     posterior variance of mu given tau, per node
-    log_norm     log of the normalizing sum Z of the weighted exp(log_post)
+    log_norm     log of the normalizing sum Z of the weighted exp(log_post),
+                 as the refinement totalled it panel by panel
     prior_name   tag of the prior that produced the grid
     tau_max      upper end of the tau range: the tail scan's truncation
                  point, or the support end of a proper-uniform prior
@@ -139,7 +144,7 @@ class PosteriorGrid:
     quad_error: float
 
     def posterior_weights(self) -> np.ndarray:
-        """Normalized node masses; they sum to 1 by construction."""
+        """Normalized node masses; they sum to 1 up to rounding."""
         return self.quad_weights * np.exp(self.log_post - self.log_norm)
 
 
@@ -248,7 +253,7 @@ def _scan_tau_max(log_h, ladder):
     # start; underestimating the total only makes the tail check stricter
     gaps = np.diff(ladder, append=2.0 * ladder[-1] - ladder[-2])
     log_mass = np.logaddexp(
-        np.maximum.accumulate(np.logaddexp.accumulate(log_h + np.log(gaps), axis=1), axis=1),
+        np.logaddexp.accumulate(log_h + np.log(gaps), axis=1),
         (log_h[:, 0] + math.log(ladder[0]))[:, None],
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,14 +288,14 @@ def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
     return DivergedPosteriorError(prior_name)
 
 
-def _panel_breaks(ladder, sigma_sq, tau_max):
-    """Panel ends in tau: 0, the tail-scan ladder below tau_max extended
-    down by halving to 0.25 x the smallest within-study SE, and tau_max."""
+def _panel_breaks(ladder, sigma_sq, tau_maxes):
+    """Panel ends in tau for each of tau_maxes: 0, the tail-scan ladder
+    below tau_max extended down by halving to 0.25 x the smallest
+    within-study SE, and tau_max."""
     floor = 0.25 * math.sqrt(float(sigma_sq.min()))
     n_down = max(int(math.ceil(math.log2(ladder[0] / floor))), 0)
-    below = ladder[0] * 2.0 ** -np.arange(n_down, 0, -1)
-    inner = np.concatenate([below, ladder])
-    return np.concatenate([[0.0], inner[inner < tau_max], [tau_max]])
+    inner = np.concatenate([ladder[0] * 2.0 ** -np.arange(n_down, 0, -1), ladder])
+    return [np.concatenate([[0.0], inner[inner < t], [t]]) for t in tau_maxes]
 
 
 def _panel_nodes(c, lo, hi):
@@ -304,9 +309,9 @@ def _panel_nodes(c, lo, hi):
     return tau, quad_weights
 
 
-def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, w_breaks, tol):
-    """Bisect every prior's w-panels (between its w_breaks) until each
-    passes its error test.
+def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
+    """Every prior's posterior grid: its w-panels, cut at its tau breaks
+    (from _panel_breaks), bisected until each passes its error test.
 
     The open panels of all priors are the rows of one set of arrays; owner
     gives each row's prior. A pass evaluates the likelihood once on the
@@ -323,11 +328,11 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, w_breaks, tol):
     per-prior arrays, and every other step is elementwise, within a row or
     a maximum, so a prior's result does not depend on the other priors.
 
-    Returns, per prior, the accepted nodes' (tau, quad weight, log
-    posterior, conditional mean, conditional variance), sorted by tau, and
-    the summed estimates of the accepted panels relative to the totals
-    (the larger of the two ratios); a prior whose first pass has no finite
-    mass keeps that pass unrefined, with an infinite estimate.
+    Returns one PosteriorGrid per prior: the accepted nodes sorted by tau,
+    log_norm from the running mass total, and quad_error, the summed
+    estimates of the accepted panels relative to the totals (the larger of
+    the two ratios). A prior whose first pass has no finite mass, or whose
+    log_norm is not finite, gets a DivergedPosteriorError instead.
     """
     m, n = _PANEL_ORDER, len(priors)
     if not n:
@@ -338,6 +343,7 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, w_breaks, tol):
         np.add.at(sums, rows, values)
         return sums
 
+    w_breaks = [np.sqrt(b / (c + b)) for b in breaks]
     owner = np.repeat(np.arange(n), [len(b) - 1 for b in w_breaks])
     lo = np.concatenate([b[:-1] for b in w_breaks])
     hi = np.concatenate([b[1:] for b in w_breaks])
@@ -400,11 +406,20 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, w_breaks, tol):
     order = np.lexsort((nodes[0][:, 0], rows))  # panels are disjoint: sorts every tau
     nodes = [arr[order].ravel() for arr in nodes]
     bounds = [0] + (m * np.cumsum(np.bincount(rows, minlength=n))).tolist()
-    quad_error = np.where(failed, math.inf, (error / total).max(axis=1))
-    return [
-        (tuple(arr[start:end] for arr in nodes), err)
-        for start, end, err in zip(bounds, bounds[1:], quad_error.tolist())
-    ]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norm = (ref + np.log(total[:, 0])).tolist()
+        quad_error = (error / total).max(axis=1).tolist()
+    out = []
+    for p, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        name = priors[p].name
+        if failed[p] or not math.isfinite(log_norm[p]):
+            message = f"posterior normalization for prior '{name}' is not finite"
+            out.append(DivergedPosteriorError(name, message))
+            continue
+        arrays = (arr[start:end] for arr in nodes)
+        tau_max = float(breaks[p][-1])
+        out.append(PosteriorGrid(*arrays, log_norm[p], name, tau_max, quad_error[p]))
+    return out
 
 
 def _posterior_grids(
@@ -415,11 +430,13 @@ def _posterior_grids(
     The batch behind build_posterior_grid (one prior) and evaluate_methods
     (every prior its tags need). All priors share s0 and so the tail-scan
     ladder: the likelihood is evaluated once on the ladder, the scans run as
-    one (priors, ladder) array, and _refine_panels refines the panels of all
+    one (priors, ladder) array, the panel breaks of all priors are cut from
+    one extended ladder, and _refine_panels refines the panels of all
     priors together, one likelihood evaluation per pass on their distinct
-    panels. A prior's result equals its batch-of-one result bit for bit.
-    Returns one PosteriorGrid or DivergedPosteriorError per prior; an empty
-    list of priors gives an empty list.
+    panels, and returns the finished grids. A prior's result equals its
+    batch-of-one result bit for bit. Returns one PosteriorGrid or
+    DivergedPosteriorError per prior; an empty list of priors gives an
+    empty list.
 
     Raises ValueError if n < 2, or if a prior was bound to other
     within-study variances or another s0.
@@ -449,40 +466,14 @@ def _posterior_grids(
         log_h = np.stack([log_prior_kernel(priors[i], ladder) + ladder_loglik for i in scanned])
         tau_max[scanned] = _scan_tau_max(log_h, ladder)
 
-    out: list = [None] * len(priors)
-    good, w_breaks = [], []
-    for i, prior in enumerate(priors):
-        if math.isnan(tau_max[i]):
-            out[i] = _scan_failure(prior.name, y, sigma_sq, mu_var)
-            continue
-        breaks = _panel_breaks(ladder, sigma_sq, tau_max[i])
-        good.append(i)
-        w_breaks.append(np.sqrt(breaks / (c + breaks)))
+    good = np.flatnonzero(~np.isnan(tau_max))
+    breaks = _panel_breaks(ladder, sigma_sq, tau_max[good])
     tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-    refined = _refine_panels(y, sigma_sq, c, mu_var, [priors[i] for i in good], w_breaks, tol)
-    for i, ((tau, quad_weights, log_post, cond_mean, cond_var), quad_error) in zip(good, refined):
-        name = priors[i].name
-        log_mass = log_post + np.log(quad_weights)
-        log_norm = float(log_mass.max())
-        if math.isfinite(log_norm):
-            log_norm += math.log(float(np.exp(log_mass - log_norm).sum()))
-        if not math.isfinite(log_norm):
-            out[i] = DivergedPosteriorError(
-                name, f"posterior normalization for prior '{name}' is not finite"
-            )
-            continue
-        out[i] = PosteriorGrid(
-            nodes=tau,
-            quad_weights=quad_weights,
-            log_post=log_post,
-            cond_mean=cond_mean,
-            cond_var=cond_var,
-            log_norm=log_norm,
-            prior_name=name,
-            tau_max=float(tau_max[i]),
-            quad_error=quad_error,
-        )
-    return out
+    grids = iter(_refine_panels(y, sigma_sq, c, mu_var, [priors[i] for i in good], breaks, tol))
+    return [
+        _scan_failure(prior.name, y, sigma_sq, mu_var) if math.isnan(t) else next(grids)
+        for prior, t in zip(priors, tau_max.tolist())
+    ]
 
 
 def build_posterior_grid(

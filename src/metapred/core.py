@@ -39,8 +39,10 @@ class MetaDataset:
     """The studies entering one meta-analysis: effects and their SEs.
 
     ``effects`` and ``std_errs`` are read-only 1-D float arrays of equal
-    length (at least one study, finite effects, positive finite SEs);
-    ``variances`` is ``std_errs**2``. Build one with :meth:`from_arrays`.
+    length (at least one study, finite effects, positive finite SEs whose
+    4th power and its inverse are finite, i.e. SEs within about 1e-77 to
+    1e77); ``variances`` is ``std_errs**2``. Build one with
+    :meth:`from_arrays`.
     """
 
     effects: np.ndarray
@@ -62,7 +64,16 @@ class MetaDataset:
         bad_ses = std_errs[~((std_errs > 0) & (std_errs < np.inf))]
         if len(bad_ses):
             raise ValueError(f"study std_err must be positive and finite, got {bad_ses[0]}")
-        arrays = {"effects": effects, "std_errs": std_errs, "variances": std_errs**2}
+        with np.errstate(over="ignore", divide="ignore"):
+            variances = std_errs**2
+            fourth = variances * variances
+            extreme = std_errs[~(np.isfinite(fourth) & np.isfinite(1.0 / fourth))]
+        if len(extreme):
+            raise ValueError(
+                f"study std_err {extreme[0]} is out of range: its 4th power or inverse "
+                "4th power is not finite (SEs must lie within about 1e-77 to 1e77)"
+            )
+        arrays = {"effects": effects, "std_errs": std_errs, "variances": variances}
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -137,6 +148,17 @@ def i_squared(dataset: MetaDataset) -> float:
     return max(0.0, (q - (dataset.n - 1)) / q)
 
 
+def _weight_spread(w) -> float:
+    """S1 - S2/S1 for the weights w (S1 = sum w, S2 = sum w^2), n >= 2.
+
+    Summed as 2 sum_j w_j (sum_{i<j} w_i) / S1: no subtraction, which
+    cancels to 0 once one weight dwarfs the others, and no term above the
+    largest weight, so the result is positive and finite.
+    """
+    s1 = float(np.sum(w))
+    return 2.0 * float(np.sum(w[1:] * (np.cumsum(w)[:-1] / s1)))
+
+
 def dl_tau2(dataset: MetaDataset) -> HeterogeneityEstimate:
     """DerSimonian-Laird method-of-moments heterogeneity variance.
 
@@ -144,11 +166,8 @@ def dl_tau2(dataset: MetaDataset) -> HeterogeneityEstimate:
     and S2 = sum sigma_i^-4.
     """
     _require_n(dataset, 2)
-    w = 1.0 / dataset.variances
-    s1 = float(np.sum(w))
-    s2 = float(np.sum(w**2))
     q = cochran_q(dataset)
-    tau2 = max(0.0, (q - (dataset.n - 1)) / (s1 - s2 / s1))
+    tau2 = max(0.0, (q - (dataset.n - 1)) / _weight_spread(1.0 / dataset.variances))
     return HeterogeneityEstimate(tau2, "DL")
 
 
@@ -194,8 +213,10 @@ def reml_tau2(
     Raises
     ------
     NumericFailure
-        If the iteration has not converged after ``max_iter`` steps; the
-        exception carries the last iterate in ``last_value``.
+        If the iteration has not converged after ``max_iter`` steps, or if
+        a scoring step meets an expected information that is not positive
+        (it cancels to 0 at extreme SE ratios); the exception carries the
+        last iterate in ``last_value``.
     """
     _require_n(dataset, 2)
     y = dataset.effects
@@ -212,8 +233,13 @@ def reml_tau2(
             above = tau2
         if below is not None and above is not None:
             tau2_new = 0.5 * (below + above)
-        else:
+        elif info > 0.0:
             tau2_new = max(0.0, tau2 + score / info)
+        else:
+            raise NumericFailure(
+                f"REML expected information is not positive at tau2={tau2!r}",
+                last_value=tau2,
+            )
         if abs(tau2_new - tau2) <= tol:
             return HeterogeneityEstimate(tau2_new, "REML")
         tau2 = tau2_new

@@ -125,7 +125,10 @@ def parse_dataset_csv(data: bytes) -> MetaDataset:
         studies.append((effect, se))
     if len(studies) < 2:
         raise DataError(f"dataset needs at least 2 data rows, got {len(studies)}")
-    return MetaDataset(*zip(*studies))
+    try:
+        return MetaDataset(*zip(*studies))
+    except ValueError as exc:  # an SE outside the range the estimators can square
+        raise DataError(str(exc)) from None
 
 
 def _parse_number(token: str, label: str) -> float:

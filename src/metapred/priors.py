@@ -24,8 +24,7 @@ import numpy as np
 from scipy import integrate, stats
 from scipy.special import gammaln
 
-from .core import MetaDataset
-from .errors import NumericFailure
+from .core import MetaDataset, _weight_spread
 
 __all__ = [
     "PriorFamily",
@@ -194,21 +193,12 @@ def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
         raise ValueError(f"binding a prior needs n >= 2, dataset has {dataset.n}")
     sigma_sq = dataset.variances
     inv = 1.0 / sigma_sq
-    s1 = float(np.sum(inv))
-    s2 = float(np.sum(inv**2))
     n = dataset.n
-    s0_sq = n / s1
-    denom = s1**2 - s2
-    if denom <= 0.0:
-        raise NumericFailure(
-            f"sigma_hat_sq denominator is nonpositive ({denom!r}); "
-            "within-study variances are numerically degenerate"
-        )
-    sigma_hat_sq = (n - 1) * s1 / denom
+    # sigma_hat^2 = (n - 1) S1 / (S1^2 - S2), S1 = sum sigma_i^-2, S2 = sum sigma_i^-4
     return BoundPrior(
         family=family,
-        s0_sq=s0_sq,
-        sigma_hat_sq=sigma_hat_sq,
+        s0_sq=n / float(np.sum(inv)),
+        sigma_hat_sq=(n - 1) / _weight_spread(inv),
         sigma_sq=sigma_sq,
     )
 

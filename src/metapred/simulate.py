@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -230,28 +231,37 @@ def run_replication(
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
-    Replications run as one ordered map over (scenario, replication), in
-    process at parallelism 1 and on a process pool otherwise, so each
-    scenario's results are one contiguous slice. Coverage is an integer
-    count and widths are summed exactly (math.fsum), so the output is
-    bit-identical for any parallelism value under the same master seed.
+    Replications run as one ordered map over (scenario, replication), so
+    each scenario's results are one contiguous slice. The map runs on a
+    pool of min(parallelism, usable CPUs) worker processes, or in process
+    when that is 1. Coverage is an integer count and widths are summed
+    exactly (math.fsum), so the output is bit-identical for any
+    parallelism value under the same master seed.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    workers = min(parallelism, _usable_cpus())
     reps = config.reps
     args = (
         [sc for sc in config.scenarios for _ in range(reps)],
         repeat(config.methods),
         [(config.master_seed, rep) for rep in range(reps)] * len(config.scenarios),
     )
-    if parallelism == 1:
+    if workers == 1:
         rows = list(map(run_replication, *args))
     else:
-        chunk = math.ceil(reps / (4 * parallelism))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        chunk = math.ceil(reps / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_replication, *args, chunksize=chunk))
 
     records = []

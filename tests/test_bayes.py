@@ -20,6 +20,7 @@ from metapred import (
     bind_prior,
     build_posterior_grid,
     credible_interval_mu,
+    hts_interval,
     marginal_loglik,
     named_prior,
     posterior_tau_moments,
@@ -412,7 +413,8 @@ class TestAdaptivePanels:
         )
         grid = grid_for(ds, "proper2")
         s0 = math.sqrt(bind_prior(named_prior("proper2"), ds).s0_sq)
-        breaks = bayes._panel_breaks(bayes._tau_ladder(ds.effects, s0), ds.variances, grid.tau_max)
+        ladder = bayes._tau_ladder(ds.effects, s0)
+        (breaks,) = bayes._panel_breaks(ladder, ds.variances, [grid.tau_max])
         assert np.sum(grid.nodes < breaks[1]) > 2 * bayes._PANEL_ORDER
         assert max_endpoint_diff(grid, fixed_grid(ds, "proper2", grid.tau_max)) <= 1e-6
 
@@ -440,7 +442,7 @@ class TestAdaptivePanels:
     def test_breaks_extend_the_scan_ladder(self):
         s0 = math.sqrt(bind_prior(named_prior("uniform"), README_DATA).s0_sq)
         ladder = bayes._tau_ladder(README_DATA.effects, s0)
-        breaks = bayes._panel_breaks(ladder, README_DATA.variances, ladder[5])
+        (breaks,) = bayes._panel_breaks(ladder, README_DATA.variances, [ladder[5]])
         assert breaks[0] == 0.0 and breaks[-1] == ladder[5]
         assert breaks[1] <= 0.25 * README_DATA.std_errs.min() < breaks[2]
         np.testing.assert_array_equal(breaks[-6:], ladder[:6])
@@ -474,6 +476,38 @@ class TestConvergenceProperties:
             )
             assert shifted.lower == pytest.approx(base.lower + 1.0, abs=1e-3)
             assert shifted.upper == pytest.approx(base.upper + 1.0, abs=1e-3)
+
+    @given(
+        st.integers(3, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.1, 0.8), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(-20, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scale_equivariance(self, data, j):
+        # effects and SEs times k = 2^j, the mean prior's variance times k^2:
+        # hts scales exactly (a power of 2 rescales without rounding) and the
+        # scale-free priors' intervals within 1e-8 of their width; proper1-3
+        # fix an absolute tau scale and are left out
+        k = 2.0**j
+        ds = MetaDataset.from_arrays(*data)
+        scaled = MetaDataset.from_arrays(k * ds.effects, k * ds.std_errs)
+        base, moved = hts_interval(ds), hts_interval(scaled)
+        assert (moved.lower, moved.upper) == (k * base.lower, k * base.upper)
+        names = [name for name in NAMED_PRIORS if not name.startswith("proper")]
+        intervals = []
+        for d, mu_prior_var in ((ds, 1e4), (scaled, 1e4 * k * k)):
+            priors = [bind_prior(named_prior(name), d) for name in names]
+            grids = bayes._posterior_grids(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
+            requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
+            intervals.append(bayes._mixture_intervals(requests, 0.95, 1e-8))
+        for a, b in zip(*intervals):
+            tol = 1e-8 * (a.upper - a.lower)
+            assert abs(b.lower / k - a.lower) <= tol, (a, b)
+            assert abs(b.upper / k - a.upper) <= tol, (a, b)
 
 
 def bisect_mixture(means, sds, weights, prob, tol_width):
@@ -708,3 +742,15 @@ class TestBatch:
         bad, good = bayes._posterior_grids(ds, priors, EngineConfig())
         assert isinstance(bad, DivergedPosteriorError) and bad.prior_name == "power(3)"
         assert np.array_equal(good.nodes, build_posterior_grid(ds, priors[1]).nodes)
+
+    def test_no_finite_mass_fails_alone(self):
+        # a prior whose first refinement pass has no finite mass (1e308 x
+        # log(tau) overflows) fails with the normalisation message, and the
+        # other priors of its batch refine as they would alone
+        families = (PriorFamily("power", a=1e308), named_prior("proper1"))
+        priors = [bind_prior(f, README_DATA) for f in families]
+        with np.errstate(all="ignore"):
+            bad, good = bayes._posterior_grids(README_DATA, priors, EngineConfig())
+        assert isinstance(bad, DivergedPosteriorError)
+        assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
+        assert np.array_equal(good.nodes, grid_for(README_DATA, "proper1").nodes)

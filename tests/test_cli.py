@@ -71,6 +71,32 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(path)]) == 3
         assert "row 2" in capsys.readouterr().err
 
+    # every positive finite SE either analyses or is a data error: SEs
+    # 1e-300..1e300 in four layouts (all studies, one of five, one of two,
+    # three of six), plus the ends of the accepted range and a 1e-10 SE
+    # ratio, where S1^2 - S2 taken as a difference cancels to 0
+    SE_SHAPES = {
+        "all": lambda s: [s] * 3,
+        "one": lambda s: [s, 0.2, 0.3, 0.25, 0.4],
+        "two": lambda s: [0.2, s],
+        "half": lambda s: [s, 0.3, s, 0.3, s, 0.3],
+    }
+    SE_EXPONENTS = [round(-300 + 600 * k / 19, 1) for k in range(20)] + [-77, -11, 76]
+
+    @pytest.mark.parametrize("exponent", SE_EXPONENTS)
+    @pytest.mark.parametrize("shape", list(SE_SHAPES))
+    def test_any_positive_se_exits_cleanly(self, shape, exponent, tmp_path, capsys):
+        effects = [0.12, -0.4, 0.61, 0.25, -0.05, 0.33]
+        ses = self.SE_SHAPES[shape](10.0**exponent)
+        rows = "".join(f"S{i},{y!r},{se!r}\n" for i, (y, se) in enumerate(zip(effects, ses)))
+        path = tmp_path / "data.csv"
+        path.write_text("study,effect,se\n" + rows)
+        code = main(["analyze", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), err
+        if code == 3:
+            assert "out of range" in err
+
 
 class TestSimulate:
     def test_table_to_stdout(self, config_file, capsys):

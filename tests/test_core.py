@@ -54,6 +54,14 @@ class TestStudyData:
         with pytest.raises(ValueError, match="1-D"):
             dataset([[0.0, 1.0]], [[1.0, 1.0]])
 
+    def test_se_range(self):
+        # an SE whose 4th power or inverse 4th power overflows is rejected
+        for se in (1e-78, 1e78, 5e-324, 1.7e308):
+            with pytest.raises(ValueError, match="out of range"):
+                dataset([0.0, 1.0], [0.5, se])
+        for se in (1e-77, 1e77):
+            assert dataset([0.0, 1.0], [0.5, se]).std_errs[1] == se
+
     def test_dataset_arrays(self):
         assert SPREAD.n == 3
         np.testing.assert_array_equal(SPREAD.effects, [-2.0, 0.0, 2.0])
@@ -139,6 +147,17 @@ class TestDLTau2:
     def test_negative_moment_truncated(self):
         assert dl_tau2(PAIR).tau2 == 0.0
 
+    def test_dominant_weight_does_not_cancel(self):
+        # one SE 1e-10 of the others: S1 - S2/S1 taken as a difference
+        # cancels to exactly 0
+        ses = [1e-11, 0.2, 0.3, 0.25, 0.4]
+        ds = dataset([0.12, -0.4, 0.61, 0.25, -0.05], ses)
+        w = 1.0 / np.array(ses) ** 2
+        spread = sum(w[j] * w[:j].sum() for j in range(1, 5)) * 2.0 / w.sum()
+        q = cochran_q(ds)
+        assert dl_tau2(ds).tau2 == pytest.approx((q - 4) / spread, rel=1e-12)
+        assert dl_tau2(ds).tau2 > 0.0
+
 
 class TestPooledMu:
     def test_hand_value_spread(self):
@@ -210,6 +229,17 @@ class TestREML:
             reml_tau2(ds, max_iter=1)
         assert err.value.last_value is not None
         assert err.value.last_value >= 0.0
+
+    def test_nonpositive_information_is_numeric_failure(self, monkeypatch):
+        # at extreme SE ratios the expected information cancels to 0 or
+        # below; a scoring step would divide by it
+        from metapred import core
+        from metapred.errors import NumericFailure
+
+        monkeypatch.setattr(core, "_restricted_score_info", lambda y, v, tau2: (1.0, 0.0))
+        with pytest.raises(NumericFailure, match="information is not positive") as err:
+            reml_tau2(SPREAD)
+        assert err.value.last_value == dl_tau2(SPREAD).tau2
 
 
 class TestRobustVariance:

@@ -254,6 +254,46 @@ class TestRunStudy:
             parallel = run_study(config, parallelism=2)
             assert serial == parallel
 
+    @pytest.mark.parametrize("source", ["affinity", "cpu_count"])
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch, source):
+        # a huge parallelism starts no more workers than the CPUs this
+        # process may use; the executor is faked, so no process starts
+        import os
+
+        import metapred.simulate as sim
+
+        asked = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        if source == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        config = SimConfig(
+            scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
+            methods=("hts", "jeffreys"),
+            reps=5,
+            master_seed=3,
+        )
+        capped = sim.run_study(config, parallelism=10**9)
+        assert asked == [3 if source == "affinity" else 5]
+        assert capped == sim.run_study(config, parallelism=1)
+        assert len(asked) == 1  # parallelism 1 runs in process
+
     def test_scenario_order_does_not_change_cells(self):
         s1, s2 = Scenario(4, 0.1), Scenario(5, 0.02)
         base = run_study(
