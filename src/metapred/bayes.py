@@ -79,6 +79,8 @@ _PANEL_ORDER = 16  # Gauss-Legendre points per half panel
 _GL_NODES, _GL_WEIGHTS = roots_legendre(_PANEL_ORDER)
 _MAX_GRID_NODES = 16384  # refinement stops before the grid would exceed this
 _QUAD_TOLERANCE_SHARE = 1e-2  # panel error tolerance as a share of cdf_tolerance
+# past this |log Z|, log_post - log_norm rounds by more than 1e-6 nats
+_MAX_ABS_LOG_NORM = 1e-6 / np.finfo(float).eps
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -122,7 +124,9 @@ class PosteriorGrid:
     cond_mean    posterior mean of mu given tau, per node
     cond_var     posterior variance of mu given tau, per node
     log_norm     log of the normalizing sum Z of the weighted exp(log_post),
-                 as the refinement totalled it panel by panel
+                 as the refinement totalled it panel by panel; a grid is only
+                 returned when eps x |log_norm| <= 1e-6, so that
+                 log_post - log_norm resolves the weights
     prior_name   tag of the prior that produced the grid
     tau_max      upper end of the tau range: the tail scan's truncation
                  point, or the support end of a proper-uniform prior
@@ -232,6 +236,8 @@ def _scan_tau_max(log_h, ladder):
     row the first probe where (a) the density is below _TAIL_MASS_CUT x the
     running peak and (b) the remaining tail mass, estimated from the local
     decay power, is below _TAIL_MASS_CUT of the accumulated mass is tau_max.
+    Test (a) compares log_h - running peak with log(_TAIL_MASS_CUT): adding
+    the cut to a peak beyond ~1e17 in magnitude would round it away.
     Starting at the data scale keeps an unbounded prior density at tau -> 0
     (the sqrt prior) out of the peak, which would otherwise stall the scan.
     When (a) holds but the tail is too heavy to ever meet (b) inside the cap
@@ -243,7 +249,7 @@ def _scan_tau_max(log_h, ladder):
     log_cut = math.log(_TAIL_MASS_CUT)
 
     running_peak = np.maximum.accumulate(log_h, axis=1)
-    decayed = log_h <= running_peak + log_cut
+    decayed = log_h - running_peak <= log_cut
 
     # local decay power between ladder points (tail ~ tau^-power)
     power = np.zeros(log_h.shape)
@@ -266,7 +272,7 @@ def _scan_tau_max(log_h, ladder):
     # proper posteriors with very heavy tails (n = 2 with a flat prior) may
     # not reach the full density cut inside the cap; the cap is accepted as
     # long as the tail is clearly decaying at an integrable rate
-    heavy = (log_h[:, -1] <= running_peak[:, -1] + 0.5 * log_cut) & (power[:, -1] > 1.05)
+    heavy = (log_h[:, -1] - running_peak[:, -1] <= 0.5 * log_cut) & (power[:, -1] > 1.05)
     return np.where(
         ok.any(axis=1),
         ladder[ok.argmax(axis=1)],
@@ -331,8 +337,10 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
     Returns one PosteriorGrid per prior: the accepted nodes sorted by tau,
     log_norm from the running mass total, and quad_error, the summed
     estimates of the accepted panels relative to the totals (the larger of
-    the two ratios). A prior whose first pass has no finite mass, or whose
-    log_norm is not finite, gets a DivergedPosteriorError instead.
+    the two ratios). A prior whose first pass has no finite mass, whose
+    log_norm is not finite, or whose |log_norm| exceeds _MAX_ABS_LOG_NORM
+    (log_post - log_norm then rounds by more than 1e-6, so the weights
+    cannot be resolved) gets a DivergedPosteriorError instead.
     """
     m, n = _PANEL_ORDER, len(priors)
     if not n:
@@ -416,6 +424,13 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
             message = f"posterior normalization for prior '{name}' is not finite"
             out.append(DivergedPosteriorError(name, message))
             continue
+        if abs(log_norm[p]) > _MAX_ABS_LOG_NORM:
+            message = (
+                f"posterior for prior '{name}' has log Z = {log_norm[p]:.4g}, too large "
+                "in magnitude to resolve its weights"
+            )
+            out.append(DivergedPosteriorError(name, message))
+            continue
         arrays = (arr[start:end] for arr in nodes)
         tau_max = float(breaks[p][-1])
         out.append(PosteriorGrid(*arrays, log_norm[p], name, tau_max, quad_error[p]))
@@ -497,7 +512,9 @@ def build_posterior_grid(
     DivergedPosteriorError
         If the posterior tail has not decayed by tau = 1e6 * s0, which
         signals an improper posterior for this prior/dataset combination,
-        or, on effects far from 0, a mean prior too narrow for the data.
+        or, on effects far from 0, a mean prior too narrow for the data;
+        also if the normalizer Z is not finite, or |log Z| is too large for
+        the weights to be resolved in double precision.
     """
     (grid,) = _posterior_grids(dataset, [prior], config)
     if isinstance(grid, Exception):

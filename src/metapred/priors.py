@@ -10,7 +10,7 @@ Improper families (uniform, sqrt, jeffreys, berger-deely) are evaluated in
 their unnormalized form with the arbitrary constant fixed to 1; every
 proper family is normalized so its density integrates to one (the
 conventional family's constant has no closed form and is integrated
-numerically on first use).
+numerically on first use; only that loads scipy.integrate).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .core import MetaDataset, _weight_spread
 
@@ -161,21 +160,13 @@ class BoundPrior:
         """Log normalizing constant that log_prior_density subtracts from
         the conventional family's kernel (0 for every other family).
 
-        There is no closed form, so it is integrated numerically on first
-        use; the posterior engine never needs it, since a constant cancels
-        from the normalized posterior.
+        There is no closed form: it is log _conventional_mass(sigma_sq, inf),
+        integrated numerically on first use. The posterior engine never
+        needs it, since a constant cancels from the normalized posterior.
         """
         if self.family.kind != "conventional":
             return 0.0
-        total, _ = integrate.quad(
-            lambda t: math.exp(_conventional_log_unnorm(t, self.sigma_sq)),
-            0.0,
-            np.inf,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=200,
-        )
-        return math.log(total)
+        return math.log(_conventional_mass(self.sigma_sq, np.inf))
 
 
 def _conventional_log_unnorm(tau, sigma_sq):
@@ -185,6 +176,19 @@ def _conventional_log_unnorm(tau, sigma_sq):
     with np.errstate(divide="ignore"):
         out = np.log(tau) - 1.5 / n * np.sum(np.log(sigma_sq + t2), axis=-1)
     return out
+
+
+def _conventional_mass(sigma_sq, upto):
+    """Integral of the conventional kernel exp(_conventional_log_unnorm) over
+    [0, upto], for log_norm (upto = inf) and prior_cdf."""
+    # imported here: loading scipy.integrate pulls in scipy.optimize, sparse
+    # and linalg, which only this numeric normalizer needs
+    from scipy import integrate
+
+    return integrate.quad(
+        lambda t: math.exp(_conventional_log_unnorm(t, sigma_sq)),
+        0.0, upto, epsabs=1e-12, epsrel=1e-10, limit=200,
+    )[0]
 
 
 def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
@@ -280,8 +284,9 @@ def prior_cdf(prior: BoundPrior, tau: float) -> float:
 
     Closed forms: dumouchel tau/(s0+tau); shrinkage tau^2/(s0^2+tau^2);
     i2 the same with sigma_hat^2; proper-uniform min(tau/hi, 1); inv-gamma
-    via the Gamma survival function of the precision. The conventional
-    family integrates its density numerically.
+    the regularized upper incomplete gamma function of the precision. The
+    conventional family's CDF is the kernel's mass up to tau over its total
+    mass, both from _conventional_mass.
     """
     if not prior.proper:
         raise ValueError(
@@ -303,16 +308,10 @@ def prior_cdf(prior: BoundPrior, tau: float) -> float:
     if kind == "inv-gamma":
         if tau == 0.0:
             return 0.0
-        # P(T <= tau) = P(1/T^2 >= tau^-2) with 1/T^2 ~ Gamma(shape, rate)
-        return float(stats.gamma.sf(tau**-2, fam.shape, scale=1.0 / fam.rate))
+        # P(T <= tau) = P(1/T^2 >= tau^-2) with 1/T^2 ~ Gamma(shape, rate);
+        # dividing by the scale 1/rate rounds as the Gamma survival function does
+        return float(gammaincc(fam.shape, tau**-2 / (1.0 / fam.rate)))
     # conventional
     if tau == 0.0:
         return 0.0
-    val, _ = integrate.quad(
-        lambda t: math.exp(float(log_prior_density(prior, t))),
-        0.0,
-        tau,
-        epsabs=1e-10,
-        limit=200,
-    )
-    return min(max(val, 0.0), 1.0)
+    return min(_conventional_mass(prior.sigma_sq, tau) / math.exp(prior.log_norm), 1.0)

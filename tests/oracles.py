@@ -4,8 +4,9 @@ Everything here deliberately re-derives its math instead of importing the
 production implementations: prior densities are written out inline, the
 marginal likelihood is recomputed from scratch, quadrature is a plain
 trapezoid rule on a uniform grid in w = sqrt(tau/(s0+tau)), quantiles come
-from bisection on the discretized mixture CDF, and an adaptive random-walk
-sampler provides a Monte-Carlo cross-check of the whole posterior path.
+from Brent's method on the discretized mixture CDF, and an adaptive
+random-walk sampler provides a Monte-Carlo cross-check of the whole
+posterior path.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import logsumexp, ndtr
 
 MU_PRIOR_VAR = 10_000.0
@@ -144,15 +145,14 @@ def oracle_mixture(dataset, family, nodes=1_000_000):
     return np.exp(log_pi), m, V, tau
 
 
-def _bisect_mixture(pi, means, sds, prob, tol=1e-6):
+def _mixture_quantile(pi, means, sds, prob, tol=1e-6):
     # components carrying < 1e-14 of the peak mass move the CDF (and the
     # quantile) by far less than the comparison tolerances
     keep = pi > pi.max() * 1e-14
     pi, means, sds = pi[keep], means[keep], sds[keep]
-    base = 0.0  # frozen mass known to lie entirely below the bracket
 
     def cdf(x):
-        return base + float(np.sum(pi * ndtr((x - means) / sds)))
+        return float(np.sum(pi * ndtr((x - means) / sds)))
 
     # start from the moment-matched normal quantile, then widen as needed
     center = float(np.sum(pi * means))
@@ -163,24 +163,9 @@ def _bisect_mixture(pi, means, sds, prob, tol=1e-6):
         lo -= 2.0 * (x0 - lo)
     while cdf(hi) < prob:
         hi += 2.0 * (hi - x0)
-    it = 0
-    while hi - lo > tol:
-        if it % 8 == 0:
-            # freeze components fully left (Phi = 1) or right (Phi = 0) of
-            # the bracket; at 8 sd the per-component error is < 1e-15
-            left = means + 8.0 * sds < lo
-            right = means - 8.0 * sds > hi
-            if left.any() or right.any():
-                base += float(pi[left].sum())
-                active = ~(left | right)
-                pi, means, sds = pi[active], means[active], sds[active]
-        it += 1
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Brent's method on the bracket: within tol / 2 of the quantile, as the
+    # midpoint of a bisection bracket of width tol would be
+    return optimize.brentq(lambda x: cdf(x) - prob, lo, hi, xtol=0.5 * tol)
 
 
 def interval_from_mixture(mixture, level=0.95, kind="prediction"):
@@ -189,8 +174,8 @@ def interval_from_mixture(mixture, level=0.95, kind="prediction"):
     sds = np.sqrt(V + tau**2) if kind == "prediction" else np.sqrt(V)
     alpha = 1.0 - level
     return (
-        _bisect_mixture(pi, m, sds, alpha / 2.0),
-        _bisect_mixture(pi, m, sds, 1.0 - alpha / 2.0),
+        _mixture_quantile(pi, m, sds, alpha / 2.0),
+        _mixture_quantile(pi, m, sds, 1.0 - alpha / 2.0),
     )
 
 

@@ -258,6 +258,34 @@ class TestPosteriorGrid:
         wide = prediction_interval(grid_for(ds, "proper2", EngineConfig(mu_prior_var=1e12)))
         assert (wide.lower, wide.upper) == pytest.approx((999.84, 1000.17), abs=0.01)
 
+    def test_rising_tail_beyond_1e17_does_not_read_as_decayed(self):
+        # once |log_h| > ~1e17, a 23-nat cut added to the running peak
+        # rounds away, so the scan compares log_h - running peak with it.
+        # README data x 1e-16: jeffreys still decays; the inverse-gamma
+        # posteriors used to return weights summing to 4.8e-21
+        tiny = MetaDataset.from_arrays(README_DATA.effects * 1e-16, README_DATA.std_errs * 1e-16)
+        assert grid_for(tiny, "jeffreys").posterior_weights().sum() == pytest.approx(1.0)
+        for name in ("proper2", "proper3"):
+            with pytest.raises(DivergedPosteriorError, match="does not decay"):
+                grid_for(tiny, name)
+        # a power prior with a huge exponent returned weights summing to 8.9e-5
+        for a in (1e20, 1e100, 1e300):
+            prior = bind_prior(PriorFamily("power", a=a), README_DATA)
+            with pytest.raises(DivergedPosteriorError, match="does not decay"):
+                build_posterior_grid(README_DATA, prior)
+
+    def test_unresolvable_log_norm_raises(self):
+        # log Z = -4.7e16: eps x |log Z| = 10.5 nats of rounding in every
+        # log_post - log_norm, and the weights summed to 10
+        ds = MetaDataset.from_arrays(
+            [-6.55e21, -1.03e22, 1.52e21, 3.07e21, -3.63e21, -4.64e21, -9.45e20, 8.98e21,
+             -8.44e21, 8.98e18, 1.64e21, 2.72e21, 8.44e21, 5.68e21, 2.08e21],
+            [5.39e14, 3.99e16, 1.58e18, 8.18e17, 4.0e13, 1.12e15, 3.09e15, 4.87e16,
+             5.75e15, 1.52e15, 3.32e15, 7.0e16, 2.87e13, 6.12e15, 3.63e18],
+        )
+        with pytest.raises(DivergedPosteriorError, match="log Z = -4.744e"):
+            grid_for(ds, "proper1")
+
     def test_prior_bound_to_other_dataset_raises(self):
         # jeffreys, dumouchel and i2 read the bound variances; a prior bound
         # to three studies with SEs 2-3 moved the README interval silently
@@ -744,13 +772,33 @@ class TestBatch:
         assert np.array_equal(good.nodes, build_posterior_grid(ds, priors[1]).nodes)
 
     def test_no_finite_mass_fails_alone(self):
-        # a prior whose first refinement pass has no finite mass (1e308 x
-        # log(tau) overflows) fails with the normalisation message, and the
-        # other priors of its batch refine as they would alone
+        # 1e308 x log(tau) overflows: the tail scan fails that prior, and the
+        # other prior of its batch refines as it would alone
         families = (PriorFamily("power", a=1e308), named_prior("proper1"))
         priors = [bind_prior(f, README_DATA) for f in families]
         with np.errstate(all="ignore"):
             bad, good = bayes._posterior_grids(README_DATA, priors, EngineConfig())
         assert isinstance(bad, DivergedPosteriorError)
+        assert str(bad) == (
+            "posterior for prior 'power(1e+308)' does not decay; "
+            "it appears improper for this dataset"
+        )
+        alone = grid_for(README_DATA, "proper1")
+        assert np.array_equal(good.nodes, alone.nodes)
+        # past the scan, a first refinement pass with no finite mass fails
+        # that prior with the normalisation message, and the other prior's
+        # panels refine as they would alone
+        y, sigma_sq = README_DATA.effects, README_DATA.variances
+        c = math.sqrt(priors[0].s0_sq)
+        ladder = bayes._tau_ladder(y, c)
+        breaks = bayes._panel_breaks(ladder, sigma_sq, [ladder[-1], 10.0])
+        config = EngineConfig()
+        tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+        with np.errstate(all="ignore"):
+            bad, good = bayes._refine_panels(
+                y, sigma_sq, c, config.mu_prior_var, priors, breaks, tol
+            )
+        assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
-        assert np.array_equal(good.nodes, grid_for(README_DATA, "proper1").nodes)
+        assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)
+        assert (good.log_norm, good.quad_error) == (alone.log_norm, alone.quad_error)

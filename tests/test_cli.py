@@ -71,6 +71,20 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(path)]) == 3
         assert "row 2" in capsys.readouterr().err
 
+    def test_rising_posterior_at_tiny_ses_fails(self, tmp_path, capsys):
+        # SEs of 1.6e-16 used to print the point interval (0.11, 0.11) for
+        # 10 priors: the tail scan read a still rising posterior as decayed
+        path = tmp_path / "tiny.csv"
+        path.write_text("study,effect,se\nA,0.12,1.6e-16\nB,-0.4,1.6e-16\nC,0.61,1.6e-16\n")
+        assert main(["analyze", "--data", str(path)]) == 0
+        results = {m["method"]: m for m in json.loads(capsys.readouterr().out)["methods"]}
+        for name in NAMED_PRIORS:
+            if name != "proper1":  # its grid ends at tau = 10, unscanned
+                assert "does not decay" in results[name]["error"], name
+        assert "error" in results["proper1"]
+        hts = results["hts"]
+        assert (round(hts["lower"], 6), round(hts["upper"], 6)) == (-7.300379, 7.520379)
+
     # every positive finite SE either analyses or is a data error: SEs
     # 1e-300..1e300 in four layouts (all studies, one of five, one of two,
     # three of six), plus the ends of the accepted range and a 1e-10 SE

@@ -1,6 +1,9 @@
 """The public surface: the exported names and the README quick start."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import metapred
@@ -80,3 +83,17 @@ def test_readme_quick_start_runs(capsys):
     quick_start = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(quick_start, "README.md", "exec"), {})
     assert "IntervalEstimate" in capsys.readouterr().out
+
+
+def test_import_loads_only_scipy_special():
+    # scipy.stats and scipy.integrate (with the scipy.optimize and
+    # scipy.sparse they load) cost most of a command-line call's start-up;
+    # only the conventional prior's normaliser loads scipy.integrate, on use
+    env = {**os.environ, "PYTHONPATH": str(Path(metapred.__file__).parents[1])}
+    probe = "import sys, metapred; print(*[m for m in sys.modules if m.startswith('scipy.')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.split(".")[1] in ("stats", "integrate")], loaded

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import gammaln
 
 from metapred import (
@@ -212,6 +212,21 @@ class TestCdf:
                     limit=400,
                 )
             assert prior_cdf(b, tau) == pytest.approx(val, abs=1e-8), name
+
+    def test_inverse_gamma_cdf_is_the_gamma_survival_function(self):
+        # prior_cdf goes through scipy.special.gammaincc; it must round as
+        # scipy.stats.gamma.sf does, bit for bit
+        families = [named_prior("proper2"), named_prior("proper3")] + [
+            PriorFamily("inv-gamma", shape=a, rate=b)
+            for a in (1e-4, 0.37, 1.0, 2.5, 40.0)
+            for b in (1e-3, 0.2, 1.0, 7.0, 300.0)
+        ]
+        taus = np.geomspace(1e-3, 1e4, 29).tolist() + [0.5, 1.0, 3.0]
+        for fam in families:
+            b = bind_prior(fam, DS)
+            for tau in taus:
+                expected = float(stats.gamma.sf(tau**-2, fam.shape, scale=1.0 / fam.rate))
+                assert prior_cdf(b, tau) == expected, (fam.name, tau)
 
     def test_improper_prior_has_no_cdf(self):
         for name in ("uniform", "sqrt", "jeffreys", "berger-deely"):
