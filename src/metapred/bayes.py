@@ -14,15 +14,19 @@ square-root map bounds every one of the supported priors' integrands at the
 origin (including the tau^-1/2 singularity of the sqrt prior), and the
 rational map absorbs heavy tails. The w range is cut into panels at the
 tail scan's octave ladder in tau, extended down to a quarter of the
-smallest within-study SE, and each panel carries a 16-point Gauss-Legendre
-rule on each of its halves. A panel whose whole-panel rule disagrees with
-its two half rules, in posterior mass or in tau^2-weighted mass, by more
-than cdf_tolerance / 100 of the total is bisected and checked again
-(adaptive panels as in QUADPACK), so nodes go where the posterior has
-features - a few hundred on typical data - up to a 16384-node cap. A
-grid's normaliser Z is the refinement's running total of its accepted
-panels' mass: the sum that decides every bisection also scales quad_error
-and gives log_norm.
+smallest within-study SE. A panel's 16-point Gauss-Legendre rule is
+checked against the same rule on its two halves: a panel where they
+differ, in posterior mass or in tau^2-weighted mass, by more than
+cdf_tolerance / 100 of the total is bisected and its halves checked in
+turn (adaptive panels as in QUADPACK). The difference estimates the error
+of the coarser whole-panel rule, as QUADPACK's |K - G| does for the Gauss
+rule, so an accepted panel keeps that rule's 16 nodes; nodes go where the
+posterior has features - about 150 on typical data - up to a 16384-node
+cap. A grid's normaliser Z is the refinement's running total of its kept
+nodes' mass: the sum that decides every bisection also scales quad_error
+and gives log_norm. A grid certifies itself before it is returned: its
+nodes and weights are finite, and its normalised weights sum to 1 within
+quad_error plus rounding.
 
 Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
 components' own quantiles bracket each mixture quantile (the weights sum
@@ -81,6 +85,9 @@ _MAX_GRID_NODES = 16384  # refinement stops before the grid would exceed this
 _QUAD_TOLERANCE_SHARE = 1e-2  # panel error tolerance as a share of cdf_tolerance
 # past this |log Z|, log_post - log_norm rounds by more than 1e-6 nats
 _MAX_ABS_LOG_NORM = 1e-6 / np.finfo(float).eps
+# what rounding adds to the miss |sum of weights - 1| beyond quad_error: up
+# to ~0.4 eps |log Z| from log_post - log_norm, ~1e-10 at |log Z| = 1e6
+_WEIGHT_SUM_ROUNDING = 1e-10
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -123,18 +130,20 @@ class PosteriorGrid:
                  normalizer is left out)
     cond_mean    posterior mean of mu given tau, per node
     cond_var     posterior variance of mu given tau, per node
-    log_norm     log of the normalizing sum Z of the weighted exp(log_post),
-                 as the refinement totalled it panel by panel; a grid is only
-                 returned when eps x |log_norm| <= 1e-6, so that
-                 log_post - log_norm resolves the weights
+    log_norm     log of the normalizing sum Z of the weighted exp(log_post)
+                 over exactly these nodes, as the refinement totalled it panel
+                 by panel; a grid is only returned when eps x |log_norm| <=
+                 1e-6 and its normalised weights sum to 1 within quad_error
+                 plus rounding
     prior_name   tag of the prior that produced the grid
     tau_max      upper end of the tau range: the tail scan's truncation
                  point, or the support end of a proper-uniform prior
-    quad_error   summed local error estimates of the accepted panels,
-                 relative to Z (the larger of the ratios for the mass and
-                 for the tau^2-weighted mass); each panel's own estimate is
-                 within cdf_tolerance / 100 of Z unless the node cap
-                 stopped refinement
+    quad_error   summed local error estimates of the kept panel rules
+                 (|whole-panel rule - half rules| per panel), relative to Z
+                 (the larger of the ratios for the mass and for the
+                 tau^2-weighted mass); each panel's own estimate is within
+                 cdf_tolerance / 100 of Z unless the node cap stopped
+                 refinement; always finite
     """
 
     nodes: np.ndarray
@@ -280,16 +289,28 @@ def _scan_tau_max(log_h, ladder):
     )
 
 
+def _mean_prior_conflict(y, sigma_sq, mu_prior_var):
+    """The prior-data conflict on the mean, as a clause, or None: the
+    1/sigma^2-weighted mean of the effects lies more than one SD of the
+    N(0, S) mean prior from 0, so that prior drags mu toward 0."""
+    prior_sds = abs(_weighted_mean(y, sigma_sq)) / math.sqrt(mu_prior_var)
+    if prior_sds <= 1.0:
+        return None
+    return (
+        f"the weighted mean of the effects lies {prior_sds:.3g} SDs from 0 under the "
+        f"N(0, {mu_prior_var:g}) mean prior"
+    )
+
+
 def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
     """The error for a tail that never decays; it blames the N(0, S) mean
-    prior when the 1/sigma^2-weighted mean lies more than one prior SD from 0."""
-    prior_sds = abs(_weighted_mean(y, sigma_sq)) / math.sqrt(mu_prior_var)
-    if prior_sds > 1.0:
+    prior when _mean_prior_conflict finds one."""
+    conflict = _mean_prior_conflict(y, sigma_sq, mu_prior_var)
+    if conflict is not None:
         return DivergedPosteriorError(
             prior_name,
-            f"posterior for prior '{prior_name}' does not decay: the weighted mean "
-            f"of the effects lies {prior_sds:.3g} SDs from 0 under the N(0, "
-            f"{mu_prior_var:g}) mean prior; try a larger EngineConfig.mu_prior_var",
+            f"posterior for prior '{prior_name}' does not decay: {conflict}; "
+            "try a larger EngineConfig.mu_prior_var",
         )
     return DivergedPosteriorError(prior_name)
 
@@ -325,22 +346,23 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
     the whole-panel rules) and adds each prior's kernel to its own rows. A
     panel's error estimate is the difference between its whole-panel rule
     and the sum of its two half rules, for the mass and for the
-    tau^2-weighted mass. A panel whose estimate exceeds tol x its prior's
-    running total of either is bisected, and its halves inherit their
-    whole-panel sums from its half rules; an accepted panel keeps its
-    half-panel nodes. When refining would take a prior's grid past
+    tau^2-weighted mass: an estimate of the whole-panel rule's error. One
+    running total, of the accepted panels' whole-panel sums, decides
+    every bisection: a panel whose estimate exceeds tol x its prior's total
+    of either (this pass's panels included) is bisected, and its halves
+    inherit their whole-panel nodes and sums from its half rules, so no
+    rule is evaluated twice; an accepted panel keeps its whole-panel
+    nodes. When refining would take a prior's kept nodes past
     _MAX_GRID_NODES, every open panel of that prior is accepted as it
     stands. Sums over a prior's panels add its rows in order into zeroed
     per-prior arrays, and every other step is elementwise, within a row or
     a maximum, so a prior's result does not depend on the other priors.
 
-    Returns one PosteriorGrid per prior: the accepted nodes sorted by tau,
-    log_norm from the running mass total, and quad_error, the summed
-    estimates of the accepted panels relative to the totals (the larger of
-    the two ratios). A prior whose first pass has no finite mass, whose
-    log_norm is not finite, or whose |log_norm| exceeds _MAX_ABS_LOG_NORM
-    (log_post - log_norm then rounds by more than 1e-6, so the weights
-    cannot be resolved) gets a DivergedPosteriorError instead.
+    Returns one PosteriorGrid per prior: the kept nodes sorted by tau,
+    log_norm from the running total - the mass of exactly those nodes -
+    and quad_error, the summed estimates of the accepted panels relative
+    to the totals (the larger of the two ratios). A prior whose grid fails
+    _grid_failure's checks gets that DivergedPosteriorError instead.
     """
     m, n = _PANEL_ORDER, len(priors)
     if not n:
@@ -355,26 +377,26 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
     owner = np.repeat(np.arange(n), [len(b) - 1 for b in w_breaks])
     lo = np.concatenate([b[:-1] for b in w_breaks])
     hi = np.concatenate([b[1:] for b in w_breaks])
-    whole = None
+    whole = whole_nodes = None  # the open panels' whole-panel sums and nodes
     ref = np.full(n, -np.inf)  # prior p's panel sums are (mass, tau^2 mass) x exp(-ref[p])
     total, error = np.zeros((n, 2)), np.zeros((n, 2))
     n_nodes = np.zeros(n, dtype=np.intp)
     accepted = []
-    while len(lo):
+    while True:
         k = len(lo)
-        mid = 0.5 * (lo + hi)
-        half_lo, half_hi = np.stack([lo, mid], 1), np.stack([mid, hi], 1)
-        a, b, rows = half_lo.ravel(), half_hi.ravel(), owner.repeat(2)
+        edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)  # a row per panel: lo, mid, hi
+        a, b, rows = edges[:, :2].ravel(), edges[:, 1:].ravel(), owner.repeat(2)
         if whole is None:
             a, b, rows = (np.concatenate(pair) for pair in ((lo, a), (hi, b), (owner, rows)))
         panels, which = np.unique(a + 1j * b, return_inverse=True)
         tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
         terms = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
-        # tau, quad weight, log posterior, conditional mean and variance: a row per panel
-        nodes = [arr.reshape(-1, m)[which] for arr in (tau, quad_weights) + terms]
+        # tau, quad weight, log posterior, conditional mean and variance,
+        # each a row of m nodes per panel
+        nodes = np.stack([tau.ravel(), quad_weights.ravel(), *terms]).reshape(5, -1, m)[:, which]
         for p in np.unique(rows):
             mine = rows == p
-            nodes[2][mine] += log_prior_kernel(priors[p], nodes[0][mine].ravel()).reshape(-1, m)
+            nodes[2, mine] += log_prior_kernel(priors[p], nodes[0, mine].ravel()).reshape(-1, m)
         log_mass = nodes[2] + np.log(nodes[1])
         top = np.full(n, -np.inf)
         np.maximum.at(top, rows, log_mass.max(axis=1))
@@ -391,50 +413,82 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
         f = np.exp(log_mass - ref[rows, None])
         sums = np.stack([f.sum(axis=1), (f * nodes[0] ** 2).sum(axis=1)], 1)
         if whole is None:
-            whole, sums, rows = sums[:k], sums[k:], rows[k:]
-            nodes = [arr[k:] for arr in nodes]
+            whole, sums = sums[:k], sums[k:]
+            whole_nodes, nodes = nodes[:, :k], nodes[:, k:]
         else:
             whole = whole * scale[owner, None]
         pairs = sums.reshape(k, 2, 2)  # (panel, half, mass | tau^2 mass)
-        halves = pairs[:, 0] + pairs[:, 1]
-        est = np.abs(whole - halves)
-        refine = np.any(est > tol * (total + per_prior(owner, halves))[owner], axis=1)
-        grown = n_nodes + 2 * m * np.bincount(owner, 1 + refine, n)  # kept and new halves
+        est = np.abs(whole - (pairs[:, 0] + pairs[:, 1]))
+        refine = np.any(est > tol * (total + per_prior(owner, whole))[owner], axis=1)
+        grown = n_nodes + m * np.bincount(owner, 1 + refine, n)  # kept and new panels
         refine &= ~failed[owner] & (grown <= _MAX_GRID_NODES)[owner]
         done = ~refine
-        keep = done.repeat(2)
-        accepted.append([rows[keep]] + [arr[keep] for arr in nodes])
-        total += per_prior(owner[done], halves[done])
+        accepted.append((owner[done], whole_nodes[:, done]))
+        total += per_prior(owner[done], whole[done])
         error += per_prior(owner[done], est[done])
-        n_nodes += 2 * m * np.bincount(owner[done], minlength=n)
-        lo, hi = half_lo[refine].ravel(), half_hi[refine].ravel()
+        n_nodes += m * np.bincount(owner[done], minlength=n)
+        if done.all():
+            break
+        # a bisected panel's halves are open panels whose whole-panel rules
+        # are its half rules, already evaluated
+        lo, hi = edges[refine, :2].ravel(), edges[refine, 1:].ravel()
         whole = pairs[refine].reshape(-1, 2)
+        whole_nodes = nodes.reshape(5, k, 2, m)[:, refine].reshape(5, -1, m)
         owner = owner[refine].repeat(2)
-    rows, *nodes = (np.concatenate(parts) for parts in zip(*accepted))
-    order = np.lexsort((nodes[0][:, 0], rows))  # panels are disjoint: sorts every tau
-    nodes = [arr[order].ravel() for arr in nodes]
-    bounds = [0] + (m * np.cumsum(np.bincount(rows, minlength=n))).tolist()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_norm = (ref + np.log(total[:, 0])).tolist()
-        quad_error = (error / total).max(axis=1).tolist()
+    rows = np.concatenate([owners for owners, _ in accepted])
+    nodes = np.concatenate([kept for _, kept in accepted], axis=1)
+    order = np.lexsort((nodes[0, :, 0], rows))  # panels are disjoint: sorts every tau
+    nodes = nodes[:, order].reshape(5, -1)
+    counts = m * np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_norm = ref + np.log(total[:, 0])
+        quad_error = (error / total).max(axis=1)
+        # the sum of each prior's normalised weights; it is not finite when a
+        # node is not (tau and its quadrature weight overflow together)
+        weights = nodes[1] * np.exp(nodes[2] - np.repeat(log_norm, counts))
+        miss = np.add.reduceat(weights, starts) - 1.0
+    log_norm, quad_error, miss = log_norm.tolist(), quad_error.tolist(), miss.tolist()
     out = []
-    for p, (start, end) in enumerate(zip(bounds, bounds[1:])):
+    for p, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
         name = priors[p].name
-        if failed[p] or not math.isfinite(log_norm[p]):
-            message = f"posterior normalization for prior '{name}' is not finite"
-            out.append(DivergedPosteriorError(name, message))
+        failure = _grid_failure(name, failed[p], log_norm[p], quad_error[p], miss[p])
+        if failure is not None:
+            out.append(failure)
             continue
-        if abs(log_norm[p]) > _MAX_ABS_LOG_NORM:
-            message = (
-                f"posterior for prior '{name}' has log Z = {log_norm[p]:.4g}, too large "
-                "in magnitude to resolve its weights"
-            )
-            out.append(DivergedPosteriorError(name, message))
-            continue
-        arrays = (arr[start:end] for arr in nodes)
+        arrays = nodes[:, start : start + count]
         tau_max = float(breaks[p][-1])
         out.append(PosteriorGrid(*arrays, log_norm[p], name, tau_max, quad_error[p]))
     return out
+
+
+def _grid_failure(name, failed, log_norm, quad_error, miss):
+    """The DivergedPosteriorError of a grid that does not certify itself,
+    or None: its first refinement pass had no finite mass (failed), its
+    log_norm or quad_error is not finite, |log_norm| exceeds
+    _MAX_ABS_LOG_NORM (log_post - log_norm then rounds by more than 1e-6),
+    or the sum of its normalised weights misses 1 (by miss) by more than
+    quad_error + _WEIGHT_SUM_ROUNDING, or not finitely: a node or weight is
+    not finite."""
+    if failed or not math.isfinite(log_norm):
+        message = f"posterior normalization for prior '{name}' is not finite"
+    elif abs(log_norm) > _MAX_ABS_LOG_NORM:
+        message = (
+            f"posterior for prior '{name}' has log Z = {log_norm:.4g}, too large "
+            "in magnitude to resolve its weights"
+        )
+    elif not math.isfinite(quad_error):
+        message = f"quadrature error estimate of the posterior for prior '{name}' is not finite"
+    elif not math.isfinite(miss):
+        message = f"posterior grid for prior '{name}' has nodes or weights that are not finite"
+    elif abs(miss) > quad_error + _WEIGHT_SUM_ROUNDING:
+        message = (
+            f"posterior weights for prior '{name}' miss 1 by {miss:.3g}, beyond the "
+            f"quadrature error {quad_error:.3g}"
+        )
+    else:
+        return None
+    return DivergedPosteriorError(name, message)
 
 
 def _posterior_grids(
@@ -498,12 +552,13 @@ def build_posterior_grid(
 
     The grid spans (0, tau_max] with tau_max found by the geometric tail
     scan (for the proper-uniform family the support endpoint is used
-    directly). Composite Gauss-Legendre panels in w = sqrt(tau / (s0 + tau))
-    are bisected until each one's local error estimate, in posterior mass
-    and in tau^2-weighted mass, is within config.cdf_tolerance / 100 of the
-    total, or until the grid would exceed 16384 nodes (quad_error then
-    records the shortfall). Nodes never touch tau = 0, so integrable
-    endpoint singularities are fine.
+    directly). Composite 16-point Gauss-Legendre panels in w = sqrt(tau /
+    (s0 + tau)) are bisected until each one's local error estimate (its
+    rule against the rules on its two halves), in posterior mass and in
+    tau^2-weighted mass, is within config.cdf_tolerance / 100 of the total,
+    or until the grid would exceed 16384 nodes (quad_error then records the
+    shortfall); the grid keeps each accepted panel's 16 nodes. Nodes never
+    touch tau = 0, so integrable endpoint singularities are fine.
 
     Raises
     ------
@@ -513,8 +568,10 @@ def build_posterior_grid(
         If the posterior tail has not decayed by tau = 1e6 * s0, which
         signals an improper posterior for this prior/dataset combination,
         or, on effects far from 0, a mean prior too narrow for the data;
-        also if the normalizer Z is not finite, or |log Z| is too large for
-        the weights to be resolved in double precision.
+        also if the grid does not certify itself: Z or quad_error is not
+        finite, |log Z| is too large for the weights to be resolved in
+        double precision, a node or weight is not finite, or the
+        normalised weights miss 1 by more than quad_error plus rounding.
     """
     (grid,) = _posterior_grids(dataset, [prior], config)
     if isinstance(grid, Exception):

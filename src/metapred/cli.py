@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .bayes import EngineConfig, _mean_prior_conflict
 from .errors import ConfigError, DataError, NumericFailure
 from .io import (
     ANALYZE_METHODS,
@@ -35,6 +36,7 @@ from .io import (
     parse_sim_config,
     run_analysis,
 )
+from .methods import lookup_method
 from .priors import NAMED_PRIORS, bind_prior, log_prior_density, named_prior
 from .simulate import run_study
 
@@ -57,6 +59,15 @@ def _cmd_analyze(args) -> int:
         report = run_analysis(dataset, methods, level=args.level)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if any(lookup_method(m).prior for m in methods):
+        conflict = _mean_prior_conflict(
+            dataset.effects, dataset.variances, EngineConfig.mu_prior_var
+        )
+        if conflict is not None:
+            print(
+                f"metapred: warning: {conflict}; the Bayesian intervals are drawn toward 0",
+                file=sys.stderr,
+            )
     sys.stdout.buffer.write(emit_analysis_report(report, args.format))
     return 0
 

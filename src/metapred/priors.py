@@ -180,15 +180,26 @@ def _conventional_log_unnorm(tau, sigma_sq):
 
 def _conventional_mass(sigma_sq, upto):
     """Integral of the conventional kernel exp(_conventional_log_unnorm) over
-    [0, upto], for log_norm (upto = inf) and prior_cdf."""
+    [0, upto], for log_norm (upto = inf) and prior_cdf.
+
+    It runs in units of a data scale s, the power of 2 nearest the SEs'
+    geometric mean: with tau = s u the kernel is s^-2 times the kernel of
+    the variances sigma^2 / s^2 at u, so the mass is s x s^-2 = 1/s times
+    an integral over u near unit scale, the range that quad's map of
+    [0, inf) and its absolute tolerance resolve. A power of 2 rescales the
+    variances without rounding.
+    """
     # imported here: loading scipy.integrate pulls in scipy.optimize, sparse
     # and linalg, which only this numeric normalizer needs
     from scipy import integrate
 
-    return integrate.quad(
-        lambda t: math.exp(_conventional_log_unnorm(t, sigma_sq)),
-        0.0, upto, epsabs=1e-12, epsrel=1e-10, limit=200,
+    s = 2.0 ** round(0.5 * float(np.mean(np.log2(sigma_sq))))
+    unit_sigma_sq = sigma_sq / (s * s)
+    mass = integrate.quad(
+        lambda u: math.exp(_conventional_log_unnorm(u, unit_sigma_sq)),
+        0.0, upto / s, epsabs=1e-12, epsrel=1e-10, limit=200,
     )[0]
+    return mass / s
 
 
 def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:

@@ -286,6 +286,29 @@ class TestPosteriorGrid:
         with pytest.raises(DivergedPosteriorError, match="log Z = -4.744e"):
             grid_for(ds, "proper1")
 
+    def test_grid_beyond_what_w_resolves_fails(self):
+        # SEs of 1.6e-16: proper1's support (0, 10) ends far past tau = s0 /
+        # eps, where w = sqrt(tau / (s0 + tau)) rounds to 1, so nodes there
+        # are infinite and the refinement cannot estimate its error; the
+        # grid's last kept node sat at tau = 0.72 with quad_error NaN
+        ds = MetaDataset.from_arrays([0.12, -0.4, 0.61], [1.6e-16] * 3)
+        with np.errstate(all="ignore"), pytest.raises(DivergedPosteriorError, match="not finite"):
+            grid_for(ds, "proper1")
+
+    def test_weights_that_miss_one_fail(self):
+        # log Z = -3.1e9 passes the _MAX_ABS_LOG_NORM bound, but rounding in
+        # log_post - log_norm left the weights summing to 1 + 8.8e-8, four
+        # times the grid's quad_error
+        ds = MetaDataset.from_arrays(
+            [7.6e12, 5e11, 8.3e12, -9.1e12, -9.4e12, -9.6e12, -4.9e12, -5e12, -6.2e12,
+             1.3e12, -9.2e12, 1.8e12, -6.7e12],
+            [1.2e8, 1.9e12, 2.42e9, 1.04668e12, 2.189e10, 3.0726e11, 6.96e10, 4.406e10,
+             7.6e8, 3.1e10, 1.8e8, 2.7914e11, 1.29142e12],
+        )
+        config = EngineConfig(mu_prior_var=1.6e47)
+        with pytest.raises(DivergedPosteriorError, match="weights for prior 'proper1' miss 1 by"):
+            grid_for(ds, "proper1", config)
+
     def test_prior_bound_to_other_dataset_raises(self):
         # jeffreys, dumouchel and i2 read the bound variances; a prior bound
         # to three studies with SEs 2-3 moved the README interval silently
@@ -466,6 +489,42 @@ class TestAdaptivePanels:
         capped = prediction_interval(grid)
         assert abs(capped.lower - default.lower) < 1e-6
         assert abs(capped.upper - default.upper) < 1e-6
+
+    def test_grids_keep_whole_panels_under_the_cap(self):
+        # every accepted panel keeps its _PANEL_ORDER whole-rule nodes, and
+        # the cap counts kept nodes, also when it stops the refinement
+        rng = np.random.default_rng(43)
+        cases = [(random_dataset(rng), EngineConfig()) for _ in range(4)]
+        cases.append((README_DATA, EngineConfig(cdf_tolerance=1e-300)))
+        for ds, config in cases:
+            priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
+            for grid in bayes._posterior_grids(ds, priors, config):
+                count = len(grid.nodes)
+                assert count % bayes._PANEL_ORDER == 0, grid.prior_name
+                assert count <= bayes._MAX_GRID_NODES, grid.prior_name
+        # the cap stops a pass that would at most double the kept nodes
+        capped = grid_for(README_DATA, "jeffreys", EngineConfig(cdf_tolerance=1e-300))
+        assert len(capped.nodes) > bayes._MAX_GRID_NODES // 2
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n),
+            )
+        ),
+        st.sampled_from(list(NAMED_PRIORS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_sum_to_one_within_quad_error(self, data, name):
+        # log_norm is the mass of the kept nodes, so the normalised weights
+        # sum to 1 up to the grid's own error estimate and rounding
+        ds = MetaDataset.from_arrays(*data)
+        try:
+            grid = grid_for(ds, name)
+        except DivergedPosteriorError:
+            return  # improper for this dataset (e.g. n = 2 under a flat prior)
+        assert abs(grid.posterior_weights().sum() - 1.0) <= grid.quad_error + 1e-13
 
     def test_breaks_extend_the_scan_ladder(self):
         s0 = math.sqrt(bind_prior(named_prior("uniform"), README_DATA).s0_sq)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import metapred
 from metapred.cli import main
+from metapred.io import emit_analysis_report, parse_dataset_csv, run_analysis
 from metapred.priors import NAMED_PRIORS
 
 DATA = "study,effect,se\nA,0.12,0.35\nB,-0.4,0.28\nC,0.61,0.43\nD,0.25,0.30\n"
@@ -84,6 +86,28 @@ class TestAnalyze:
         assert "error" in results["proper1"]
         hts = results["hts"]
         assert (round(hts["lower"], 6), round(hts["upper"], 6)) == (-7.300379, 7.520379)
+
+    def test_mean_prior_conflict_warns(self, tmp_path, capsys):
+        # effects near 1045 lie 10 SDs out under the N(0, 10000) mean prior,
+        # which drags the Bayesian intervals toward 0: one stderr line, and
+        # stdout is the report as run_analysis gives it
+        path = tmp_path / "far.csv"
+        path.write_text("study,effect,se\nA,1040,25\nB,1052,40\nC,1047,30\nD,1041,35\n")
+        assert main(["analyze", "--data", str(path), "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        report = run_analysis(parse_dataset_csv(path.read_bytes()))
+        assert captured.out.encode() == emit_analysis_report(report, "csv")
+        assert captured.err == (
+            "metapred: warning: the weighted mean of the effects lies 10.4 SDs from 0 "
+            "under the N(0, 10000) mean prior; the Bayesian intervals are drawn toward 0\n"
+        )
+        # no Bayesian tag, no warning; nor on data near 0
+        assert main(["analyze", "--data", str(path), "--methods", "hts,dl"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_no_warning_without_conflict(self, data_file, capsys):
+        assert main(["analyze", "--data", data_file]) == 0
+        assert capsys.readouterr().err == ""
 
     # every positive finite SE either analyses or is a data error: SEs
     # 1e-300..1e300 in four layouts (all studies, one of five, one of two,
@@ -185,6 +209,23 @@ class TestPriors:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "tau,density,log_density"
         assert len(lines) == 6
+
+    def test_conventional_density_at_any_scale(self, tmp_path, capsys):
+        # the data x 1e-8 died in the normalizer with a traceback; the
+        # density at k tau is the unit-scale density / k
+        logs = []
+        for k in (1.0, 1e-8):
+            path = tmp_path / "scaled.csv"
+            path.write_text(
+                "study,effect,se\n"
+                + "".join(f"{s},{k * y!r},{k * se!r}\n" for s, y, se in
+                          (("A", 0.3, 0.4), ("B", -0.2, 0.9), ("C", 0.8, 0.6)))
+            )
+            grid = f"{0.5 * k!r}..{0.5 * k!r} step 1"
+            assert main(["priors", "density", "--prior", "conventional", "--data", str(path),
+                         "--tau-grid", grid]) == 0
+            logs.append(float(capsys.readouterr().out.splitlines()[1].split(",")[2]))
+        assert logs[1] == pytest.approx(logs[0] - math.log(1e-8), abs=1e-9)
 
     def test_unknown_prior(self, data_file, capsys):
         assert main(

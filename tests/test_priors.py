@@ -228,6 +228,17 @@ class TestCdf:
                 expected = float(stats.gamma.sf(tau**-2, fam.shape, scale=1.0 / fam.rate))
                 assert prior_cdf(b, tau) == expected, (fam.name, tau)
 
+    def test_conventional_normalizer_is_scale_free(self):
+        # tau = s u in units of the data scale s: scaling the data by k
+        # moves log_norm by exactly -log k and leaves the CDF at k tau; in
+        # absolute tau, quad read -40.43 at k = 1e8 and failed at k = 1e-8
+        base = bind_prior(named_prior("conventional"), DS)
+        for k in (1e8, 1e-8, 1e30, 1e-30):
+            scaled = MetaDataset.from_arrays(k * DS.effects, k * DS.std_errs)
+            b = bind_prior(named_prior("conventional"), scaled)
+            assert abs(b.log_norm - (base.log_norm - math.log(k))) <= 1e-9, k
+            assert prior_cdf(b, 1.1 * k) == pytest.approx(prior_cdf(base, 1.1), abs=1e-9), k
+
     def test_improper_prior_has_no_cdf(self):
         for name in ("uniform", "sqrt", "jeffreys", "berger-deely"):
             with pytest.raises(ValueError):
