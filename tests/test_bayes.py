@@ -505,6 +505,12 @@ class TestAdaptivePanels:
         # the cap stops a pass that would at most double the kept nodes
         capped = grid_for(README_DATA, "jeffreys", EngineConfig(cdf_tolerance=1e-300))
         assert len(capped.nodes) > bayes._MAX_GRID_NODES // 2
+        # no panel of this grid is bisected: one 16-point rule per panel
+        grid = grid_for(README_DATA, "jeffreys")
+        s0 = math.sqrt(bind_prior(named_prior("jeffreys"), README_DATA).s0_sq)
+        ladder = bayes._tau_ladder(README_DATA.effects, s0)
+        (breaks,) = bayes._panel_breaks(ladder, README_DATA.variances, [grid.tau_max])
+        assert len(grid.nodes) == bayes._PANEL_ORDER * (len(breaks) - 1)
 
     @given(
         st.integers(2, 12).flatmap(

@@ -101,7 +101,7 @@ class TestAnalyze:
             "metapred: warning: the weighted mean of the effects lies 10.4 SDs from 0 "
             "under the N(0, 10000) mean prior; the Bayesian intervals are drawn toward 0\n"
         )
-        # no Bayesian tag, no warning; nor on data near 0
+        # without a Bayesian tag the mean prior plays no part: no warning
         assert main(["analyze", "--data", str(path), "--methods", "hts,dl"]) == 0
         assert capsys.readouterr().err == ""
 
