@@ -297,7 +297,7 @@ class TestPosteriorGrid:
 
     def test_weights_that_miss_one_fail(self):
         # log Z = -3.1e9 passes the _MAX_ABS_LOG_NORM bound, but rounding in
-        # log_post - log_norm left the weights summing to 1 + 8.8e-8, four
+        # log_post - log_norm leaves the weights summing to 1 + 8.8e-8, five
         # times the grid's quad_error
         ds = MetaDataset.from_arrays(
             [7.6e12, 5e11, 8.3e12, -9.1e12, -9.4e12, -9.6e12, -4.9e12, -5e12, -6.2e12,
