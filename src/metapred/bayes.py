@@ -12,21 +12,22 @@ path.
 Grid construction compactifies tau through w = sqrt(tau / (s0 + tau)): the
 square-root map bounds every one of the supported priors' integrands at the
 origin (including the tau^-1/2 singularity of the sqrt prior), and the
-rational map absorbs heavy tails. The w range is cut into panels at the
-tail scan's octave ladder in tau, extended down to a quarter of the
-smallest within-study SE. A panel's 16-point Gauss-Legendre rule is
-checked against the same rule on its two halves: a panel where they
-differ, in posterior mass or in tau^2-weighted mass, by more than
-cdf_tolerance / 100 of the total is bisected and its halves checked in
-turn (adaptive panels as in QUADPACK). The difference estimates the error
-of the coarser whole-panel rule, as QUADPACK's |K - G| does for the Gauss
-rule, so an accepted panel keeps that rule's 16 nodes; nodes go where the
-posterior has features - about 150 on typical data - up to a 16384-node
-cap. A grid's normaliser Z is the refinement's running total of its kept
-nodes' mass: the sum that decides every bisection also scales quad_error
-and gives log_norm. A grid certifies itself before it is returned: its
-nodes and weights are finite, and its normalised weights sum to 1 within
-quad_error plus rounding.
+rational map absorbs heavy tails. One octave ladder in tau, from max(s0,
+sd(y)) halving down to a quarter of the smallest within-study SE and
+doubling up to the cap 1e6 x s0, serves twice: the tail scan probes it from
+its start upward, and the w range is cut into panels at its points below
+tau_max. A panel's 16-point Gauss-Legendre rule is checked against the same
+rule on its two halves: a panel where they differ, in posterior mass or in
+tau^2-weighted mass, by more than cdf_tolerance / 100 of the total is
+bisected and its halves checked in turn (adaptive panels as in QUADPACK).
+The difference estimates the error of the coarser whole-panel rule, as
+QUADPACK's |K - G| does for the Gauss rule, so an accepted panel keeps that
+rule's 16 nodes; nodes go where the posterior has features - about 150 on
+typical data - up to a 16384-node cap. A grid's normaliser Z is the
+refinement's running total of its kept nodes' mass: the sum that decides
+every bisection also scales quad_error and gives log_norm. A grid certifies
+itself before it is returned: its nodes and weights are finite, and its
+normalised weights sum to 1 within quad_error plus rounding.
 
 Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
 components' own quantiles bracket each mixture quantile (the weights sum
@@ -36,11 +37,11 @@ that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
 One dataset is one batch. The marginal likelihood does not depend on the
-prior, and every prior of a dataset shares s0 and so the scan's ladder;
-each prior's panel breaks are a prefix of those of the prior with the
-largest tau_max (proper1 adds its own last panel). _posterior_grids
-therefore evaluates the likelihood once on the ladder, scans all priors as
-one (priors, ladder) array and cuts every prior's breaks from one extended
+prior, and every prior of a dataset shares s0 and so the ladder; each
+prior's panel breaks are a prefix of those of the prior with the largest
+tau_max (proper1 adds its own last panel). _posterior_grids therefore
+evaluates the likelihood once on the scan's probes, scans all priors as
+one (priors, probes) array and cuts every prior's breaks from the one
 ladder. _refine_panels keeps the open panels of all priors as the rows of
 one set of arrays, tagged with their prior, evaluates the likelihood once
 per pass on the distinct panels, adding each prior's kernel to its own
@@ -97,6 +98,11 @@ def _check_cdf_tolerance(cdf_tolerance):
         raise ValueError(f"cdf_tolerance must lie in (0, 1e-2), got {cdf_tolerance!r}")
 
 
+def _check_mu_prior_var(mu_prior_var):
+    if not (math.isfinite(mu_prior_var) and mu_prior_var > 0):
+        raise ValueError("mu_prior_var must be positive and finite")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs for posterior-grid construction and quantile inversion.
@@ -114,8 +120,7 @@ class EngineConfig:
     cdf_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu_prior_var) and self.mu_prior_var > 0):
-            raise ValueError("mu_prior_var must be positive and finite")
+        _check_mu_prior_var(self.mu_prior_var)
         _check_cdf_tolerance(self.cdf_tolerance)
 
 
@@ -215,8 +220,7 @@ def marginal_loglik(
     arr = np.asarray(tau, dtype=float)
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
         raise ValueError("tau must be finite and >= 0")
-    if not (mu_prior_var > 0):
-        raise ValueError("mu_prior_var must be positive")
+    _check_mu_prior_var(mu_prior_var)
     loglik, _, _ = _loglik_terms(
         dataset.effects, dataset.variances, np.atleast_1d(arr), mu_prior_var
     )
@@ -225,25 +229,29 @@ def marginal_loglik(
     return loglik
 
 
-def _tau_ladder(y, s0):
-    """The tail scan's probes: start * 2^k from max(s0, sd(y)), the last
-    point clipped to the cap 1e6 x s0. They double as panel breakpoints."""
+def _tau_ladder(y, sigma_sq, s0):
+    """The octave ladder start * 2^k in tau, halving down to 0.25 x the
+    smallest SE and doubling up to the cap 1e6 x s0 (which clips the last
+    point), and the index of start = max(s0, sd(y)), where the tail scan
+    begins. Its points below a prior's tau_max are that prior's breaks."""
     cap = _TAU_MAX_CAP_FACTOR * s0
     # np.std(y, ddof=1) step for step, without its per-call overhead
     d = y - y.sum() / len(y)
     spread = math.sqrt(float((d * d).sum()) / (len(y) - 1)) if len(y) > 1 else 0.0
     start = min(max(s0, spread, 1e-8), cap / 1024.0)
-    n_steps = int(math.ceil(math.log2(cap / start))) + 1
-    ladder = start * 2.0 ** np.arange(n_steps)
+    floor = 0.25 * math.sqrt(float(sigma_sq.min()))
+    n_down = max(int(math.ceil(math.log2(start / floor))), 0)
+    n_up = int(math.ceil(math.log2(cap / start))) + 1
+    ladder = start * 2.0 ** np.arange(-n_down, n_up)
     ladder[-1] = cap
-    return ladder
+    return ladder, n_down
 
 
 def _scan_tau_max(log_h, ladder):
     """Geometric upward scan for the tau truncation point, one row per prior.
 
-    log_h[p, j] is prior p's log posterior density at ladder[j] (from
-    _tau_ladder: max(s0, sd(y)) doubling up to the cap 1e6 x s0). In each
+    log_h[p, j] is prior p's log posterior density at ladder[j] (_tau_ladder's
+    ladder from its scan start max(s0, sd(y)) up to the cap 1e6 x s0). In each
     row the first probe where (a) the density is below _TAIL_MASS_CUT x the
     running peak and (b) the remaining tail mass, estimated from the local
     decay power, is below _TAIL_MASS_CUT of the accumulated mass is tau_max.
@@ -317,16 +325,6 @@ def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
     return DivergedPosteriorError(prior_name)
 
 
-def _panel_breaks(ladder, sigma_sq, tau_maxes):
-    """Panel ends in tau for each of tau_maxes: 0, the tail-scan ladder
-    below tau_max extended down by halving to 0.25 x the smallest
-    within-study SE, and tau_max."""
-    floor = 0.25 * math.sqrt(float(sigma_sq.min()))
-    n_down = max(int(math.ceil(math.log2(ladder[0] / floor))), 0)
-    inner = np.concatenate([ladder[0] * 2.0 ** -np.arange(n_down, 0, -1), ladder])
-    return [np.concatenate([[0.0], inner[inner < t], [t]]) for t in tau_maxes]
-
-
 def _panel_nodes(c, lo, hi):
     """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
     tau and the quadrature weight in tau."""
@@ -340,7 +338,8 @@ def _panel_nodes(c, lo, hi):
 
 def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
     """Every prior's posterior grid: its w-panels, cut at its tau breaks
-    (from _panel_breaks), bisected until each passes its error test.
+    (0, the octave ladder below its tau_max, and tau_max), bisected until
+    each passes its error test.
 
     The open panels of all priors are the rows of one set of arrays; owner
     gives each row's prior. A pass evaluates the likelihood once on the
@@ -499,46 +498,40 @@ def _posterior_grids(
     """Posterior grids of several priors on one dataset, in one pass.
 
     The batch behind build_posterior_grid (one prior) and evaluate_methods
-    (every prior its tags need). All priors share s0 and so the tail-scan
-    ladder: the likelihood is evaluated once on the ladder, the scans run as
-    one (priors, ladder) array, the panel breaks of all priors are cut from
-    one extended ladder, and _refine_panels refines the panels of all
+    (every prior its tags need). It trusts its callers to pass priors bound
+    to this dataset, so n >= 2: evaluate_methods binds them all from one
+    bind_prior call, and build_posterior_grid checks the one prior it is
+    given. So all priors share s0 and the octave ladder:
+    the likelihood is evaluated once on the ladder's scan probes, the scans
+    run as one (priors, probes) array, every prior's panel breaks are cut
+    from the same ladder, and _refine_panels refines the panels of all
     priors together, one likelihood evaluation per pass on their distinct
     panels, and returns the finished grids. A prior's result equals its
     batch-of-one result bit for bit. Returns one PosteriorGrid or
     DivergedPosteriorError per prior; an empty list of priors gives an
     empty list.
-
-    Raises ValueError if n < 2, or if a prior was bound to other
-    within-study variances or another s0.
     """
     if config is None:
         config = EngineConfig()
-    if dataset.n < 2:
-        raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     if not priors:
         return []
     y = dataset.effects
     sigma_sq = dataset.variances
-    for prior in priors:
-        if not np.array_equal(prior.sigma_sq, sigma_sq):
-            raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-        if prior.s0_sq != priors[0].s0_sq:
-            raise ValueError("the priors of one batch must share s0")
     c = math.sqrt(priors[0].s0_sq)
     mu_var = config.mu_prior_var
 
-    ladder = _tau_ladder(y, c)
+    ladder, scan_start = _tau_ladder(y, sigma_sq, c)
     uniform = [p.family.kind == "proper-uniform" for p in priors]
     tau_max = np.array([p.family.hi if u else math.nan for p, u in zip(priors, uniform)])
     scanned = [i for i, u in enumerate(uniform) if not u]
     if scanned:
-        ladder_loglik = _loglik_terms(y, sigma_sq, ladder, mu_var)[0]
-        log_h = np.stack([log_prior_kernel(priors[i], ladder) + ladder_loglik for i in scanned])
-        tau_max[scanned] = _scan_tau_max(log_h, ladder)
+        probes = ladder[scan_start:]
+        probe_loglik = _loglik_terms(y, sigma_sq, probes, mu_var)[0]
+        log_h = np.stack([log_prior_kernel(priors[i], probes) + probe_loglik for i in scanned])
+        tau_max[scanned] = _scan_tau_max(log_h, probes)
 
     good = np.flatnonzero(~np.isnan(tau_max))
-    breaks = _panel_breaks(ladder, sigma_sq, tau_max[good])
+    breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in tau_max[good]]
     tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
     grids = iter(_refine_panels(y, sigma_sq, c, mu_var, [priors[i] for i in good], breaks, tol))
     return [
@@ -575,6 +568,10 @@ def build_posterior_grid(
         double precision, a node or weight is not finite, or the
         normalised weights miss 1 by more than quad_error plus rounding.
     """
+    if dataset.n < 2:
+        raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
+    if not np.array_equal(prior.sigma_sq, dataset.variances):
+        raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
     (grid,) = _posterior_grids(dataset, [prior], config)
     if isinstance(grid, Exception):
         raise grid

@@ -64,18 +64,18 @@ class PriorFamily:
         if self.kind not in _ALL_KINDS:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.kind == "power":
-            if self.a is None or not (self.a > -1.0):
-                raise ValueError("power prior needs exponent a > -1 for integrability")
+            if self.a is None or not (-1.0 < self.a < math.inf):
+                raise ValueError("power prior needs a finite exponent a > -1 for integrability")
         if self.kind == "proper-uniform":
-            if self.hi is None or not (self.hi > 0):
-                raise ValueError("proper-uniform prior needs hi > 0")
+            if self.hi is None or not (0 < self.hi < math.inf):
+                raise ValueError("proper-uniform prior needs a finite hi > 0")
         if self.kind == "inv-gamma":
             if (
                 self.shape is None
                 or self.rate is None
-                or not (self.shape > 0 and self.rate > 0)
+                or not (0 < self.shape < math.inf and 0 < self.rate < math.inf)
             ):
-                raise ValueError("inv-gamma prior needs shape > 0 and rate > 0")
+                raise ValueError("inv-gamma prior needs finite shape > 0 and rate > 0")
 
     @property
     def proper(self) -> bool:

@@ -53,6 +53,12 @@ def grid_for(dataset, name, config=None):
     return build_posterior_grid(dataset, bind_prior(named_prior(name), dataset), config)
 
 
+def ladder_for(dataset):
+    """The dataset's octave ladder and scan start (every prior shares s0)."""
+    s0 = math.sqrt(bind_prior(named_prior("uniform"), dataset).s0_sq)
+    return bayes._tau_ladder(dataset.effects, dataset.variances, s0)
+
+
 _GL16 = roots_legendre(16)
 
 
@@ -142,6 +148,13 @@ class TestMarginalLoglik:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             marginal_loglik(SPREAD, -1.0)
+
+    def test_rejects_what_engine_config_rejects(self):
+        # an infinite S gave -inf at every tau; S must be positive and
+        # finite, as EngineConfig requires
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                marginal_loglik(SPREAD, 0.5, bad)
 
     def test_large_offset_matches_exact_arithmetic(self):
         # effects near 1000 with SEs of 1e-5: the uncentred quadratic form
@@ -463,10 +476,9 @@ class TestAdaptivePanels:
             [6.804794866432826, 6.157503277074804, 5.303458642770115],
         )
         grid = grid_for(ds, "proper2")
-        s0 = math.sqrt(bind_prior(named_prior("proper2"), ds).s0_sq)
-        ladder = bayes._tau_ladder(ds.effects, s0)
-        (breaks,) = bayes._panel_breaks(ladder, ds.variances, [grid.tau_max])
-        assert np.sum(grid.nodes < breaks[1]) > 2 * bayes._PANEL_ORDER
+        ladder, _ = ladder_for(ds)
+        assert ladder[0] < grid.tau_max
+        assert np.sum(grid.nodes < ladder[0]) > 2 * bayes._PANEL_ORDER
         assert max_endpoint_diff(grid, fixed_grid(ds, "proper2", grid.tau_max)) <= 1e-6
 
     def test_quad_error_within_tolerance(self):
@@ -507,10 +519,9 @@ class TestAdaptivePanels:
         assert len(capped.nodes) > bayes._MAX_GRID_NODES // 2
         # no panel of this grid is bisected: one 16-point rule per panel
         grid = grid_for(README_DATA, "jeffreys")
-        s0 = math.sqrt(bind_prior(named_prior("jeffreys"), README_DATA).s0_sq)
-        ladder = bayes._tau_ladder(README_DATA.effects, s0)
-        (breaks,) = bayes._panel_breaks(ladder, README_DATA.variances, [grid.tau_max])
-        assert len(grid.nodes) == bayes._PANEL_ORDER * (len(breaks) - 1)
+        ladder, _ = ladder_for(README_DATA)
+        panels = np.sum(ladder < grid.tau_max) + 1  # cut at 0, the ladder and tau_max
+        assert len(grid.nodes) == bayes._PANEL_ORDER * panels
 
     @given(
         st.integers(2, 12).flatmap(
@@ -533,13 +544,16 @@ class TestAdaptivePanels:
         assert abs(grid.posterior_weights().sum() - 1.0) <= grid.quad_error + 1e-13
 
     def test_breaks_extend_the_scan_ladder(self):
+        # one octave ladder: the scan probes it from max(s0, sd(y)) up to
+        # the cap 1e6 x s0, and the panel breaks reach down to a quarter of
+        # the smallest SE
         s0 = math.sqrt(bind_prior(named_prior("uniform"), README_DATA).s0_sq)
-        ladder = bayes._tau_ladder(README_DATA.effects, s0)
-        (breaks,) = bayes._panel_breaks(ladder, README_DATA.variances, [ladder[5]])
-        assert breaks[0] == 0.0 and breaks[-1] == ladder[5]
-        assert breaks[1] <= 0.25 * README_DATA.std_errs.min() < breaks[2]
-        np.testing.assert_array_equal(breaks[-6:], ladder[:6])
-        np.testing.assert_allclose(breaks[2:] / breaks[1:-1], 2.0, rtol=1e-14)
+        ladder, start = ladder_for(README_DATA)
+        assert start > 0
+        assert ladder[start] == max(s0, float(np.std(README_DATA.effects, ddof=1)))
+        assert ladder[0] <= 0.25 * README_DATA.std_errs.min() < ladder[1]
+        assert ladder[-1] == 1e6 * s0 and ladder[-2] < ladder[-1] <= 2.0 * ladder[-2]
+        np.testing.assert_array_equal(ladder[1:-1] / ladder[:-2], 2.0)
 
 
 class TestConvergenceProperties:
@@ -554,21 +568,36 @@ class TestConvergenceProperties:
                 assert abs(iv_a.lower - iv_b.lower) < 1e-5
                 assert abs(iv_a.upper - iv_b.upper) < 1e-5
 
-    def test_translation_equivariance_with_wide_mu_prior(self):
-        # exact equivariance only holds as the mu prior flattens out; with
-        # S >> shift^2 + data scale^2 the intervals must shift accordingly
-        cfg = EngineConfig(mu_prior_var=1e8)
-        ds = MetaDataset.from_arrays([0.1, -0.4, 0.8, 0.3], [0.5, 0.4, 0.7, 0.6])
-        moved = MetaDataset.from_arrays(ds.effects + 1.0, ds.std_errs)
-        for name in ("jeffreys", "dumouchel"):
-            base = prediction_interval(
-                build_posterior_grid(ds, bind_prior(named_prior(name), ds), cfg)
+    @given(
+        st.integers(2, 19).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(0.1, 0.8), min_size=n, max_size=n),
             )
-            shifted = prediction_interval(
-                build_posterior_grid(moved, bind_prior(named_prior(name), moved), cfg)
-            )
-            assert shifted.lower == pytest.approx(base.lower + 1.0, abs=1e-3)
-            assert shifted.upper == pytest.approx(base.upper + 1.0, abs=1e-3)
+        ),
+        st.floats(-50.0, 50.0),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_translation_equivariance_with_wide_mu_prior(self, data, k):
+        # exact equivariance only holds as the N(0, S) mean prior flattens
+        # out; with S = 1e12 >> (k + data scale)^2 every prior's prediction
+        # and credible intervals shift by k, within 1e-4 of their width; a
+        # prior that is improper for the data (n = 2) fails on both
+        ds = MetaDataset.from_arrays(*data)
+        moved = MetaDataset.from_arrays(ds.effects + k, ds.std_errs)
+        names, intervals = [], []
+        for d in (ds, moved):
+            priors = [bind_prior(family, d) for family in NAMED_PRIORS.values()]
+            grids = bayes._posterior_grids(d, priors, EngineConfig(mu_prior_var=1e12))
+            grids = [grid for grid in grids if isinstance(grid, PosteriorGrid)]
+            names.append([grid.prior_name for grid in grids])
+            requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
+            intervals.append(bayes._mixture_intervals(requests, 0.95, 1e-8))
+        assert names[0] == names[1]
+        for a, b in zip(*intervals):
+            tol = 1e-4 * (a.upper - a.lower)
+            assert abs((b.lower - k) - a.lower) <= tol, (a, b)
+            assert abs((b.upper - k) - a.upper) <= tol, (a, b)
 
     @given(
         st.integers(3, 12).flatmap(
@@ -855,8 +884,8 @@ class TestBatch:
         # panels refine as they would alone
         y, sigma_sq = README_DATA.effects, README_DATA.variances
         c = math.sqrt(priors[0].s0_sq)
-        ladder = bayes._tau_ladder(y, c)
-        breaks = bayes._panel_breaks(ladder, sigma_sq, [ladder[-1], 10.0])
+        ladder, _ = bayes._tau_ladder(y, sigma_sq, c)
+        breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in (ladder[-1], 10.0)]
         config = EngineConfig()
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
         with np.errstate(all="ignore"):

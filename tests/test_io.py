@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,10 @@ from metapred import (
     run_analysis,
 )
 from metapred.io import parse_grid_spec
+from metapred.methods import METHODS
 
 BASIC_CSV = b"study,effect,se\nA,0.5,0.2\nB,-0.1,0.3\n"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestParseDatasetCsv:
@@ -251,6 +254,14 @@ class TestRunAnalysis:
     def test_default_method_set(self):
         assert len(ANALYZE_METHODS) == 14
         assert ANALYZE_METHODS[-3:] == ("hts", "hts-hk", "hts-sj")
+
+    def test_readme_data_every_tag_matches_pinned_csv(self):
+        # the bytes `metapred analyze --methods <all 26 tags> --format csv`
+        # prints for the README data
+        ds = parse_dataset_csv((DATA / "readme_trials.csv").read_bytes())
+        report = run_analysis(ds, methods=tuple(METHODS))
+        assert len(METHODS) == 26
+        assert emit_analysis_report(report, "csv") == (DATA / "readme_analyze.csv").read_bytes()
 
     def test_unknown_method_rejected(self):
         ds = parse_dataset_csv(BASIC_CSV)

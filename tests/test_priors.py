@@ -82,6 +82,18 @@ class TestFamilies:
             PriorFamily("proper-uniform", hi=0.0)
         with pytest.raises(ValueError):
             PriorFamily("inv-gamma", shape=0.0, rate=1.0)
+        # a non-finite parameter: hi = inf made a "proper" prior whose CDF is
+        # 0 everywhere, rate = inf a ZeroDivisionError in prior_cdf, and
+        # a = inf or shape = inf grids that fail only after RuntimeWarnings
+        for bad in (math.inf, math.nan):
+            for kind, params in (
+                ("power", {"a": bad}),
+                ("proper-uniform", {"hi": bad}),
+                ("inv-gamma", {"shape": bad, "rate": 1.0}),
+                ("inv-gamma", {"shape": 1.0, "rate": bad}),
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    PriorFamily(kind, **params)
         with pytest.raises(ValueError):
             PriorFamily("cauchy")
         with pytest.raises(ValueError):
