@@ -36,21 +36,30 @@ closed-form, so each step costs one pass over the components, and a step
 that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
-One dataset is one batch. The marginal likelihood does not depend on the
-prior, and every prior of a dataset shares s0 and so the ladder; each
-prior's panel breaks are a prefix of those of the prior with the largest
-tau_max (proper1 adds its own last panel). _posterior_grids therefore
-evaluates the likelihood once on the scan's probes, scans all priors as
-one (priors, probes) array and cuts every prior's breaks from the one
-ladder. _refine_panels keeps the open panels of all priors as the rows of
-one set of arrays, tagged with their prior, evaluates the likelihood once
-per pass on the distinct panels, adding each prior's kernel to its own
-rows, and returns the finished grids. _mixture_intervals inverts every
-(mixture, endpoint) row in one masked Newton loop. Reductions run within a
-row (row sums, np.add.reduceat over flat segments) or over one prior's
-rows in order (np.add.at into zeroed per-prior sums), never across priors,
-so a prior's grid and endpoints equal its batch-of-one result - the public
-single-prior functions - bit for bit.
+One block is one batch. A block is a list of (dataset, prior) rows whose
+datasets share their number of studies: the one row of
+build_posterior_grid, the priors of evaluate_methods on its dataset, or
+those priors on every replication of a block of one scenario in the
+coverage study. The marginal likelihood does not depend on the prior, and
+every prior of a dataset shares s0 and so the ladder; each prior's panel
+breaks are a prefix of those of the prior with the largest tau_max
+(proper1 adds its own last panel). _posterior_grids therefore evaluates
+the likelihood once on every dataset's scan probes, evaluates each prior
+family's kernel once on the probes of all its rows, scans each dataset's
+priors as one (priors, probes) array and cuts every prior's breaks from
+its dataset's ladder. _refine_panels keeps the open panels of all rows as
+the rows of one set of arrays, tagged with their row, evaluates the
+likelihood once per pass on the distinct (dataset, panel) pairs and each
+family's kernel once per pass on the panels of its rows, with the bound
+constants of each row's dataset, and returns the finished grids.
+_mixture_intervals inverts every (mixture, endpoint) row in one masked
+Newton loop. Reductions run over a node's studies in sequence (C-ordered
+(studies, nodes) arrays, whether a block of one broadcasts its dataset or
+a larger block gathers each node's), within a row (row sums,
+np.add.reduceat over flat segments) or over one row's panels in order
+(np.add.at into zeroed per-row sums), never across rows, so a row's grid
+and endpoints equal its batch-of-one result - the public single-prior
+functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 from .core import MetaDataset
 from .errors import DivergedPosteriorError, NumericFailure
 from .intervals import IntervalEstimate
-from .priors import BoundPrior, log_prior_kernel
+from .priors import _KERNEL_CONSTANTS, BoundPrior, _log_kernel
 
 __all__ = [
     "EngineConfig",
@@ -171,25 +180,26 @@ def _weighted_mean(y, sigma_sq):
     return float(inv_s @ y) / float(inv_s.sum())
 
 
-def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
+def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
     """Closed-form marginal log likelihood pieces for an array of tau.
 
-    The quadratic form sum(y^2/v) - (sum(y/v))^2/prec is computed about the
-    1/sigma^2-weighted mean c, as sum(d^2/v) - D^2/prec + (2cD + c^2 A)/(S
-    prec) with d = y - c, D = sum(d/v), A = sum(1/v): the raw form cancels
+    c is the 1/sigma^2-weighted mean of the effects and d = y - c their
+    deviations from it; d and sigma_sq lay the studies along axis 0 and
+    broadcast against tau along the other axes: (studies, 1) columns of one
+    dataset, or (studies, nodes) arrays that hold each node's own dataset,
+    with c then one value per node. The quadratic form sum(y^2/v) -
+    (sum(y/v))^2/prec is computed about c, as sum(d^2/v) - D^2/prec + (2cD
+    + c^2 A)/(S prec) with D = sum(d/v), A = sum(1/v): the raw form cancels
     catastrophically when |y| is large against the spread of the effects.
     """
-    c = _weighted_mean(y, sigma_sq)
-    t2 = np.asarray(tau, dtype=float) ** 2
-    # studies along axis 0, tau along the rest: with two or more nodes each
-    # sum over studies runs as elementwise adds, study after study, so a
+    t2 = tau**2
+    # with two or more nodes each sum over studies runs as elementwise adds
+    # over C-ordered (studies, nodes) arrays, study after study, so a
     # node's value does not depend on the other nodes of the call (a BLAS
     # product may round a row differently depending on how many rows share
-    # it), and a prior's grid does not depend on which other priors share
-    # its likelihood evaluation
-    column = (-1,) + (1,) * t2.ndim
-    d = (y - c).reshape(column)
-    v = sigma_sq.reshape(column) + t2
+    # it), and a grid does not depend on which other priors or datasets
+    # share its likelihood evaluation
+    v = sigma_sq + t2
     inv_v = 1.0 / v
     a = inv_v.sum(axis=0)
     prec = a + 1.0 / mu_prior_var
@@ -202,7 +212,7 @@ def _loglik_terms(y, sigma_sq, tau, mu_prior_var):
         + (2.0 * c * dev + c * c * a) * cond_var / mu_prior_var
     )
     loglik = (
-        -0.5 * (np.log(v).sum(axis=0) + len(y) * _LOG_2PI)
+        -0.5 * (np.log(v).sum(axis=0) + d.shape[0] * _LOG_2PI)
         - 0.5 * np.log(mu_prior_var * prec)
         - 0.5 * quad_form
     )
@@ -221,8 +231,12 @@ def marginal_loglik(
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
         raise ValueError("tau must be finite and >= 0")
     _check_mu_prior_var(mu_prior_var)
+    t = np.atleast_1d(arr)
+    column = (-1,) + (1,) * t.ndim
+    y, sigma_sq = dataset.effects, dataset.variances
+    c = _weighted_mean(y, sigma_sq)
     loglik, _, _ = _loglik_terms(
-        dataset.effects, dataset.variances, np.atleast_1d(arr), mu_prior_var
+        (y - c).reshape(column), sigma_sq.reshape(column), c, t, mu_prior_var
     )
     if arr.ndim == 0:
         return float(loglik[0])
@@ -325,9 +339,86 @@ def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
     return DivergedPosteriorError(prior_name)
 
 
+class _Block:
+    """The datasets of one block, all with the same number of studies, as
+    the likelihood and the prior kernels read them, with the bound
+    constants (s0^2, log s0, sigma_hat^2) that each dataset's priors share.
+
+    A block of one broadcasts its dataset against the nodes: its deviations
+    and variances are (studies, 1) columns and its constants floats. A
+    larger block gathers each node's dataset: np.take keeps the gathered
+    (studies, nodes) arrays C-ordered (Y[:, idx] would not be, and numpy
+    would then sum its studies pairwise), so every node's studies are
+    summed in the same sequence either way; a kernel gets its constants
+    as one value per row of its tau array.
+    """
+
+    def __init__(self, datasets, bound, mu_prior_var):
+        self.size = len(datasets)
+        self.mu_prior_var = mu_prior_var
+        self.centre, self.c, self.consts, devs = [], [], [], []
+        for dataset, prior in zip(datasets, bound):
+            centre = _weighted_mean(dataset.effects, dataset.variances)
+            c = math.sqrt(prior.s0_sq)  # the w map's scale s0
+            self.centre.append(centre)
+            self.c.append(c)
+            self.consts.append((prior.s0_sq, math.log(c), prior.sigma_hat_sq, dataset.variances))
+            devs.append(dataset.effects - centre)
+        if self.size == 1:
+            self.dev, self.sigma_sq = devs[0][:, None], datasets[0].variances[:, None]
+        else:
+            if len({len(dev) for dev in devs}) > 1:
+                raise ValueError("the datasets of a block must have the same number of studies")
+            self.dev = np.stack(devs, axis=1)
+            self.sigma_sq = np.stack([dataset.variances for dataset in datasets], axis=1)
+            # per-dataset values that a node or row gathers by its dataset
+            self.centre_of, self.c_of = np.array(self.centre), np.array(self.c)
+            self.consts_of = [np.array(column) for column in zip(*self.consts)]
+
+    def loglik(self, idx, tau):
+        """_loglik_terms at the 1-d tau, node j on dataset idx[j]."""
+        if self.size == 1:
+            return _loglik_terms(self.dev, self.sigma_sq, self.centre[0], tau, self.mu_prior_var)
+        return _loglik_terms(
+            np.take(self.dev, idx, axis=1),
+            np.take(self.sigma_sq, idx, axis=1),
+            self.centre_of[idx],
+            tau,
+            self.mu_prior_var,
+        )
+
+    def kernel(self, family, tau, idx):
+        """The family's log_prior_kernel at tau, row i of tau on dataset
+        idx[i]: one call for every dataset of the block."""
+        if self.size == 1:
+            return _log_kernel(family, tau, *self.consts[0])
+        col = idx.reshape(idx.shape + (1,) * (tau.ndim - idx.ndim))
+        consts = [None] * 4  # gathered only where the family reads them
+        for j in _KERNEL_CONSTANTS[family.kind]:
+            consts[j] = self.consts_of[j][col]
+        return _log_kernel(family, tau, *consts)
+
+
+def _distinct(*keys):
+    """One index per distinct tuple of the key arrays' entries, and each
+    entry's position among those (np.unique over several keys)."""
+    order = np.lexsort(keys[::-1])
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    sorted_keys = [key[order] for key in keys]
+    new[1:] = sorted_keys[0][1:] != sorted_keys[0][:-1]
+    for key in sorted_keys[1:]:
+        new[1:] |= key[1:] != key[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _panel_nodes(c, lo, hi):
     """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
-    tau and the quadrature weight in tau."""
+    tau and the quadrature weight in tau. c is s0, a float or a column of
+    one value per panel. A panel end where w rounds to 1 gives infinite
+    nodes (and a divide-by-zero), which fail their grid (_grid_failure)."""
     half = 0.5 * (hi - lo)[:, None]
     w = (0.5 * (hi + lo))[:, None] + half * _GL_NODES
     one_minus = 1.0 - w**2
@@ -336,74 +427,106 @@ def _panel_nodes(c, lo, hi):
     return tau, quad_weights
 
 
-def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
-    """Every prior's posterior grid: its w-panels, cut at its tau breaks
-    (0, the octave ladder below its tau_max, and tau_max), bisected until
-    each passes its error test.
+def _refine_panels(block, owner_ds, priors, breaks, tol):
+    """Every row's posterior grid: row r is prior priors[r] on the block's
+    dataset owner_ds[r], its w-panels cut at its tau breaks (0, the octave
+    ladder below its tau_max, and tau_max) and bisected until each passes
+    its error test.
 
-    The open panels of all priors are the rows of one set of arrays; owner
-    gives each row's prior. A pass evaluates the likelihood once on the
-    distinct panels' _PANEL_ORDER-point half rules (the first pass also on
-    the whole-panel rules) and adds each prior's kernel to its own rows. A
-    panel's error estimate is the difference between its whole-panel rule
-    and the sum of its two half rules, for the mass and for the
-    tau^2-weighted mass: an estimate of the whole-panel rule's error. One
-    running total, of the accepted panels' whole-panel sums, decides
-    every bisection: a panel whose estimate exceeds tol x its prior's total
-    of either (this pass's panels included) is bisected, and its halves
-    inherit their whole-panel nodes and sums from its half rules, so no
-    rule is evaluated twice; an accepted panel keeps its whole-panel
-    nodes. When refining would take a prior's kept nodes past
-    _MAX_GRID_NODES, every open panel of that prior is accepted as it
-    stands. Sums over a prior's panels add its rows in order into zeroed
-    per-prior arrays, and every other step is elementwise, within a row or
-    a maximum, so a prior's result does not depend on the other priors.
+    The open panels of all rows are the rows of one set of arrays; owner
+    gives each panel's row, and the rows are taken in family-major order.
+    A pass evaluates the likelihood once on the distinct (dataset, panel)
+    pairs' _PANEL_ORDER-point half rules (the first pass also on the
+    whole-panel rules, each panel's before its halves) and each prior
+    family's kernel once, on the run of panel rules of its rows. A panel's
+    error estimate is the difference between its whole-panel rule and the
+    sum of its two half rules, for the mass and for the tau^2-weighted
+    mass: an estimate of the whole-panel rule's error. One running total,
+    of the accepted panels' whole-panel sums, decides every bisection: a
+    panel whose estimate exceeds tol x its row's total of either (this
+    pass's panels included) is bisected, and its halves inherit their
+    whole-panel nodes and sums from its half rules, so no rule is
+    evaluated twice; an accepted panel keeps its whole-panel nodes. When
+    refining would take a row's kept nodes past _MAX_GRID_NODES, every
+    open panel of that row is accepted as it stands. Sums over a row's
+    panels add them in order into zeroed per-row arrays, and every other
+    step is elementwise, within a panel or a maximum, so a row's result
+    does not depend on the other rows.
 
-    Returns one PosteriorGrid per prior: the kept nodes sorted by tau,
+    Returns one PosteriorGrid per row: the kept nodes sorted by tau,
     log_norm from the running total - the mass of exactly those nodes -
     and quad_error, the summed estimates of the accepted panels relative
-    to the totals (the larger of the two ratios). A prior whose grid fails
+    to the totals (the larger of the two ratios). A row whose grid fails
     _grid_failure's checks gets that DivergedPosteriorError instead.
     """
     m, n = _PANEL_ORDER, len(priors)
     if not n:
         return []
 
-    def per_prior(rows, values):
+    def per_row(rows, values):
         sums = np.zeros((n, 2))
         np.add.at(sums, rows, values)
         return sums
 
-    w_breaks = [np.sqrt(b / (c + b)) for b in breaks]
-    owner = np.repeat(np.arange(n), [len(b) - 1 for b in w_breaks])
-    lo = np.concatenate([b[:-1] for b in w_breaks])
-    hi = np.concatenate([b[1:] for b in w_breaks])
+    # rows in family-major order, so each pass finds a family's panels as
+    # one run and evaluates its kernel on a slice
+    index = {}
+    family_of = [index.setdefault(prior.family, len(index)) for prior in priors]
+    by_family = sorted(range(n), key=family_of.__getitem__)
+    families, names = list(index), [family.name for family in index]
+    row_family = np.array([family_of[r] for r in by_family])
+    owner_ds = owner_ds[by_family]
+    breaks = [breaks[r] for r in by_family]
+    single = block.size == 1
+    lengths = [len(b) for b in breaks]
+    flat = np.concatenate(breaks)
+    c = block.c[0] if single else np.repeat(block.c_of[owner_ds], lengths)
+    w_breaks = np.sqrt(flat / (c + flat))
+    opens = np.ones(len(flat), dtype=bool)  # every break but a row's last opens a panel
+    opens[np.cumsum(lengths) - 1] = False
+    lo, hi = w_breaks[opens], w_breaks[1:][opens[:-1]]
+    owner = np.repeat(np.arange(n), [length - 1 for length in lengths])
     whole = whole_nodes = None  # the open panels' whole-panel sums and nodes
-    ref = np.full(n, -np.inf)  # prior p's panel sums are (mass, tau^2 mass) x exp(-ref[p])
+    ref = np.full(n, -np.inf)  # row r's panel sums are (mass, tau^2 mass) x exp(-ref[r])
     total, error = np.zeros((n, 2)), np.zeros((n, 2))
     n_nodes = np.zeros(n, dtype=np.intp)
     accepted = []
     while True:
         k = len(lo)
         edges = np.stack([lo, 0.5 * (lo + hi), hi], 1)  # a row per panel: lo, mid, hi
-        a, b, rows = edges[:, :2].ravel(), edges[:, 1:].ravel(), owner.repeat(2)
-        if whole is None:
-            a, b, rows = (np.concatenate(pair) for pair in ((lo, a), (hi, b), (owner, rows)))
-        panels, which = np.unique(a + 1j * b, return_inverse=True)
-        tau, quad_weights = _panel_nodes(c, panels.real, panels.imag)
-        terms = _loglik_terms(y, sigma_sq, tau.ravel(), mu_prior_var)
-        # tau, quad weight, log posterior, conditional mean and variance,
-        # each a row of m nodes per panel
-        nodes = np.stack([tau.ravel(), quad_weights.ravel(), *terms]).reshape(5, -1, m)[:, which]
-        for p in np.unique(rows):
-            mine = rows == p
-            nodes[2, mine] += log_prior_kernel(priors[p], nodes[0, mine].ravel()).reshape(-1, m)
-        log_mass = nodes[2] + np.log(nodes[1])
-        top = np.full(n, -np.inf)
-        np.maximum.at(top, rows, log_mass.max(axis=1))
+        # each panel's half rules, after its whole-panel rule in the first pass
+        lower, upper = ([0, 1], [1, 2]) if whole is not None else ([0, 0, 1], [2, 1, 2])
+        a, b, rows = edges[:, lower].ravel(), edges[:, upper].ravel(), owner.repeat(len(lower))
+        datasets = None if single else owner_ds[rows]
+        if n == 1:  # the panels of one row are distinct
+            panels = which = slice(None)
+        else:
+            panels, which = _distinct(a, b) if single else _distinct(datasets, a, b)
+        node_ds = None if single else datasets[panels]
+        with np.errstate(divide="ignore", invalid="ignore"):  # infinite nodes, NaN mass
+            c = block.c[0] if single else block.c_of[node_ds, None]
+            tau, quad_weights = _panel_nodes(c, a[panels], b[panels])
+            terms = block.loglik(None if single else node_ds.repeat(m), tau.ravel())
+            # tau, quad weight, log posterior, conditional mean and variance,
+            # each a row of m nodes per panel rule
+            nodes = np.stack([tau.ravel(), quad_weights.ravel(), *terms])
+            nodes = nodes.reshape(5, -1, m)[:, which]
+            cuts = [0, len(rows)]  # the runs of rows of one family
+            if len(families) > 1:
+                family = row_family[rows]
+                cuts[1:1] = (np.flatnonzero(family[1:] != family[:-1]) + 1).tolist()
+            for start, end in zip(cuts[:-1], cuts[1:]):
+                nodes[2, start:end] += block.kernel(
+                    families[row_family[rows[start]]],
+                    nodes[0, start:end],
+                    None if single else datasets[start:end],
+                )
+            log_mass = nodes[2] + np.log(nodes[1])
+            top = np.full(n, -np.inf)
+            np.maximum.at(top, rows, log_mass.max(axis=1))
         if whole is None:
             failed = ~np.isfinite(top)
-            top[failed] = 0.0  # keeps the unused sums of a failed prior finite
+            top[failed] = 0.0  # keeps the unused sums of a failed row finite
             log_mass[failed[rows]] = 0.0
         grow = top > ref
         scale = np.ones(n)
@@ -414,19 +537,19 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
         f = np.exp(log_mass - ref[rows, None])
         sums = np.stack([f.sum(axis=1), (f * nodes[0] ** 2).sum(axis=1)], 1)
         if whole is None:
-            whole, sums = sums[:k], sums[k:]
-            whole_nodes, nodes = nodes[:, :k], nodes[:, k:]
+            whole, sums = sums[::3], sums.reshape(k, 3, 2)[:, 1:]
+            whole_nodes, nodes = nodes[:, ::3], nodes.reshape(5, k, 3, m)[:, :, 1:]
         else:
             whole = whole * scale[owner, None]
         pairs = sums.reshape(k, 2, 2)  # (panel, half, mass | tau^2 mass)
         est = np.abs(whole - (pairs[:, 0] + pairs[:, 1]))
-        refine = np.any(est > tol * (total + per_prior(owner, whole))[owner], axis=1)
+        refine = np.any(est > tol * (total + per_row(owner, whole))[owner], axis=1)
         grown = n_nodes + m * np.bincount(owner, 1 + refine, n)  # kept and new panels
         refine &= ~failed[owner] & (grown <= _MAX_GRID_NODES)[owner]
         done = ~refine
         accepted.append((owner[done], whole_nodes[:, done]))
-        total += per_prior(owner[done], whole[done])
-        error += per_prior(owner[done], est[done])
+        total += per_row(owner[done], whole[done])
+        error += per_row(owner[done], est[done])
         n_nodes += m * np.bincount(owner[done], minlength=n)
         if done.all():
             break
@@ -445,21 +568,20 @@ def _refine_panels(y, sigma_sq, c, mu_prior_var, priors, breaks, tol):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_norm = ref + np.log(total[:, 0])
         quad_error = (error / total).max(axis=1)
-        # the sum of each prior's normalised weights; it is not finite when a
+        # the sum of each row's normalised weights; it is not finite when a
         # node is not (tau and its quadrature weight overflow together)
         weights = nodes[1] * np.exp(nodes[2] - np.repeat(log_norm, counts))
         miss = np.add.reduceat(weights, starts) - 1.0
     log_norm, quad_error, miss = log_norm.tolist(), quad_error.tolist(), miss.tolist()
-    out = []
-    for p, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-        name = priors[p].name
-        failure = _grid_failure(name, failed[p], log_norm[p], quad_error[p], miss[p])
-        if failure is not None:
-            out.append(failure)
-            continue
-        arrays = nodes[:, start : start + count]
-        tau_max = float(breaks[p][-1])
-        out.append(PosteriorGrid(*arrays, log_norm[p], name, tau_max, quad_error[p]))
+    out = [None] * n
+    for r, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
+        name = names[row_family[r]]
+        grid = _grid_failure(name, failed[r], log_norm[r], quad_error[r], miss[r])
+        if grid is None:
+            arrays = nodes[:, start : start + count]
+            tau_max = float(breaks[r][-1])
+            grid = PosteriorGrid(*arrays, log_norm[r], name, tau_max, quad_error[r])
+        out[by_family[r]] = grid
     return out
 
 
@@ -492,51 +614,86 @@ def _grid_failure(name, failed, log_norm, quad_error, miss):
     return DivergedPosteriorError(name, message)
 
 
-def _posterior_grids(
-    dataset: MetaDataset, priors, config: EngineConfig | None = None
-) -> list:
-    """Posterior grids of several priors on one dataset, in one pass.
+def _posterior_grids(rows, config: EngineConfig | None = None) -> list:
+    """Posterior grids of (dataset, bound prior) rows, in one pass.
 
-    The batch behind build_posterior_grid (one prior) and evaluate_methods
-    (every prior its tags need). It trusts its callers to pass priors bound
-    to this dataset, so n >= 2: evaluate_methods binds them all from one
-    bind_prior call, and build_posterior_grid checks the one prior it is
-    given. So all priors share s0 and the octave ladder:
-    the likelihood is evaluated once on the ladder's scan probes, the scans
-    run as one (priors, probes) array, every prior's panel breaks are cut
-    from the same ladder, and _refine_panels refines the panels of all
-    priors together, one likelihood evaluation per pass on their distinct
-    panels, and returns the finished grids. A prior's result equals its
-    batch-of-one result bit for bit. Returns one PosteriorGrid or
-    DivergedPosteriorError per prior; an empty list of priors gives an
-    empty list.
+    The batch behind build_posterior_grid (one row) and evaluate_methods
+    (every prior its tags need, on every dataset of a block). The datasets
+    must share their number of studies. It trusts its callers to pass
+    priors bound to their row's dataset, so n >= 2: evaluate_methods binds
+    a dataset's priors from one bind_prior call, and build_posterior_grid
+    checks the one prior it is given. So a dataset's priors share s0 and
+    its octave ladder: per dataset, the scans of its priors run as one
+    (priors, probes) array and every prior's panel breaks are cut from the
+    one ladder; the likelihood is evaluated once on every dataset's scan
+    probes, each prior family's kernel once on the probes of all its rows,
+    and _refine_panels refines the panels of all rows together and returns
+    the finished grids. A row's result equals its batch-of-one result bit
+    for bit. Returns one PosteriorGrid or DivergedPosteriorError per row;
+    no rows give an empty list.
     """
     if config is None:
         config = EngineConfig()
-    if not priors:
+    if not rows:
         return []
-    y = dataset.effects
-    sigma_sq = dataset.variances
-    c = math.sqrt(priors[0].s0_sq)
-    mu_var = config.mu_prior_var
+    first = {}  # a dataset's first prior, whose bound constants all its priors share
+    for dataset, prior in rows:
+        first.setdefault(dataset, prior)
+    position = {dataset: i for i, dataset in enumerate(first)}
+    block = _Block(list(first), list(first.values()), config.mu_prior_var)
+    priors = [prior for _, prior in rows]
+    row_ds = [position[dataset] for dataset, _ in rows]
 
-    ladder, scan_start = _tau_ladder(y, sigma_sq, c)
+    ladders = [_tau_ladder(ds.effects, ds.variances, c) for ds, c in zip(first, block.c)]
     uniform = [p.family.kind == "proper-uniform" for p in priors]
     tau_max = np.array([p.family.hi if u else math.nan for p, u in zip(priors, uniform)])
-    scanned = [i for i, u in enumerate(uniform) if not u]
+    scanned = [r for r, u in enumerate(uniform) if not u]
     if scanned:
-        probes = ladder[scan_start:]
-        probe_loglik = _loglik_terms(y, sigma_sq, probes, mu_var)[0]
-        log_h = np.stack([log_prior_kernel(priors[i], probes) + probe_loglik for i in scanned])
-        tau_max[scanned] = _scan_tau_max(log_h, probes)
+        # every dataset's scan probes, end to end, and each one's dataset
+        probes, spans, end = [], [], 0
+        for ladder, start in ladders:
+            probes.append(ladder[start:])
+            spans.append((end, end + len(probes[-1])))
+            end += len(probes[-1])
+        if block.size == 1:
+            all_probes, probe_ds = probes[0], None
+        else:
+            all_probes = np.concatenate(probes)
+            probe_ds = np.repeat(np.arange(block.size), [len(p) for p in probes])
+        probe_loglik = block.loglik(probe_ds, all_probes)[0]
+        by_family, by_dataset = {}, {}
+        for r in scanned:
+            by_family.setdefault(priors[r].family, []).append(r)
+            by_dataset.setdefault(row_ds[r], []).append(r)
+        log_h = {}  # each scanned row's log posterior density at its probes
+        for family, family_rows in by_family.items():
+            if len(family_rows) == 1:
+                sel = slice(*spans[row_ds[family_rows[0]]])
+            else:
+                sel = np.concatenate([np.arange(*spans[row_ds[r]]) for r in family_rows])
+            idx = None if probe_ds is None else probe_ds[sel]
+            kernel = block.kernel(family, all_probes[sel], idx)
+            at = 0
+            for r in family_rows:
+                lo, hi = spans[row_ds[r]]
+                log_h[r] = kernel[at : at + hi - lo] + probe_loglik[lo:hi]
+                at += hi - lo
+        for i, mine in by_dataset.items():
+            tau_max[mine] = _scan_tau_max(np.stack([log_h[r] for r in mine]), probes[i])
 
-    good = np.flatnonzero(~np.isnan(tau_max))
-    breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in tau_max[good]]
+    good = np.flatnonzero(~np.isnan(tau_max)).tolist()
+    breaks = [
+        np.concatenate([[0.0], ladder[ladder < t], [t]])
+        for ladder, t in ((ladders[row_ds[r]][0], tau_max[r]) for r in good)
+    ]
     tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-    grids = iter(_refine_panels(y, sigma_sq, c, mu_var, [priors[i] for i in good], breaks, tol))
+    owner_ds = np.array([row_ds[r] for r in good], dtype=np.intp)
+    grids = iter(_refine_panels(block, owner_ds, [priors[r] for r in good], breaks, tol))
     return [
-        _scan_failure(prior.name, y, sigma_sq, mu_var) if math.isnan(t) else next(grids)
-        for prior, t in zip(priors, tau_max.tolist())
+        _scan_failure(prior.name, dataset.effects, dataset.variances, config.mu_prior_var)
+        if math.isnan(t)
+        else next(grids)
+        for (dataset, prior), t in zip(rows, tau_max.tolist())
     ]
 
 
@@ -572,7 +729,7 @@ def build_posterior_grid(
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     if not np.array_equal(prior.sigma_sq, dataset.variances):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-    (grid,) = _posterior_grids(dataset, [prior], config)
+    (grid,) = _posterior_grids([(dataset, prior)], config)
     if isinstance(grid, Exception):
         raise grid
     return grid

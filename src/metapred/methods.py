@@ -50,25 +50,71 @@ def lookup_method(tag: str) -> Method:
         raise ValueError(f"unknown method tag {tag!r}") from None
 
 
-def _bayes_outcomes(pairs: list[tuple[str, str]], dataset: MetaDataset, level: float) -> dict:
-    """The outcome of each (prior name, kind) pair: one grid batch for every
-    prior named, then one inversion batch for every interval whose grid was
-    built."""
+def _bayes_outcomes(
+    pairs: list[tuple[str, str]], datasets: Sequence[MetaDataset], level: float
+) -> list[dict]:
+    """The outcome of each (prior name, kind) pair on each dataset of a
+    block: one grid batch for every prior named on every dataset, then one
+    inversion batch for every interval whose grid was built."""
     names = list(dict.fromkeys(name for name, _ in pairs))
+    out: list[dict] = []
+    bound_outcomes, rows = [], []  # the outcomes and grid rows of every bound dataset
+    for dataset in datasets:
+        try:
+            bound = bind_prior(NAMED_PRIORS[names[0]], dataset)
+        except (ValueError, NumericFailure) as exc:
+            out.append(dict.fromkeys(pairs, exc))
+            continue
+        out.append({})
+        bound_outcomes.append(out[-1])
+        rows += [(dataset, replace(bound, family=NAMED_PRIORS[name])) for name in names]
     try:
-        bound = bind_prior(NAMED_PRIORS[names[0]], dataset)
-        priors = [replace(bound, family=NAMED_PRIORS[name]) for name in names]
-        grids = dict(zip(names, _posterior_grids(dataset, priors, _ENGINE)))
+        grids = iter(_posterior_grids(rows, _ENGINE))
     except (ValueError, NumericFailure) as exc:
-        return dict.fromkeys(pairs, exc)
-    out = {pair: grids[pair[0]] for pair in pairs}  # a failed grid is its error
-    ready = [pair for pair in pairs if isinstance(grids[pair[0]], PosteriorGrid)]
-    requests = [(grids[name], kind == "prediction") for name, kind in ready]
+        grids = iter([exc] * len(rows))
+    ready = []  # (dataset's outcomes, pair, grid) of every interval to invert
+    for outcomes in bound_outcomes:
+        by_name = {name: next(grids) for name in names}
+        for pair in pairs:
+            grid = outcomes[pair] = by_name[pair[0]]  # a failed grid is its error
+            if isinstance(grid, PosteriorGrid):
+                ready.append((outcomes, pair, grid))
+    requests = [(grid, kind == "prediction") for _, (_, kind), grid in ready]
     try:
         intervals = _mixture_intervals(requests, level, _ENGINE.cdf_tolerance)
     except ValueError as exc:  # an invalid level fails every interval alike
         intervals = [exc] * len(ready)
-    out.update(zip(ready, intervals))
+    for (outcomes, pair, _), interval in zip(ready, intervals):
+        outcomes[pair] = interval
+    return out
+
+
+def _evaluate_block(
+    tags: Sequence[str], datasets: Sequence[MetaDataset], level: float
+) -> list[list[_Outcome]]:
+    """evaluate_methods on every dataset of a block, which must share their
+    number of studies: one grid batch and one inversion batch for the
+    Bayesian tags of all of them. Each dataset's outcomes equal its
+    evaluate_methods outcomes bit for bit."""
+    methods = [lookup_method(tag) for tag in tags]
+    pairs = list(dict.fromkeys((m.prior, m.kind) for m in methods if m.prior is not None))
+    bayes = _bayes_outcomes(pairs, datasets, level) if pairs else [{}] * len(datasets)
+    out = []
+    for dataset, bayes_outcomes in zip(datasets, bayes):
+        fits = _Fits(dataset)
+        outcomes: list[_Outcome] = []
+        for method in methods:
+            if method.prior is not None:
+                outcomes.append(bayes_outcomes[method.prior, method.kind])
+                continue
+            try:
+                if method.variant is not None:
+                    outcomes.append(_hts_interval(dataset, level, method.variant, fits))
+                else:
+                    outcomes.append(_wald_ci_mu(dataset, level, fits))
+            except (ValueError, NumericFailure) as exc:
+                outcomes.append(exc)
+        out.append(outcomes)
     return out
 
 
@@ -85,22 +131,8 @@ def evaluate_methods(tags: Sequence[str], dataset: MetaDataset, level: float) ->
     their endpoints are inverted in one Newton batch. Every outcome equals
     what the public per-method functions (hts_interval, wald_ci_mu,
     build_posterior_grid with prediction_interval or credible_interval_mu)
-    return or raise, bit for bit.
+    return or raise, bit for bit. This is a block of one for the engine
+    that the coverage study runs on a block of replications at a time.
     """
-    methods = [lookup_method(tag) for tag in tags]
-    pairs = list(dict.fromkeys((m.prior, m.kind) for m in methods if m.prior is not None))
-    bayes_outcomes = _bayes_outcomes(pairs, dataset, level) if pairs else {}
-    fits = _Fits(dataset)
-    out: list[_Outcome] = []
-    for method in methods:
-        if method.prior is not None:
-            out.append(bayes_outcomes[method.prior, method.kind])
-            continue
-        try:
-            if method.variant is not None:
-                out.append(_hts_interval(dataset, level, method.variant, fits))
-            else:
-                out.append(_wald_ci_mu(dataset, level, fits))
-        except (ValueError, NumericFailure) as exc:
-            out.append(exc)
-    return out
+    (outcomes,) = _evaluate_block(tags, [dataset], level)
+    return outcomes

@@ -171,7 +171,7 @@ class BoundPrior:
 
 def _conventional_log_unnorm(tau, sigma_sq):
     tau = np.asarray(tau, dtype=float)
-    n = len(sigma_sq)
+    n = np.shape(sigma_sq)[-1]
     t2 = tau[..., None] ** 2
     with np.errstate(divide="ignore"):
         out = np.log(tau) - 1.5 / n * np.sum(np.log(sigma_sq + t2), axis=-1)
@@ -243,41 +243,62 @@ def log_prior_kernel(prior: BoundPrior, tau: np.ndarray) -> np.ndarray:
     by the constant prior.log_norm, which cancels from a normalized
     posterior, so the posterior engine skips its quadrature.
     """
-    t = np.asarray(tau, dtype=float)
-    fam = prior.family
-    kind = fam.kind
-    zero = t == 0.0
+    return _log_kernel(
+        prior.family,
+        np.asarray(tau, dtype=float),
+        prior.s0_sq,
+        math.log(math.sqrt(prior.s0_sq)),
+        prior.sigma_hat_sq,
+        prior.sigma_sq,
+    )
 
+
+# the bound constants each kind's kernel reads, as positions in _log_kernel's
+# (s0_sq, log_s0, sigma_hat_sq, sigma_sq); it ignores the others
+_KERNEL_CONSTANTS = {
+    "power": (),
+    "jeffreys": (3,),
+    "berger-deely": (3,),
+    "conventional": (3,),
+    "dumouchel": (0, 1),
+    "shrinkage": (0,),
+    "i2": (2,),
+    "proper-uniform": (),
+    "inv-gamma": (),
+}
+
+
+def _log_kernel(family, t, s0_sq, log_s0, sigma_hat_sq, sigma_sq):
+    """log_prior_kernel of one family at the array t, with the bound
+    constants given directly: s0_sq, log_s0 = log sqrt(s0_sq) and
+    sigma_hat_sq broadcast against t (floats, or one value per row of t as
+    a column), and sigma_sq, the within-study variances, broadcasts against
+    t[..., None]. So one call serves a family on the rows of many datasets;
+    every value is computed elementwise, or by a sum over the last
+    (studies) axis, so it does not depend on the other rows."""
+    kind = family.kind
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == "power":
-            a = fam.a
-            out = a * np.log(t)
-            if a == 0.0:
-                out = np.zeros_like(t)
+            out = np.zeros_like(t) if family.a == 0.0 else family.a * np.log(t)
         elif kind == "jeffreys":
-            ratios = t[:, None] / (prior.sigma_sq[None, :] + t[:, None] ** 2)
-            out = 0.5 * np.log(np.sum(ratios**2, axis=1))
+            ratios = t[..., None] / (sigma_sq + t[..., None] ** 2)
+            out = 0.5 * np.log(np.sum(ratios**2, axis=-1))
         elif kind == "berger-deely":
-            out = np.log(t) - np.mean(
-                np.log(prior.sigma_sq[None, :] + t[:, None] ** 2), axis=1
-            )
+            out = np.log(t) - np.mean(np.log(sigma_sq + t[..., None] ** 2), axis=-1)
         elif kind == "conventional":
-            out = _conventional_log_unnorm(t, prior.sigma_sq)
+            out = _conventional_log_unnorm(t, sigma_sq)
         elif kind == "dumouchel":
-            s0 = math.sqrt(prior.s0_sq)
-            out = math.log(s0) - 2.0 * np.log(s0 + t)
+            out = log_s0 - 2.0 * np.log(np.sqrt(s0_sq) + t)
         elif kind == "shrinkage":
-            out = np.log(2.0 * prior.s0_sq * t) - 2.0 * np.log(prior.s0_sq + t**2)
+            out = np.log(2.0 * s0_sq * t) - 2.0 * np.log(s0_sq + t**2)
         elif kind == "i2":
-            out = np.log(2.0 * prior.sigma_hat_sq * t) - 2.0 * np.log(
-                prior.sigma_hat_sq + t**2
-            )
+            out = np.log(2.0 * sigma_hat_sq * t) - 2.0 * np.log(sigma_hat_sq + t**2)
         elif kind == "proper-uniform":
-            out = np.where(t <= fam.hi, -math.log(fam.hi), -np.inf)
+            out = np.where(t <= family.hi, -math.log(family.hi), -np.inf)
         elif kind == "inv-gamma":
-            a, b = fam.shape, fam.rate
+            a, b = family.shape, family.rate
             out = np.where(
-                zero,
+                t == 0.0,
                 -np.inf,
                 math.log(2.0)
                 + a * math.log(b)

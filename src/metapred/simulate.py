@@ -4,8 +4,12 @@ Datasets are generated from the two-level Gaussian model with the grand
 mean fixed at 0: within-study variances are 0.25 x chi^2(1) draws
 rejection-resampled into [0.009, 0.6], true study effects and the held-out
 new-study effect are N(0, tau^2). Every replication gets its own
-counter-based random stream keyed by (master_seed, scenario, replication),
-so the study is bit-identical for any degree of parallelism.
+counter-based random stream keyed by (master_seed, scenario, replication).
+The study runs in blocks of one scenario's replications: each block's
+datasets go through the methods together, one grid batch and one
+inversion batch for all of them, and a replication's result does not
+depend on its block, so the study is bit-identical for any degree of
+parallelism and any block size.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from scipy.special import ndtri
 
 from .core import MetaDataset
 from .errors import NumericFailure
-from .methods import METHODS, evaluate_methods, lookup_method
+from .methods import METHODS, _evaluate_block, lookup_method
 from .priors import NAMED_PRIORS
 
 __all__ = [
@@ -43,6 +47,10 @@ logger = logging.getLogger(__name__)
 
 SIGMA_SQ_LOW = 0.009
 SIGMA_SQ_HIGH = 0.6
+
+# studies per block of replications: bounds the engine's (studies x nodes)
+# arrays to a few MB each at the first refinement pass
+_BLOCK_STUDIES = 256
 
 # the standard study grid: the 11 tau priors plus the plug-in t interval
 DEFAULT_METHODS: tuple[str, ...] = ("hts",) + tuple(NAMED_PRIORS)
@@ -209,26 +217,46 @@ def run_replication(
     mean. A method that raises NumericFailure is recorded as failed with no
     coverage/width contribution; any other error is raised (a Scenario's n
     and level are valid, so a ValueError here is a bug, not a failure).
+    It runs as a block of one replication (see run_study).
     """
     master_seed, rep_index = rep_seed
-    stream = replication_stream(master_seed, scenario, rep_index)
-    dataset, theta_new = simulate_dataset(stream, scenario)
-    results = evaluate_methods(methods, dataset, scenario.level)
-    out: dict[str, tuple[bool, float, bool]] = {}
-    for method, interval in zip(methods, results):
-        if isinstance(interval, NumericFailure):
-            # keep the seed in the record so the replication can be replayed
-            logger.warning(
-                "method %s failed on scenario %s, rep_seed=%s: %s",
-                method, scenario, rep_seed, interval,
-            )
-            out[method] = (False, math.nan, True)
-            continue
-        if isinstance(interval, Exception):
-            raise interval
-        target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
-        out[method] = (interval.contains(target), interval.width, False)
+    (out,) = _run_block(scenario, methods, master_seed, (rep_index,))
     return out
+
+
+def _run_block(
+    scenario: Scenario, methods: Sequence[str], master_seed: int, reps: Sequence[int]
+) -> list[dict[str, tuple[bool, float, bool]]]:
+    """run_replication for each replication index in reps, as one block.
+
+    Every replication draws its dataset from its own stream, as alone; the
+    datasets then go through the methods together (one grid batch and one
+    inversion batch for the Bayesian tags of the whole block), so each
+    replication's row equals its run_replication row bit for bit.
+    """
+    draws = [
+        simulate_dataset(replication_stream(master_seed, scenario, rep), scenario)
+        for rep in reps
+    ]
+    results = _evaluate_block(methods, [dataset for dataset, _ in draws], scenario.level)
+    rows = []
+    for rep, (_, theta_new), intervals in zip(reps, draws, results):
+        out: dict[str, tuple[bool, float, bool]] = {}
+        for method, interval in zip(methods, intervals):
+            if isinstance(interval, NumericFailure):
+                # keep the seed in the record so the replication can be replayed
+                logger.warning(
+                    "method %s failed on scenario %s, rep_seed=%s: %s",
+                    method, scenario, (master_seed, rep), interval,
+                )
+                out[method] = (False, math.nan, True)
+                continue
+            if isinstance(interval, Exception):
+                raise interval
+            target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
+            out[method] = (interval.contains(target), interval.width, False)
+        rows.append(out)
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -238,31 +266,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _blocks(config: SimConfig, cap: int) -> list[tuple[Scenario, tuple[int, ...]]]:
+    """run_study's units of work, in order: each scenario's replication
+    indices cut into blocks of min(cap, _BLOCK_STUDIES // n) (at least 1)."""
+    blocks = []
+    for sc in config.scenarios:
+        size = max(1, min(cap, _BLOCK_STUDIES // sc.n))
+        for start in range(0, config.reps, size):
+            blocks.append((sc, tuple(range(start, min(start + size, config.reps)))))
+    return blocks
+
+
 def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
-    Replications run as one ordered map over (scenario, replication), so
-    each scenario's results are one contiguous slice. The map runs on a
-    pool of min(parallelism, usable CPUs) worker processes, or in process
-    when that is 1. Coverage is an integer count and widths are summed
-    exactly (math.fsum), so the output is bit-identical for any
-    parallelism value under the same master seed.
+    The unit of work is a block of one scenario's replications, which
+    _run_block evaluates together: at most _BLOCK_STUDIES studies (one
+    replication when n alone exceeds that), and on a pool at most
+    ceil(reps / (4 x workers)) replications, so that each worker gets
+    about four pieces of every scenario. The blocks run as one ordered
+    map, so each scenario's rows are one contiguous slice, on a pool of
+    min(parallelism, usable CPUs) worker processes, or in process when
+    that is 1. Every replication draws from its own stream and its row
+    does not depend on the rest of its block; coverage is an integer
+    count and widths are summed exactly (math.fsum), so the output is
+    bit-identical for any parallelism value under the same master seed.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, _usable_cpus())
     reps = config.reps
-    args = (
-        [sc for sc in config.scenarios for _ in range(reps)],
-        repeat(config.methods),
-        [(config.master_seed, rep) for rep in range(reps)] * len(config.scenarios),
-    )
+    cap = reps if workers == 1 else math.ceil(reps / (4 * workers))
+    scenarios, indices = zip(*_blocks(config, cap))
+    args = (scenarios, repeat(config.methods), repeat(config.master_seed), indices)
     if workers == 1:
-        rows = list(map(run_replication, *args))
+        blocks = list(map(_run_block, *args))
     else:
-        chunk = math.ceil(reps / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_replication, *args, chunksize=chunk))
+            blocks = list(pool.map(_run_block, *args))
+    rows = [row for block in blocks for row in block]
 
     records = []
     for si, sc in enumerate(config.scenarios):

@@ -53,6 +53,11 @@ def grid_for(dataset, name, config=None):
     return build_posterior_grid(dataset, bind_prior(named_prior(name), dataset), config)
 
 
+def dataset_batch(dataset, priors, config):
+    """The engine's grid batch of one dataset's priors (a block of one)."""
+    return bayes._posterior_grids([(dataset, prior) for prior in priors], config)
+
+
 def ladder_for(dataset):
     """The dataset's octave ladder and scan start (every prior shares s0)."""
     s0 = math.sqrt(bind_prior(named_prior("uniform"), dataset).s0_sq)
@@ -77,9 +82,7 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     w = ((0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]).ravel()
     tau = c * w**2 / (1.0 - w**2)
     quad_weights = (half * _GL16[1]).ravel() * 2.0 * c * w / (1.0 - w**2) ** 2
-    loglik, cond_mean, cond_var = bayes._loglik_terms(
-        dataset.effects, dataset.variances, tau, 10_000.0
-    )
+    loglik, cond_mean, cond_var = bayes._Block([dataset], [prior], 10_000.0).loglik(None, tau)
     log_post = log_prior_kernel(prior, tau) + loglik
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
@@ -467,6 +470,36 @@ class TestAdaptivePanels:
                 reference = fixed_grid(ds, name, grid.tau_max)
                 assert max_endpoint_diff(grid, reference) <= 1e-4, (n, name)
 
+    @given(
+        st.integers(2, 19).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                st.lists(st.floats(-4.0, 1.0), min_size=n, max_size=n),
+            )
+        ),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_se_ratios_match_16384_nodes(self, data):
+        # SEs 0.1 x 10^u, u uniform on [-4, 1] (ratios 1e-4..10), against
+        # the 16384-node reference: endpoints within 1e-4 of the width (5e-10
+        # seen on 439 random grids), and E[tau^2] within 5 x quad_error
+        # (+1e-12) relative - quad_error estimates that error but is not a
+        # strict bound: up to 1.9 x quad_error was seen
+        effects, exponents = data
+        ds = MetaDataset.from_arrays(effects, 0.1 * 10.0 ** np.array(exponents))
+        for name in NAMED_PRIORS:
+            try:
+                grid = grid_for(ds, name)
+            except DivergedPosteriorError:
+                continue  # improper for this dataset (n = 2 under a flat prior)
+            reference = fixed_grid(ds, name, grid.tau_max)
+            for interval in (prediction_interval, credible_interval_mu):
+                a, b = interval(grid), interval(reference)
+                tol = 1e-4 * (b.upper - b.lower)
+                assert abs(a.lower - b.lower) <= tol and abs(a.upper - b.upper) <= tol, name
+            e_tau2, ref_tau2 = posterior_tau_moments(grid)[0], posterior_tau_moments(reference)[0]
+            assert abs(e_tau2 - ref_tau2) <= (5.0 * grid.quad_error + 1e-12) * ref_tau2, name
+
     def test_inv_gamma_spike_refines_first_panel(self):
         # x10-scale data: proper2's exp(-0.001 / tau^2) factor rises near
         # tau = 0.04, inside the first panel; 32 nodes there missed the
@@ -510,7 +543,7 @@ class TestAdaptivePanels:
         cases.append((README_DATA, EngineConfig(cdf_tolerance=1e-300)))
         for ds, config in cases:
             priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-            for grid in bayes._posterior_grids(ds, priors, config):
+            for grid in dataset_batch(ds, priors, config):
                 count = len(grid.nodes)
                 assert count % bayes._PANEL_ORDER == 0, grid.prior_name
                 assert count <= bayes._MAX_GRID_NODES, grid.prior_name
@@ -588,7 +621,7 @@ class TestConvergenceProperties:
         names, intervals = [], []
         for d in (ds, moved):
             priors = [bind_prior(family, d) for family in NAMED_PRIORS.values()]
-            grids = bayes._posterior_grids(d, priors, EngineConfig(mu_prior_var=1e12))
+            grids = dataset_batch(d, priors, EngineConfig(mu_prior_var=1e12))
             grids = [grid for grid in grids if isinstance(grid, PosteriorGrid)]
             names.append([grid.prior_name for grid in grids])
             requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
@@ -623,7 +656,7 @@ class TestConvergenceProperties:
         intervals = []
         for d, mu_prior_var in ((ds, 1e4), (scaled, 1e4 * k * k)):
             priors = [bind_prior(named_prior(name), d) for name in names]
-            grids = bayes._posterior_grids(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
+            grids = dataset_batch(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
             requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
             intervals.append(bayes._mixture_intervals(requests, 0.95, 1e-8))
         for a, b in zip(*intervals):
@@ -792,10 +825,11 @@ GRID_ARRAYS = ("nodes", "quad_weights", "log_post", "cond_mean", "cond_var")
 
 
 class TestBatch:
-    """The per-dataset batch (every prior's grid from shared likelihood
-    evaluations, every endpoint in one Newton batch) and the public
-    single-prior functions must agree bit for bit: a row's result may not
-    depend on which other rows share its batch."""
+    """The block batch (every (dataset, prior) row's grid from shared
+    likelihood evaluations, every endpoint in one Newton batch), a
+    dataset's batch of one and the public single-prior functions must
+    agree bit for bit: a row's result may not depend on which other rows
+    share its batch."""
 
     @pytest.mark.parametrize(
         "scale, config, sizes",
@@ -814,7 +848,7 @@ class TestBatch:
                 scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
             )
             priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-            batch = bayes._posterior_grids(ds, priors, config)
+            batch = dataset_batch(ds, priors, config)
             requests = [(grid, predictive) for grid in batch for predictive in (True, False)]
             intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
             for prior, batched in zip(priors, batch):
@@ -831,15 +865,76 @@ class TestBatch:
                     assert (single.lower, single.upper) == (together.lower, together.upper)
                     assert single == together
 
+    @pytest.mark.parametrize(
+        "scale, config, n",
+        [
+            pytest.param(1.0, EngineConfig(), 7, id="1.0"),
+            pytest.param(10.0, EngineConfig(), 15, id="10.0"),
+            pytest.param(1.0, EngineConfig(cdf_tolerance=1e-300), 4, id="node-cap"),
+        ],
+    )
+    def test_block_equals_batches_of_one(self, scale, config, n):
+        # blocks of 1-5 datasets with one n: every (dataset, prior) row of
+        # the block's one grid batch and one inversion batch equals that
+        # dataset's batch of one, failures and their messages included
+        # (power(1e308) never decays; the last dataset of a block lies 1e5
+        # out, under the N(0, 10000) mean prior)
+        rng = np.random.default_rng(47 if scale == 1.0 else 53)
+        families = list(NAMED_PRIORS.values()) + [PriorFamily("power", a=1e308)]
+        for size in range(1, 6):
+            block = [
+                MetaDataset.from_arrays(
+                    scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
+                )
+                for _ in range(size)
+            ]
+            if size > 1:
+                block[-1] = MetaDataset.from_arrays(block[-1].effects + 1e5, block[-1].std_errs)
+            rows = [(ds, bind_prior(family, ds)) for ds in block for family in families]
+            with np.errstate(all="ignore"):
+                grids = bayes._posterior_grids(rows, config)
+                alone = [
+                    grid
+                    for ds in block
+                    for grid in dataset_batch(ds, [prior for d, prior in rows if d is ds], config)
+                ]
+            last = grids[len(families) - 1 :: len(families)]  # every power(1e308) row
+            assert all(isinstance(g, DivergedPosteriorError) for g in last)
+            requests = [
+                (g, pred) for g in grids if isinstance(g, PosteriorGrid) for pred in (True, False)
+            ]
+            intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            for (ds, prior), together, single in zip(rows, grids, alone):
+                if isinstance(single, Exception):
+                    assert type(together) is type(single), (size, prior.name)
+                    assert str(together) == str(single), (size, prior.name)
+                    continue
+                for field in GRID_ARRAYS:
+                    assert np.array_equal(getattr(single, field), getattr(together, field)), (
+                        size, prior.name, field,
+                    )
+                assert (single.log_norm, single.tau_max, single.quad_error) == (
+                    together.log_norm, together.tau_max, together.quad_error,
+                )
+                for pred in (True, False):
+                    (want,) = bayes._mixture_intervals([(single, pred)], 0.95, 1e-8)
+                    assert next(intervals) == want, (size, prior.name, pred)
+
+    def test_block_datasets_must_share_n(self):
+        a, b = README_DATA, SPREAD
+        rows = [(ds, bind_prior(named_prior("jeffreys"), ds)) for ds in (a, b)]
+        with pytest.raises(ValueError, match="same number of studies"):
+            bayes._posterior_grids(rows, EngineConfig())
+
     def test_batch_order_and_subsets_do_not_matter(self):
         # the same prior in a batch of one, of three and of eleven, in
         # reversed order: its grid and interval arrays stay the same bits
         ds = random_dataset(np.random.default_rng(37), n_lo=8, n_hi=8)
         priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-        full = bayes._posterior_grids(ds, priors, EngineConfig())
-        backwards = bayes._posterior_grids(ds, priors[::-1], EngineConfig())[::-1]
-        some = bayes._posterior_grids(ds, priors[2:5], EngineConfig())
-        assert bayes._posterior_grids(ds, [], EngineConfig()) == []
+        full = dataset_batch(ds, priors, EngineConfig())
+        backwards = dataset_batch(ds, priors[::-1], EngineConfig())[::-1]
+        some = dataset_batch(ds, priors[2:5], EngineConfig())
+        assert dataset_batch(ds, [], EngineConfig()) == []
         for a, b in zip(full[2:5], some):
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
         for a, b in zip(full, backwards):
@@ -861,7 +956,7 @@ class TestBatch:
         # a prior whose tail never decays fails alone in the grid batch
         ds = MetaDataset.from_arrays([0.0, 1.0], [0.3, 0.4])
         priors = [bind_prior(f, ds) for f in (PriorFamily("power", a=3.0), named_prior("proper1"))]
-        bad, good = bayes._posterior_grids(ds, priors, EngineConfig())
+        bad, good = dataset_batch(ds, priors, EngineConfig())
         assert isinstance(bad, DivergedPosteriorError) and bad.prior_name == "power(3)"
         assert np.array_equal(good.nodes, build_posterior_grid(ds, priors[1]).nodes)
 
@@ -871,7 +966,7 @@ class TestBatch:
         families = (PriorFamily("power", a=1e308), named_prior("proper1"))
         priors = [bind_prior(f, README_DATA) for f in families]
         with np.errstate(all="ignore"):
-            bad, good = bayes._posterior_grids(README_DATA, priors, EngineConfig())
+            bad, good = dataset_batch(README_DATA, priors, EngineConfig())
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == (
             "posterior for prior 'power(1e+308)' does not decay; "
@@ -888,10 +983,9 @@ class TestBatch:
         breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in (ladder[-1], 10.0)]
         config = EngineConfig()
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+        block = bayes._Block([README_DATA], priors[:1], config.mu_prior_var)
         with np.errstate(all="ignore"):
-            bad, good = bayes._refine_panels(
-                y, sigma_sq, c, config.mu_prior_var, priors, breaks, tol
-            )
+            bad, good = bayes._refine_panels(block, np.zeros(2, dtype=np.intp), priors, breaks, tol)
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
         assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)

@@ -121,6 +121,8 @@ class TestAnalyze:
     }
     SE_EXPONENTS = [round(-300 + 600 * k / 19, 1) for k in range(20)] + [-77, -11, 76]
 
+    # valid input prints no numpy warning either: a RuntimeWarning fails
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("exponent", SE_EXPONENTS)
     @pytest.mark.parametrize("shape", list(SE_SHAPES))
     def test_any_positive_se_exits_cleanly(self, shape, exponent, tmp_path, capsys):

@@ -25,7 +25,7 @@ from metapred import (
     simulate_dataset,
     wald_ci_mu,
 )
-from metapred.methods import METHODS, evaluate_methods
+from metapred.methods import METHODS, _evaluate_block, evaluate_methods
 from metapred.priors import NAMED_PRIORS
 
 EXPECTED_KIND = {
@@ -178,3 +178,21 @@ class TestBatchedEvaluation:
         assert str(hk) == str(sj) == str(err.value)
         assert hts == hts_interval(dataset, 0.95)
         assert_same_outcomes(["hts-hk", "hts-sj", "hts"], dataset)
+
+    def test_block_equals_each_dataset(self):
+        # a block of replications of one scenario goes through one grid
+        # batch and one inversion batch; each dataset's outcomes equal its
+        # own evaluate_methods call, REML's failure on rep 306 included
+        scenario = Scenario(n=3, tau2=0.0)
+        block = [
+            simulate_dataset(replication_stream(3, scenario, rep), scenario)[0]
+            for rep in range(302, 309)
+        ]
+        for dataset, outcomes in zip(block, _evaluate_block(ALL_TAGS, block, 0.95)):
+            alone = evaluate_methods(ALL_TAGS, dataset, 0.95)
+            for tag, got, want in zip(ALL_TAGS, outcomes, alone):
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want), tag
+                else:
+                    assert got == want, tag
+        assert isinstance(_evaluate_block(["hts-hk"], block, 0.95)[4][0], NumericFailure)

@@ -179,11 +179,10 @@ class TestRunStudy:
 
         pattern = {0: (True, 2.0), 1: (True, 2.0), 2: (False, 4.0), 3: (True, 2.0)}
 
-        def fake_replication(scenario, methods, rep_seed):
-            covered, width = pattern[rep_seed[1]]
-            return {m: (covered, width, False) for m in methods}
+        def fake_block(scenario, methods, master_seed, reps):
+            return [{m: (*pattern[rep], False) for m in methods} for rep in reps]
 
-        monkeypatch.setattr(sim, "run_replication", fake_replication)
+        monkeypatch.setattr(sim, "_run_block", fake_block)
         config = SimConfig(
             scenarios=(Scenario(4, 0.1),), methods=("hts",), reps=4, master_seed=0
         )
@@ -206,11 +205,10 @@ class TestRunStudy:
             4: (True, 3.0, False),
         }
 
-        def fake_replication(scenario, methods, rep_seed):
-            row = pattern[rep_seed[1]]
-            return {"hts": row, "jeffreys": (False, math.nan, True)}
+        def fake_block(scenario, methods, master_seed, reps):
+            return [{"hts": pattern[rep], "jeffreys": (False, math.nan, True)} for rep in reps]
 
-        monkeypatch.setattr(sim, "run_replication", fake_replication)
+        monkeypatch.setattr(sim, "_run_block", fake_block)
         config = SimConfig(
             scenarios=(Scenario(4, 0.1),), methods=("hts", "jeffreys"), reps=5
         )
@@ -253,6 +251,54 @@ class TestRunStudy:
             serial = run_study(config, parallelism=1)
             parallel = run_study(config, parallelism=2)
             assert serial == parallel
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_block_size_does_not_change_records(self, monkeypatch, parallelism):
+        # run_study runs each scenario's replications in blocks of at most
+        # _BLOCK_STUDIES // n (and, on a pool, ceil(reps / (4 workers)));
+        # blocks of 1, of 2 and of the default size give the same records
+        import metapred.simulate as sim
+
+        config = SimConfig(
+            scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
+            methods=("hts", "jeffreys", "cred:shrinkage", "proper1"),
+            reps=19,
+            master_seed=17,
+        )
+        expected = run_study(config, parallelism=1)
+        sizes = []
+        real_blocks = sim._blocks
+
+        def recorded(config, cap):
+            blocks = real_blocks(config, cap)
+            sizes.extend(len(reps) for _, reps in blocks)
+            return blocks
+
+        monkeypatch.setattr(sim, "_blocks", recorded)
+        # a pool of 2 takes at most ceil(19 / 8) = 3 replications at a time
+        largest = 19 if min(parallelism, sim._usable_cpus()) == 1 else 3
+        for block_studies, cap in ((4, 1), (10, 2), (sim._BLOCK_STUDIES, largest)):
+            monkeypatch.setattr(sim, "_BLOCK_STUDIES", block_studies)
+            sizes.clear()
+            assert run_study(config, parallelism=parallelism) == expected
+            assert max(sizes) == cap and sum(sizes) == 2 * 19
+
+    def test_failure_log_keeps_the_replay_seed(self, caplog):
+        # REML scoring stalls on rep 306 of Scenario(3, 0.0) under master
+        # seed 3 (ROADMAP item 1); inside its block the warning still names
+        # the method, the scenario and the seed that replays it alone
+        scenario = Scenario(3, 0.0)
+        config = SimConfig(scenarios=(scenario,), methods=("hts-hk",), reps=307, master_seed=3)
+        with caplog.at_level("WARNING", logger="metapred.simulate"):
+            (record,) = run_study(config, parallelism=1)
+        assert record.failures >= 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert any(
+            m.startswith(f"method hts-hk failed on scenario {scenario}, rep_seed=(3, 306): ")
+            for m in messages
+        ), messages
+        covered, width, failed = run_replication(scenario, ("hts-hk",), (3, 306))["hts-hk"]
+        assert failed and math.isnan(width)
 
     @pytest.mark.parametrize("source", ["affinity", "cpu_count"])
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch, source):
