@@ -253,21 +253,6 @@ def log_prior_kernel(prior: BoundPrior, tau: np.ndarray) -> np.ndarray:
     )
 
 
-# the bound constants each kind's kernel reads, as positions in _log_kernel's
-# (s0_sq, log_s0, sigma_hat_sq, sigma_sq); it ignores the others
-_KERNEL_CONSTANTS = {
-    "power": (),
-    "jeffreys": (3,),
-    "berger-deely": (3,),
-    "conventional": (3,),
-    "dumouchel": (0, 1),
-    "shrinkage": (0,),
-    "i2": (2,),
-    "proper-uniform": (),
-    "inv-gamma": (),
-}
-
-
 def _log_kernel(family, t, s0_sq, log_s0, sigma_hat_sq, sigma_sq):
     """log_prior_kernel of one family at the array t, with the bound
     constants given directly: s0_sq, log_s0 = log sqrt(s0_sq) and

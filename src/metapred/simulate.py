@@ -49,7 +49,9 @@ SIGMA_SQ_LOW = 0.009
 SIGMA_SQ_HIGH = 0.6
 
 # studies per block of replications: bounds the engine's (studies x nodes)
-# arrays to a few MB each at the first refinement pass
+# arrays to a few MB each at the first refinement pass. Speed does not set
+# it: per replication, blocks of 12 to 36 cost the same within noise at
+# n = 7 and 15, and larger blocks keep paying at n = 30 (BENCH_14.json)
 _BLOCK_STUDIES = 256
 
 # the standard study grid: the 11 tau priors plus the plug-in t interval
