@@ -6,6 +6,15 @@ true study effects scatter around a grand mean with between-study variance
 ``tau^2``. Everything here is a pure function of the dataset; effects are
 assumed to already be on the analysis scale (log ratio measures, mean
 differences, SMDs).
+
+Each estimator has one row-wise form over ``(rows, n)`` arrays, one row
+per dataset of a block that shares n: Q and the DL spread, the pooled
+mean, the restricted score and information, and the HK/SJ variances.
+Every sum over studies stays within its row, so a row's result does not
+depend on its block; the public functions are blocks of one. REML runs
+one scoring loop for a whole block: each pass sums every open row at
+once, then steps each row on its own (``_RemlRow``), and a row that has
+converged or failed leaves the arrays.
 """
 
 from __future__ import annotations
@@ -88,6 +97,11 @@ class MetaDataset:
         return len(self.effects)
 
 
+def _check_tau2(tau2: float) -> None:
+    if not (math.isfinite(tau2) and tau2 >= 0):
+        raise ValueError(f"tau2 must be finite and >= 0, got {tau2!r}")
+
+
 @dataclass(frozen=True)
 class HeterogeneityEstimate:
     """A between-study variance estimate with its method tag."""
@@ -96,8 +110,7 @@ class HeterogeneityEstimate:
     method: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau2) and self.tau2 >= 0):
-            raise ValueError(f"tau2 must be finite and >= 0, got {self.tau2!r}")
+        _check_tau2(self.tau2)
 
 
 @dataclass(frozen=True)
@@ -121,10 +134,13 @@ def cochran_q(dataset: MetaDataset) -> float:
     fixed-effect pooled mean.
     """
     _require_n(dataset, 2)
-    y = dataset.effects
-    w = 1.0 / dataset.variances
-    ybar = float(np.sum(w * y) / np.sum(w))
-    return float(np.sum(w * (y - ybar) ** 2))
+    return _cochran_q(dataset.effects[None], 1.0 / dataset.variances[None])[0]
+
+
+def _cochran_q(y: np.ndarray, w: np.ndarray) -> list[float]:
+    """Cochran's Q of each row of the (rows, n) effects y and weights w."""
+    ybar = (w * y).sum(axis=1) / w.sum(axis=1)
+    return (w * (y - ybar[:, None]) ** 2).sum(axis=1).tolist()
 
 
 def q_test_pvalue(q: float, n: int) -> float:
@@ -148,15 +164,43 @@ def i_squared(dataset: MetaDataset) -> float:
     return max(0.0, (q - (dataset.n - 1)) / q)
 
 
-def _weight_spread(w) -> float:
-    """S1 - S2/S1 for the weights w (S1 = sum w, S2 = sum w^2), n >= 2.
+def _weight_spread(w: np.ndarray) -> list[float]:
+    """S1 - S2/S1 of each row of the (rows, n >= 2) weights w (S1 = sum w,
+    S2 = sum w^2).
 
     Summed as 2 sum_j w_j (sum_{i<j} w_i) / S1: no subtraction, which
     cancels to 0 once one weight dwarfs the others, and no term above the
     largest weight, so the result is positive and finite.
     """
-    s1 = float(np.sum(w))
-    return 2.0 * float(np.sum(w[1:] * (np.cumsum(w)[:-1] / s1)))
+    s1 = w.sum(axis=1)
+    partial = w[:, 1:] * (np.cumsum(w, axis=1)[:, :-1] / s1[:, None])
+    return (2.0 * partial.sum(axis=1)).tolist()
+
+
+def _estimate(tau2: float, method: str):
+    """HeterogeneityEstimate(tau2, method), or the ValueError it raises."""
+    try:
+        return HeterogeneityEstimate(tau2, method)
+    except ValueError as exc:
+        return exc
+
+
+def _dl_fits(y: np.ndarray, v: np.ndarray) -> list:
+    """The DerSimonian-Laird estimate of each row of the (rows, n >= 2)
+    effects y and variances v, or the ValueError of a row whose estimate is
+    not finite."""
+    w = 1.0 / v
+    df = y.shape[1] - 1
+    return [
+        _estimate(max(0.0, (q - df) / spread), "DL")
+        for q, spread in zip(_cochran_q(y, w), _weight_spread(w))
+    ]
+
+
+def _unwrap(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def dl_tau2(dataset: MetaDataset) -> HeterogeneityEstimate:
@@ -166,9 +210,7 @@ def dl_tau2(dataset: MetaDataset) -> HeterogeneityEstimate:
     and S2 = sum sigma_i^-4.
     """
     _require_n(dataset, 2)
-    q = cochran_q(dataset)
-    tau2 = max(0.0, (q - (dataset.n - 1)) / _weight_spread(1.0 / dataset.variances))
-    return HeterogeneityEstimate(tau2, "DL")
+    return _unwrap(_dl_fits(dataset.effects[None], dataset.variances[None])[0])
 
 
 def pooled_mu(dataset: MetaDataset, tau2: float) -> PooledEstimate:
@@ -178,25 +220,121 @@ def pooled_mu(dataset: MetaDataset, tau2: float) -> PooledEstimate:
     weighted average of effects and Var[mu_hat] = 1 / sum w_i.
     """
     _require_n(dataset, 2)
-    if not (math.isfinite(tau2) and tau2 >= 0):
-        raise ValueError(f"tau2 must be finite and >= 0, got {tau2!r}")
-    w = 1.0 / (dataset.variances + tau2)
-    total = float(np.sum(w))
-    mu = float(np.sum(w * dataset.effects) / total)
-    return PooledEstimate(mu_hat=mu, var_mu_hat=1.0 / total, weights=w)
+    _check_tau2(tau2)
+    w, total, mu = _pooled(dataset.effects[None], dataset.variances[None], [tau2])
+    return PooledEstimate(mu_hat=float(mu[0]), var_mu_hat=1.0 / float(total[0]), weights=w[0])
 
 
-def _restricted_score_info(y, v, tau2):
-    """Score and expected information of the restricted likelihood in tau2."""
-    w = 1.0 / (v + tau2)
-    sw = float(np.sum(w))
+def _pooled(y: np.ndarray, v: np.ndarray, tau2: list[float]):
+    """The random-effects weights (rows, n), their sums and the pooled
+    means of each row of effects y and variances v at its tau2."""
+    w = 1.0 / (v + np.array(tau2)[:, None])
+    total = w.sum(axis=1)
+    return w, total, (w * y).sum(axis=1) / total
+
+
+def _restricted_scores(y: np.ndarray, v: np.ndarray, tau2: list[float]):
+    """Score and expected information of the restricted likelihood in tau2,
+    one pair per row of effects y and variances v at its tau2.
+
+    The sums over studies run once for all rows; each row's score and
+    information are then finished in Python floats, whose ``** 2`` is C
+    pow() (numpy's array ``** 2`` is x * x, which can differ by an ulp).
+    """
+    w, total, mu = _pooled(y, v, tau2)
     w2 = w**2
-    sw2 = float(np.sum(w2))
-    sw3 = float(np.sum(w**3))
-    mu = float(np.sum(w * y) / sw)
-    score = 0.5 * (float(np.sum(w2 * (y - mu) ** 2)) - sw + sw2 / sw)
-    info = 0.5 * (sw2 - 2.0 * sw3 / sw + (sw2 / sw) ** 2)
-    return score, info
+    sums = zip(
+        total.tolist(),
+        w2.sum(axis=1).tolist(),
+        (w**3).sum(axis=1).tolist(),
+        (w2 * (y - mu[:, None]) ** 2).sum(axis=1).tolist(),
+    )
+    scores, infos = [], []
+    for sw, sw2, sw3, resid in sums:
+        scores.append(0.5 * (resid - sw + sw2 / sw))
+        infos.append(0.5 * (sw2 - 2.0 * sw3 / sw + (sw2 / sw) ** 2))
+    return scores, infos
+
+
+class _RemlRow:
+    """One row's REML iteration: the iterate and the bracket on the
+    stationary point that the score signs have found so far."""
+
+    __slots__ = ("tau2", "below", "above")
+
+    def __init__(self, start: float):
+        self.tau2 = start
+        self.below = self.above = None
+
+    def step(self, score: float, info: float, tol: float):
+        """Take one step from the score and information at self.tau2.
+
+        Returns the estimate once the iteration has converged, else None.
+        Raises NumericFailure when a scoring step meets an information that
+        is not positive.
+        """
+        tau2 = self.tau2
+        if tau2 == 0.0 and score <= 0.0:
+            return 0.0  # boundary optimum
+        if score > 0.0:
+            self.below = tau2
+        else:
+            self.above = tau2
+        if self.below is not None and self.above is not None:
+            tau2_new = 0.5 * (self.below + self.above)
+        elif info > 0.0:
+            tau2_new = max(0.0, tau2 + score / info)
+        else:
+            raise NumericFailure(
+                f"REML expected information is not positive at tau2={tau2!r}",
+                last_value=tau2,
+            )
+        if abs(tau2_new - tau2) <= tol:
+            return tau2_new
+        self.tau2 = tau2_new
+        return None
+
+
+def _reml_fits(
+    y: np.ndarray, v: np.ndarray, starts: list, tol: float = 1e-10, max_iter: int = 200
+) -> list:
+    """The REML estimate of each row of the (rows, n >= 2) effects y and
+    variances v, started from the row's DL outcome in starts.
+
+    Each pass scores every open row at once (_restricted_scores), then
+    steps each row alone (_RemlRow.step); a row that has converged or
+    failed leaves the arrays. A row's outcome is its HeterogeneityEstimate,
+    its NumericFailure, or the ValueError of its start or its estimate.
+    """
+    out = list(starts)
+    rows = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
+    fits = [_RemlRow(starts[i].tau2) for i in rows]
+    y, v = y[rows], v[rows]
+    for _ in range(max_iter):
+        if not rows:
+            break
+        keep = []
+        scores, infos = _restricted_scores(y, v, [fit.tau2 for fit in fits])
+        for j, (fit, score, info) in enumerate(zip(fits, scores, infos)):
+            try:
+                tau2 = fit.step(score, info, tol)
+            except NumericFailure as exc:
+                out[rows[j]] = exc
+                continue
+            if tau2 is None:
+                keep.append(j)
+            else:
+                out[rows[j]] = _estimate(tau2, "REML")
+        if len(keep) < len(rows):
+            rows = [rows[j] for j in keep]
+            fits = [fits[j] for j in keep]
+            y, v = y[keep], v[keep]
+    for i, fit in zip(rows, fits):
+        out[i] = NumericFailure(
+            f"REML iteration did not converge within {max_iter} steps",
+            last_value=fit.tau2,
+        )
+    return out
 
 
 def reml_tau2(
@@ -219,33 +357,9 @@ def reml_tau2(
         last iterate in ``last_value``.
     """
     _require_n(dataset, 2)
-    y = dataset.effects
-    v = dataset.variances
-    tau2 = dl_tau2(dataset).tau2
-    below = above = None  # bracket on the stationary point from score signs
-    for _ in range(max_iter):
-        score, info = _restricted_score_info(y, v, tau2)
-        if tau2 == 0.0 and score <= 0.0:
-            return HeterogeneityEstimate(0.0, "REML")  # boundary optimum
-        if score > 0.0:
-            below = tau2
-        else:
-            above = tau2
-        if below is not None and above is not None:
-            tau2_new = 0.5 * (below + above)
-        elif info > 0.0:
-            tau2_new = max(0.0, tau2 + score / info)
-        else:
-            raise NumericFailure(
-                f"REML expected information is not positive at tau2={tau2!r}",
-                last_value=tau2,
-            )
-        if abs(tau2_new - tau2) <= tol:
-            return HeterogeneityEstimate(tau2_new, "REML")
-        tau2 = tau2_new
-    raise NumericFailure(
-        f"REML iteration did not converge within {max_iter} steps", last_value=tau2
-    )
+    y = dataset.effects[None]
+    v = dataset.variances[None]
+    return _unwrap(_reml_fits(y, v, _dl_fits(y, v), tol, max_iter)[0])
 
 
 def robust_variance(dataset: MetaDataset, tau2: float, kind: str = "HK") -> float:
@@ -262,18 +376,40 @@ def robust_variance(dataset: MetaDataset, tau2: float, kind: str = "HK") -> floa
     if kind not in ("HK", "SJ"):
         raise ValueError(f"kind must be 'HK' or 'SJ', got {kind!r}")
     _require_n(dataset, 2)
-    pooled = pooled_mu(dataset, tau2)
-    y = dataset.effects
-    if float(np.ptp(y)) == 0.0:
+    _check_tau2(tau2)
+    y = dataset.effects[None]
+    w, total, mu = _pooled(y, dataset.variances[None], [tau2])
+    return _robust_variances(y, w, total, mu, (kind,))[kind][0]
+
+
+def _robust_variances(
+    y: np.ndarray, w: np.ndarray, sw: np.ndarray, mu: np.ndarray, kinds
+) -> dict:
+    """Each requested robust variance (HK, SJ) of each row of effects y,
+    given the row's random-effects weights w, their sum sw and the pooled
+    mean mu (see _pooled).
+
+    A row whose effects are all identical gets 0 and one
+    DegenerateDispersionWarning.
+    """
+    degenerate = (np.ptp(y, axis=1) == 0.0).tolist()
+    for _ in filter(None, degenerate):
         warnings.warn(
             "all effects are identical; robust variance is degenerate (0)",
             DegenerateDispersionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return 0.0
-    w = pooled.weights
-    resid2 = (y - pooled.mu_hat) ** 2
-    n = dataset.n
-    if kind == "HK":
-        return float(np.sum(w * resid2) / ((n - 1) * np.sum(w)))
-    return float(np.sum(w**2 * resid2) / np.sum(w) ** 2 * n / (n - 1))
+    resid2 = (y - mu[:, None]) ** 2
+    n = y.shape[1]
+    out = {}
+    if "HK" in kinds:
+        hk = ((w * resid2).sum(axis=1) / ((n - 1) * sw)).tolist()
+        out["HK"] = [0.0 if d else x for d, x in zip(degenerate, hk)]
+    if "SJ" in kinds:
+        # the sum of each row is squared as an np.float64 (C pow(), see
+        # _restricted_scores)
+        sj = (w**2 * resid2).sum(axis=1)
+        out["SJ"] = [
+            0.0 if d else float(a / s**2 * n / (n - 1)) for d, a, s in zip(degenerate, sj, sw)
+        ]
+    return out

@@ -7,18 +7,32 @@ The plug-in prediction interval is
 with the DerSimonian-Laird tau2 and inverse-variance Var[mu_hat] in the
 classic variant; the HK/SJ variants swap in the REML tau2 and the matching
 robust variance estimator while keeping the t_{n-2} multiplier.
+
+All of these tags on a block of datasets that share n run as one pass
+(``_plugin_intervals``): one DL fit over the block's rows, one REML
+scoring loop started from those DL values, one pooled-mean and robust
+variance pass per estimator, and one t quantile. ``hts_interval`` and
+``wald_ci_mu`` are blocks of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .core import MetaDataset, dl_tau2, pooled_mu, reml_tau2, robust_variance
-from .errors import NumericFailure
+from .core import (
+    MetaDataset,
+    _dl_fits,
+    _pooled,
+    _reml_fits,
+    _require_n,
+    _robust_variances,
+    _unwrap,
+)
 
 __all__ = ["HTS_VARIANTS", "IntervalEstimate", "hts_interval", "wald_ci_mu"]
 
@@ -74,30 +88,6 @@ def _t_quantile(p: float, df: int) -> float:
     return x - float(special.stdtr(df, x) - p) / float(np.exp(log_pdf))
 
 
-class _Fits:
-    """The heterogeneity fits of one dataset, each run on first use.
-
-    tau2(estimator) returns estimator(dataset).tau2 (dl_tau2 or reml_tau2);
-    a fit that fails raises the same exception again for every later
-    caller, so intervals sharing a fit fail with the same message.
-    """
-
-    def __init__(self, dataset: MetaDataset):
-        self.dataset = dataset
-        self._done: dict = {}
-
-    def tau2(self, estimator) -> float:
-        if estimator not in self._done:
-            try:
-                self._done[estimator] = estimator(self.dataset).tau2
-            except (ValueError, NumericFailure) as exc:
-                self._done[estimator] = exc
-        result = self._done[estimator]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
 def hts_interval(
     dataset: MetaDataset, level: float = 0.95, variant: str = "DL"
 ) -> IntervalEstimate:
@@ -113,53 +103,104 @@ def hts_interval(
         "DL" uses tau2_DL and inverse-variance Var[mu_hat]; "HK"/"SJ" use
         tau2_REML and the matching robust variance in its place.
     """
-    return _hts_interval(dataset, level, variant, _Fits(dataset))
-
-
-def _hts_interval(dataset, level, variant, fits: _Fits) -> IntervalEstimate:
-    if dataset.n < 3:
-        raise ValueError(
-            f"plug-in prediction interval needs n >= 3, dataset has {dataset.n}"
-        )
-    _check_level(level)
     if variant not in HTS_VARIANTS:
-        raise ValueError(f"variant must be one of {tuple(HTS_VARIANTS)}, got {variant!r}")
-
-    if variant == "DL":
-        tau2 = fits.tau2(dl_tau2)
-        pooled = pooled_mu(dataset, tau2)
-        spread = tau2 + pooled.var_mu_hat
-    else:
-        tau2 = fits.tau2(reml_tau2)
-        pooled = pooled_mu(dataset, tau2)
-        spread = tau2 + robust_variance(dataset, tau2, kind=variant)
-
-    tq = _t_quantile(0.5 + level / 2.0, dataset.n - 2)
-    half = tq * math.sqrt(spread)
-    return IntervalEstimate(
-        lower=pooled.mu_hat - half,
-        upper=pooled.mu_hat + half,
-        level=level,
-        method=HTS_VARIANTS[variant],
-        kind="prediction",
-    )
+        _check_hts(dataset.n, level, variant)
+    tag = HTS_VARIANTS[variant]
+    return _unwrap(_plugin_intervals([tag], [dataset], level)[0][tag])
 
 
 def wald_ci_mu(dataset: MetaDataset, level: float = 0.95) -> IntervalEstimate:
     """Wald confidence interval for the grand mean with DL weights."""
-    return _wald_ci_mu(dataset, level, _Fits(dataset))
+    return _unwrap(_plugin_intervals(["dl"], [dataset], level)[0]["dl"])
 
 
-def _wald_ci_mu(dataset, level, fits: _Fits) -> IntervalEstimate:
+# plug-in t tag -> its hts_interval variant
+_VARIANT_OF = {tag: variant for variant, tag in HTS_VARIANTS.items()}
+
+
+def _check_hts(n: int, level: float, variant: str) -> None:
+    if n < 3:
+        raise ValueError(f"plug-in prediction interval needs n >= 3, dataset has {n}")
     _check_level(level)
-    tau2 = fits.tau2(dl_tau2)
-    pooled = pooled_mu(dataset, tau2)
-    z = float(special.ndtri(0.5 + level / 2.0))
-    half = z * math.sqrt(pooled.var_mu_hat)
-    return IntervalEstimate(
-        lower=pooled.mu_hat - half,
-        upper=pooled.mu_hat + half,
-        level=level,
-        method="dl",
-        kind="confidence",
-    )
+    if variant not in HTS_VARIANTS:
+        raise ValueError(f"variant must be one of {tuple(HTS_VARIANTS)}, got {variant!r}")
+
+
+def _interval(mu, multiplier, spread, level, method, kind):
+    """The interval mu +/- multiplier * sqrt(spread), or its ValueError."""
+    try:
+        half = multiplier * math.sqrt(spread)
+        return IntervalEstimate(mu - half, mu + half, level, method, kind)
+    except ValueError as exc:
+        return exc
+
+
+def _plugin_intervals(
+    tags: Sequence[str], datasets: Sequence[MetaDataset], level: float
+) -> list[dict]:
+    """Each plug-in t tag (hts, hts-hk, hts-sj) and Wald tag (dl) in tags on
+    each dataset of a block that shares n: per dataset, a dict from tag to
+    outcome (an IntervalEstimate, or the ValueError or NumericFailure that
+    hts_interval or wald_ci_mu raises on that dataset alone).
+
+    The checks of n and level hold for the whole block. DL is fitted once
+    over the block's rows and starts REML, which runs one scoring loop for
+    every row; each estimator then gets one pooled-mean pass, and the
+    block one t quantile.
+    """
+    n = datasets[0].n
+    out = [{} for _ in datasets]
+    by_estimator: dict[str, list[str]] = {"DL": [], "REML": []}
+    for tag in tags:
+        try:
+            if tag == "dl":
+                _check_level(level)
+                _require_n(datasets[0], 2)
+            else:
+                _check_hts(n, level, _VARIANT_OF[tag])
+        except ValueError as exc:
+            for outcomes in out:
+                outcomes[tag] = exc
+            continue
+        by_estimator["REML" if tag in ("hts-hk", "hts-sj") else "DL"].append(tag)
+    if not (by_estimator["DL"] or by_estimator["REML"]):
+        return out
+
+    y = np.array([dataset.effects for dataset in datasets])
+    v = np.array([dataset.variances for dataset in datasets])
+    fits = {"DL": _dl_fits(y, v)}
+    if by_estimator["REML"]:
+        fits["REML"] = _reml_fits(y, v, fits["DL"])
+    p = 0.5 + level / 2.0
+    z = float(special.ndtri(p)) if "dl" in by_estimator["DL"] else None
+    hts = by_estimator["REML"] or "hts" in by_estimator["DL"]
+    tq = _t_quantile(p, n - 2) if hts else None
+
+    for estimator, est_tags in by_estimator.items():
+        if not est_tags:
+            continue
+        rows = []
+        for i, fit in enumerate(fits[estimator]):
+            if isinstance(fit, Exception):
+                out[i].update(dict.fromkeys(est_tags, fit))
+            else:
+                rows.append(i)
+        if not rows:
+            continue
+        tau2 = [fits[estimator][i].tau2 for i in rows]
+        # gather only when a fit failed: two fancy-index copies cost about
+        # 5 us, which a block of one (hts_interval, 40-80 us) would pay
+        y_rows, v_rows = (y, v) if len(rows) == len(datasets) else (y[rows], v[rows])
+        w, total, mu = _pooled(y_rows, v_rows, tau2)
+        if estimator == "REML":
+            kinds = [_VARIANT_OF[tag] for tag in est_tags]
+            robust = _robust_variances(y_rows, w, total, mu, kinds)
+        for j, (i, t, mu_j, total_j) in enumerate(zip(rows, tau2, mu.tolist(), total.tolist())):
+            var_mu = 1.0 / total_j
+            for tag in est_tags:
+                if tag == "dl":
+                    out[i][tag] = _interval(mu_j, z, var_mu, level, tag, "confidence")
+                else:
+                    spread = t + (var_mu if tag == "hts" else robust[_VARIANT_OF[tag]][j])
+                    out[i][tag] = _interval(mu_j, tq, spread, level, tag, "prediction")
+    return out

@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Union
 from .bayes import EngineConfig, PosteriorGrid, _mixture_intervals, _posterior_grids
 from .core import MetaDataset
 from .errors import NumericFailure
-from .intervals import HTS_VARIANTS, IntervalEstimate, _Fits, _hts_interval, _wald_ci_mu
+from .intervals import HTS_VARIANTS, IntervalEstimate, _plugin_intervals
 from .priors import NAMED_PRIORS, bind_prior
 
 __all__ = ["Method", "METHODS", "lookup_method", "evaluate_methods"]
@@ -94,28 +94,23 @@ def _evaluate_block(
 ) -> list[list[_Outcome]]:
     """evaluate_methods on every dataset of a block, which must share their
     number of studies: one grid batch and one inversion batch for the
-    Bayesian tags of all of them. Each dataset's outcomes equal its
-    evaluate_methods outcomes bit for bit."""
+    Bayesian tags of all of them, and one pass (one DL fit, one REML
+    scoring loop) for their plug-in and Wald tags. Each dataset's outcomes
+    equal its evaluate_methods outcomes bit for bit."""
     methods = [lookup_method(tag) for tag in tags]
     pairs = list(dict.fromkeys((m.prior, m.kind) for m in methods if m.prior is not None))
     bayes = _bayes_outcomes(pairs, datasets, level) if pairs else [{}] * len(datasets)
-    out = []
-    for dataset, bayes_outcomes in zip(datasets, bayes):
-        fits = _Fits(dataset)
-        outcomes: list[_Outcome] = []
-        for method in methods:
-            if method.prior is not None:
-                outcomes.append(bayes_outcomes[method.prior, method.kind])
-                continue
-            try:
-                if method.variant is not None:
-                    outcomes.append(_hts_interval(dataset, level, method.variant, fits))
-                else:
-                    outcomes.append(_wald_ci_mu(dataset, level, fits))
-            except (ValueError, NumericFailure) as exc:
-                outcomes.append(exc)
-        out.append(outcomes)
-    return out
+    plugin_tags = list(dict.fromkeys(t for t, m in zip(tags, methods) if m.prior is None))
+    plugin = [{}] * len(datasets)
+    if plugin_tags:
+        plugin = _plugin_intervals(plugin_tags, datasets, level)
+    return [
+        [
+            bayes_outcomes[m.prior, m.kind] if m.prior is not None else plugin_outcomes[tag]
+            for tag, m in zip(tags, methods)
+        ]
+        for bayes_outcomes, plugin_outcomes in zip(bayes, plugin)
+    ]
 
 
 def evaluate_methods(tags: Sequence[str], dataset: MetaDataset, level: float) -> list[_Outcome]:
@@ -124,14 +119,14 @@ def evaluate_methods(tags: Sequence[str], dataset: MetaDataset, level: float) ->
     A method that fails yields its ValueError or NumericFailure in place of
     an interval. An unknown tag raises ValueError before any interval is
     computed. The plug-in and Wald tags share one fit per heterogeneity
-    estimator (DerSimonian-Laird for hts and dl, REML for hts-hk and
-    hts-sj). The Bayesian tags are computed together: every prior they name
-    gets its posterior grid from one batch that shares the likelihood
-    evaluations, each grid serves its prediction and credible tags, and all
-    their endpoints are inverted in one Newton batch. Every outcome equals
-    what the public per-method functions (hts_interval, wald_ci_mu,
-    build_posterior_grid with prediction_interval or credible_interval_mu)
-    return or raise, bit for bit. This is a block of one for the engine
+    estimator (DerSimonian-Laird for hts and dl, and as REML's start; REML
+    for hts-hk and hts-sj). The Bayesian tags are computed together: every
+    prior they name gets its posterior grid from one batch that shares the
+    likelihood evaluations, each grid serves its prediction and credible
+    tags, and all their endpoints are inverted in one Newton batch. Every
+    outcome equals what the public per-method functions (hts_interval,
+    wald_ci_mu, build_posterior_grid with prediction_interval or
+    credible_interval_mu) return or raise, bit for bit. This is a block of one for the engine
     that the coverage study runs on a block of replications at a time.
     """
     (outcomes,) = _evaluate_block(tags, [dataset], level)

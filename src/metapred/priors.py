@@ -213,7 +213,7 @@ def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
     return BoundPrior(
         family=family,
         s0_sq=n / float(np.sum(inv)),
-        sigma_hat_sq=(n - 1) / _weight_spread(inv),
+        sigma_hat_sq=(n - 1) / _weight_spread(inv[None])[0],
         sigma_sq=sigma_sq,
     )
 

@@ -7,9 +7,10 @@ new-study effect are N(0, tau^2). Every replication gets its own
 counter-based random stream keyed by (master_seed, scenario, replication).
 The study runs in blocks of one scenario's replications: each block's
 datasets go through the methods together, one grid batch and one
-inversion batch for all of them, and a replication's result does not
-depend on its block, so the study is bit-identical for any degree of
-parallelism and any block size.
+inversion batch for all of them, and one pass for the plug-in t and Wald
+tags (one DL fit and one REML scoring loop over all of them). A
+replication's result does not depend on its block, so the study is
+bit-identical for any degree of parallelism and any block size.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ def _run_block(
 
     Every replication draws its dataset from its own stream, as alone; the
     datasets then go through the methods together (one grid batch and one
-    inversion batch for the Bayesian tags of the whole block), so each
+    inversion batch for the Bayesian tags of the whole block, one DL fit
+    and one REML scoring loop for its plug-in t and Wald tags), so each
     replication's row equals its run_replication row bit for bit.
     """
     draws = [

@@ -236,7 +236,10 @@ class TestREML:
         from metapred import core
         from metapred.errors import NumericFailure
 
-        monkeypatch.setattr(core, "_restricted_score_info", lambda y, v, tau2: (1.0, 0.0))
+        def flat(y, v, tau2):
+            return [1.0] * len(tau2), [0.0] * len(tau2)
+
+        monkeypatch.setattr(core, "_restricted_scores", flat)
         with pytest.raises(NumericFailure, match="information is not positive") as err:
             reml_tau2(SPREAD)
         assert err.value.last_value == dl_tau2(SPREAD).tau2

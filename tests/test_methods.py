@@ -2,10 +2,15 @@
 paper gives it, and the coverage harness scores it against the matching
 target (the new-study effect for prediction, the true mean otherwise)."""
 
+import json
 import random
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metapred.intervals as intervals_module
 from metapred import (
@@ -14,7 +19,9 @@ from metapred import (
     Scenario,
     bind_prior,
     build_posterior_grid,
+    DegenerateDispersionWarning,
     credible_interval_mu,
+    dl_tau2,
     hts_interval,
     named_prior,
     prediction_interval,
@@ -25,6 +32,7 @@ from metapred import (
     simulate_dataset,
     wald_ci_mu,
 )
+from metapred.core import _dl_fits, _reml_fits
 from metapred.methods import METHODS, _evaluate_block, evaluate_methods
 from metapred.priors import NAMED_PRIORS
 
@@ -154,17 +162,25 @@ class TestBatchedEvaluation:
         assert_same_outcomes(ALL_TAGS, DATASET, level=1.5)
 
     def test_each_heterogeneity_fit_runs_once(self, monkeypatch):
+        # one DL fit and one REML fit per block, each over all its rows
         calls = []
-        for name in ("dl_tau2", "reml_tau2"):
+        for name in ("_dl_fits", "_reml_fits"):
             real = getattr(intervals_module, name)
 
-            def counted(dataset, _real=real, _name=name):
-                calls.append(_name)
-                return _real(dataset)
+            def counted(y, v, *args, _real=real, _name=name):
+                calls.append((_name, len(y)))
+                return _real(y, v, *args)
 
             monkeypatch.setattr(intervals_module, name, counted)
-        evaluate_methods(["hts", "hts-hk", "dl", "hts-sj"], DATASET, 0.95)
-        assert sorted(calls) == ["dl_tau2", "reml_tau2"]
+        scenario = Scenario(n=6, tau2=0.1)
+        block = [
+            simulate_dataset(replication_stream(3, scenario, rep), scenario)[0]
+            for rep in range(5)
+        ]
+        for datasets in ([DATASET], block):
+            calls.clear()
+            _evaluate_block(["hts", "hts-hk", "dl", "hts-sj"], datasets, 0.95)
+            assert calls == [("_dl_fits", len(datasets)), ("_reml_fits", len(datasets))]
 
     def test_reml_failure_fails_both_robust_tags(self):
         # REML scoring stalls on this replication (a known defect): both
@@ -196,3 +212,122 @@ class TestBatchedEvaluation:
                 else:
                     assert got == want, tag
         assert isinstance(_evaluate_block(["hts-hk"], block, 0.95)[4][0], NumericFailure)
+
+
+FREQ_TAGS = ["hts", "hts-hk", "hts-sj", "dl"]
+# blocks of 12 datasets at n = 3, 7, 19 and 40 (SE ratios to 1e-4, tau2 0,
+# 0.1 and 1, rounded and identical effects; the n = 3 block starts with
+# Scenario(3, 0) replications 306 and 305 of master seed 3), each with the
+# hex of dl_tau2 and reml_tau2, or reml_tau2's failure message and
+# last_value, as the per-dataset code before the batched fits returned them
+FITS = json.loads((Path(__file__).resolve().parent / "data" / "freq_fits.json").read_text())
+
+
+def fixture_block(records):
+    return [
+        MetaDataset.from_arrays(list(map(float, r["effects"])), list(map(float, r["std_errs"])))
+        for r in records
+    ]
+
+
+def fit_record(fit):
+    if isinstance(fit, NumericFailure):
+        return [str(fit), fit.last_value.hex()]
+    return fit.tau2.hex()
+
+
+def public_fit(estimator, dataset):
+    try:
+        return fit_record(estimator(dataset))
+    except NumericFailure as exc:
+        return fit_record(exc)
+
+
+def run_block(tags, block):
+    """_evaluate_block's outcomes and the number of warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = _evaluate_block(tags, block, 0.95)
+    return outcomes, len(caught)
+
+
+def assert_rows_alone(tags, block, outcomes):
+    for dataset, row in zip(block, outcomes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDispersionWarning)
+            alone = evaluate_methods(tags, dataset, 0.95)
+        for tag, got, want in zip(tags, row, alone):
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want), tag
+                assert getattr(got, "last_value", None) == getattr(want, "last_value", None)
+            else:
+                assert got == want, tag
+
+
+@st.composite
+def same_n_blocks(draw):
+    n = draw(st.integers(3, 40))
+    block = []
+    for _ in range(draw(st.integers(1, 13))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        se = 0.5 * 10 ** rng.uniform(-draw(st.sampled_from([1, 2, 4])), 0, n)
+        tau2 = draw(st.sampled_from([0.0, 0.1, 1.0]))
+        y = rng.normal(0.0, 1.0, n) * np.sqrt(tau2 + se**2)
+        ties = draw(st.sampled_from(["none", "rounded", "identical"]))
+        if ties == "rounded":
+            y = np.round(y, 1)
+        elif ties == "identical":
+            y = np.full(n, y[0])
+        block.append(MetaDataset.from_arrays(y, se))
+    return block
+
+
+class TestFrequentistBlock:
+    """The plug-in t and Wald tags of a block run as one pass (one DL fit,
+    one REML scoring loop); every row's outcome must equal its dataset's
+    alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_n_blocks())
+    def test_block_equals_its_rows_alone(self, block):
+        outcomes, n_warnings = run_block(FREQ_TAGS, block)
+        assert_rows_alone(FREQ_TAGS, block, outcomes)
+        assert n_warnings == sum(float(np.ptp(d.effects)) == 0.0 for d in block)
+        y = np.stack([d.effects for d in block])
+        v = np.stack([d.variances for d in block])
+        dl = _dl_fits(y, v)
+        for dataset, dl_fit, reml_fit in zip(block, dl, _reml_fits(y, v, dl)):
+            assert fit_record(dl_fit) == public_fit(dl_tau2, dataset)
+            assert fit_record(reml_fit) == public_fit(reml_tau2, dataset)
+
+    @pytest.mark.parametrize("index", range(len(FITS)))
+    def test_fits_match_the_recorded_per_dataset_fits(self, index):
+        records = FITS[index]
+        block = fixture_block(records)
+        y = np.stack([d.effects for d in block])
+        v = np.stack([d.variances for d in block])
+        dl = _dl_fits(y, v)
+        for record, dataset, dl_fit, reml_fit in zip(records, block, dl, _reml_fits(y, v, dl)):
+            assert fit_record(dl_fit) == public_fit(dl_tau2, dataset) == record["dl"]
+            assert fit_record(reml_fit) == public_fit(reml_tau2, dataset) == record["reml"]
+
+    def test_stalled_and_degenerate_rows(self):
+        # the n = 3 block: REML stalls on replication 306 (row 0), and row 5
+        # has identical effects (one warning for its HK and SJ variances)
+        records = FITS[0]
+        block = fixture_block(records)
+        degenerate = [i for i, d in enumerate(block) if float(np.ptp(d.effects)) == 0.0]
+        assert 5 in degenerate
+        outcomes, n_warnings = run_block(FREQ_TAGS, block)
+        assert n_warnings == len(degenerate)
+        message, last_value = records[0]["reml"]
+        for failure in outcomes[0][1:3]:
+            assert isinstance(failure, NumericFailure)
+            assert str(failure) == message
+            assert failure.last_value.hex() == last_value
+        for i in degenerate:
+            _, hk, sj, _ = outcomes[i]
+            assert hk.width == sj.width == 0.0  # REML tau2 and robust variance are 0
+        assert_rows_alone(FREQ_TAGS, block, outcomes)
+        # without a robust tag no row warns
+        assert run_block(["hts", "dl"], block)[1] == 0

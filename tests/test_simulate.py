@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from metapred import (
 )
 from metapred import methods as methods_module
 from metapred.errors import NumericFailure
+from metapred.io import emit_coverage_table, parse_sim_config
 from metapred.methods import METHODS
 from metapred.simulate import SIGMA_SQ_HIGH, SIGMA_SQ_LOW
 from oracles import truncated_sigma_sq_mean
@@ -71,6 +73,7 @@ class TestScenarioConfig:
 
 # streams take a Scenario; its content fingerprint is the stream subkey
 SC = Scenario(7, 0.1)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestStreams:
@@ -159,16 +162,16 @@ class TestRunReplication:
     def test_only_numeric_failures_count_as_failed(self, monkeypatch):
         # a Scenario guarantees n >= 3 and a valid level, so a ValueError
         # from a method is a bug and must not show up as lower coverage
-        def stall(*args, **kwargs):
-            raise NumericFailure("stall")
+        def stall(tags, datasets, level):
+            return [dict.fromkeys(tags, NumericFailure("stall")) for _ in datasets]
 
-        def bug(*args, **kwargs):
-            raise ValueError("bug")
+        def bug(tags, datasets, level):
+            return [dict.fromkeys(tags, ValueError("bug")) for _ in datasets]
 
-        monkeypatch.setattr(methods_module, "_hts_interval", stall)
+        monkeypatch.setattr(methods_module, "_plugin_intervals", stall)
         covered, width, failed = run_replication(SC, ("hts",), (33, 0))["hts"]
         assert (covered, failed) == (False, True) and math.isnan(width)
-        monkeypatch.setattr(methods_module, "_hts_interval", bug)
+        monkeypatch.setattr(methods_module, "_plugin_intervals", bug)
         with pytest.raises(ValueError, match="bug"):
             run_replication(SC, ("hts", "dl"), (33, 0))
 
@@ -261,7 +264,7 @@ class TestRunStudy:
 
         config = SimConfig(
             scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
-            methods=("hts", "jeffreys", "cred:shrinkage", "proper1"),
+            methods=("hts", "jeffreys", "cred:shrinkage", "proper1", "hts-hk", "hts-sj", "dl"),
             reps=19,
             master_seed=17,
         )
@@ -282,6 +285,14 @@ class TestRunStudy:
             sizes.clear()
             assert run_study(config, parallelism=parallelism) == expected
             assert max(sizes) == cap and sum(sizes) == 2 * 19
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_frequentist_table_is_pinned(self, parallelism):
+        # hts, hts-hk, hts-sj and dl at n = 3, 5, 30 and tau2 = 0, 0.1, byte
+        # for byte; n = 3, tau2 = 0 holds the REML stall of replication 306
+        config = parse_sim_config((DATA / "freq_study.cfg").read_bytes())
+        table = emit_coverage_table(run_study(config, parallelism=parallelism))
+        assert table == (DATA / "freq_coverage.csv").read_bytes()
 
     def test_failure_log_keeps_the_replay_seed(self, caplog):
         # REML scoring stalls on rep 306 of Scenario(3, 0.0) under master
