@@ -92,6 +92,19 @@ class MetaDataset:
         """A dataset from per-study effects and SEs (copied, then validated)."""
         return cls(effects, std_errs)
 
+    @classmethod
+    def _trusted(
+        cls, effects: np.ndarray, std_errs: np.ndarray, variances: np.ndarray
+    ) -> "MetaDataset":
+        """A dataset from arrays that already hold the class invariants:
+        read-only 1-D float arrays of equal length, SEs in range and
+        ``variances`` equal to ``std_errs**2``. Nothing is copied or checked."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "effects", effects)
+        object.__setattr__(dataset, "std_errs", std_errs)
+        object.__setattr__(dataset, "variances", variances)
+        return dataset
+
     @property
     def n(self) -> int:
         return len(self.effects)

@@ -5,10 +5,15 @@ mean fixed at 0: within-study variances are 0.25 x chi^2(1) draws
 rejection-resampled into [0.009, 0.6], true study effects and the held-out
 new-study effect are N(0, tau^2). Every replication gets its own
 counter-based random stream keyed by (master_seed, scenario, replication).
-The study runs in blocks of one scenario's replications: each block's
-datasets go through the methods together, one grid batch and one
-inversion batch for all of them, and one pass for the plug-in t and Wald
-tags (one DL fit and one REML scoring loop over all of them). A
+The study runs in blocks of one scenario's replications. A block draws
+its datasets in one pass: it re-keys one Philox generator to each
+replication's stream, reads a fixed prefix of uniforms from each into one
+array, and turns them into datasets with one normal transform and one
+rejection loop for the whole block (_draw_rows, of which the public
+simulate_dataset and draw_within_variances are blocks of one). The
+block's datasets then go through the methods together, one grid batch
+and one inversion batch for all of them, and one pass for the plug-in t
+and Wald tags (one DL fit and one REML scoring loop over all of them). A
 replication's result does not depend on its block, so the study is
 bit-identical for any degree of parallelism and any block size.
 """
@@ -22,7 +27,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -73,6 +78,8 @@ class Scenario:
             raise ValueError(f"scenario needs n >= 3, got {self.n}")
         if not (math.isfinite(self.tau2) and self.tau2 >= 0):
             raise ValueError(f"tau2 must be finite and >= 0, got {self.tau2!r}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
 
@@ -150,6 +157,14 @@ def scenario_key(scenario: Scenario) -> int:
     return zlib.crc32(text.encode())
 
 
+def _stream_key(master_seed: int, scenario_key: int, rep_index: int) -> np.ndarray:
+    # the Philox key of one replication's stream
+    return np.array(
+        [master_seed & _MASK64, (scenario_key << 32) | (rep_index & _MASK32)],
+        dtype=np.uint64,
+    )
+
+
 def replication_stream(
     master_seed: int, scenario: Scenario, rep_index: int
 ) -> np.random.Generator:
@@ -157,22 +172,112 @@ def replication_stream(
 
     The Philox key is (master_seed, scenario_key << 32 | rep_index), so
     streams are independent, splittable, and identical no matter how work
-    is scheduled across processes.
+    is scheduled across processes. A block of replications re-keys one
+    generator to each of these streams in turn (_block_prefixes); this
+    builds one alone, to replay a replication.
     """
-    key = np.array(
-        [
-            master_seed & _MASK64,
-            (scenario_key(scenario) << 32) | (rep_index & _MASK32),
-        ],
-        dtype=np.uint64,
+    return np.random.Generator(
+        np.random.Philox(key=_stream_key(master_seed, scenario_key(scenario), rep_index))
     )
-    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _std_normals(stream: np.random.Generator, size: int) -> np.ndarray:
-    # inverse-CDF normals from uniforms; clamp away u = 0 (prob 2^-53)
-    u = stream.random(size)
-    return ndtri(np.clip(u, 2.0**-53, 1.0 - 2.0**-53))
+# uniforms a replication draws before it uses any: its 3n + 1 (n
+# variances, n true effects, n observation errors, one new effect) plus
+# _PREFIX_SPARE x (n + 7) spare ones for its variances' rejections, of
+# which about 0.37 n are expected (a 0.25 chi^2(1) value lands in
+# [0.009, 0.6] with probability 0.728). At the default the prefix is
+# 4n + 8, and about 3 replications in 10^5 run past it at n = 3 to 7
+# (3.5 in 10^7 at n = 30); such a row is drawn again from a prefix twice
+# as long
+_PREFIX_SPARE = 1
+
+
+def _draw_rows(
+    prefixes: Callable[[np.ndarray, int], np.ndarray], rows: int, n: int, extra: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one transform from uniforms to draws, for `rows` streams at once.
+
+    Each row reads its stream in a fixed order: n within-study variances,
+    0.25 x chi^2(1) truncated to [SIGMA_SQ_LOW, SIGMA_SQ_HIGH] by
+    rejection, then `extra` further standard normals. A normal is
+    ndtri(u) of the stream's next uniform u, clamped away from 0 and 1
+    (probability 2^-53). A variance out of range is redrawn in rounds:
+    each round, every rejected position of a row takes the row's next
+    normals in position order, so all rows share one vectorised loop and
+    each keeps its own cursor into its normals.
+
+    prefixes(pending, k) returns, for each row index in pending, the first
+    k uniforms of that row's stream. A row whose draws run past its k
+    uniforms asks for 2k and goes through the same loop again. Returns the
+    (rows, n) variances and the (rows, extra) normals.
+    """
+    variances = np.empty((rows, n))
+    normals = np.empty((rows, extra))
+    pending = np.arange(rows)
+    k = n + extra + _PREFIX_SPARE * (n + 7)
+    while pending.size:
+        z = prefixes(pending, k)
+        np.maximum(z, 2.0**-53, out=z)
+        np.minimum(z, 1.0 - 2.0**-53, out=z)
+        ndtri(z, out=z)
+        v = np.square(z)
+        v *= 0.25
+        accepted = (v >= SIGMA_SQ_LOW) & (v <= SIGMA_SQ_HIGH)
+        # flat indices into z: each variance's normal, each row's next
+        # normal and the end of each row's prefix
+        end = np.arange(k, (len(pending) + 1) * k, k)
+        source = (end - k)[:, None] + np.arange(n)
+        cursor = end - (k - n)
+        at_source = np.logical_not(accepted[:, :n]).ravel().nonzero()[0]
+        row = at_source // n
+        while at_source.size:
+            at = cursor[row] + (np.arange(row.size) - row.searchsorted(row))
+            cursor += np.bincount(row, minlength=len(pending))
+            source.put(at_source, at)
+            again = (at < end[row]) & ~accepted.take(at, mode="clip")
+            at_source, row = at_source[again], row[again]
+        # a row that ran past its prefix reads past its end here; it is
+        # drawn again, so those values are overwritten
+        variances[pending] = v.take(source, mode="clip")
+        normals[pending] = z.take(cursor[:, None] + np.arange(extra), mode="clip")
+        pending = pending[cursor + extra > end]
+        k *= 2
+    return variances, normals
+
+
+def _stream_prefixes(stream: np.random.Generator) -> Callable[[np.ndarray, int], np.ndarray]:
+    # prefixes of one row read from a caller's stream: a longer prefix
+    # extends the uniforms already read
+    chunks: list[np.ndarray] = []
+
+    def prefixes(pending: np.ndarray, k: int) -> np.ndarray:
+        chunks.append(stream.random(k - sum(map(len, chunks))))
+        return np.concatenate(chunks)[None]
+
+    return prefixes
+
+
+def _block_prefixes(
+    master_seed: int, scenario: Scenario, reps: Sequence[int]
+) -> Callable[[np.ndarray, int], np.ndarray]:
+    # prefixes of a block's rows: one Philox, re-keyed through its state
+    # setter to row i's replication stream (counter 0, empty buffer), gives
+    # the uniforms replication_stream(master_seed, scenario, reps[i]) gives
+    high = scenario_key(scenario) << 32
+    bitgen = np.random.Philox(key=_stream_key(master_seed, 0, 0))
+    generator = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+
+    def prefixes(pending: np.ndarray, k: int) -> np.ndarray:
+        uniforms = np.empty((len(pending), k))
+        for out, i in zip(uniforms, pending.tolist()):
+            key[1] = high | (reps[i] & _MASK32)
+            bitgen.state = fresh
+            generator.random(out=out)
+        return uniforms
+
+    return prefixes
 
 
 def draw_within_variances(stream: np.random.Generator, n: int) -> np.ndarray:
@@ -180,15 +285,33 @@ def draw_within_variances(stream: np.random.Generator, n: int) -> np.ndarray:
 
     Truncation is by per-value rejection resampling, so accepted values
     follow the conditional distribution (no point mass at the edges).
+    This is a row of the block transform: it reads a prefix of 2n + 7
+    uniforms from the stream (more if the rejections need them), so the
+    stream ends past the uniforms it used.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    vals = 0.25 * _std_normals(stream, n) ** 2
-    bad = (vals < SIGMA_SQ_LOW) | (vals > SIGMA_SQ_HIGH)
-    while bad.any():
-        vals[bad] = 0.25 * _std_normals(stream, int(bad.sum())) ** 2
-        bad = (vals < SIGMA_SQ_LOW) | (vals > SIGMA_SQ_HIGH)
-    return vals
+    variances, _ = _draw_rows(_stream_prefixes(stream), 1, n, 0)
+    return variances[0]
+
+
+def _simulate_rows(
+    prefixes: Callable[[np.ndarray, int], np.ndarray], rows: int, scenario: Scenario
+) -> tuple[list[MetaDataset], list[float]]:
+    # datasets and new-study effects of `rows` streams, in the draw order
+    # of simulate_dataset
+    n = scenario.n
+    tau = math.sqrt(scenario.tau2)
+    sigma_sq, z = _draw_rows(prefixes, rows, n, 2 * n + 1)
+    theta = scenario.mu + tau * z[:, :n]
+    std_errs = np.sqrt(sigma_sq)
+    effects = theta + std_errs * z[:, n : 2 * n]
+    variances = std_errs**2
+    theta_new = scenario.mu + tau * z[:, 2 * n]
+    for arr in (effects, std_errs, variances):
+        arr.flags.writeable = False
+    datasets = list(map(MetaDataset._trusted, effects, std_errs, variances))
+    return datasets, theta_new.tolist()
 
 
 def simulate_dataset(
@@ -197,14 +320,13 @@ def simulate_dataset(
     """One synthetic dataset plus the held-out new-study effect.
 
     Draw order is fixed (variances, true effects, observed effects, new
-    effect) so replaying a stream reproduces the replication exactly.
+    effect) so replaying a stream reproduces the replication exactly. This
+    is a block of one of the transform run_study draws with: it reads a
+    prefix of 4n + 8 uniforms from the stream (more if the variances'
+    rejections need them), so the stream ends past the uniforms it used.
     """
-    tau = math.sqrt(scenario.tau2)
-    sigma_sq = draw_within_variances(stream, scenario.n)
-    theta = scenario.mu + tau * _std_normals(stream, scenario.n)
-    y = theta + np.sqrt(sigma_sq) * _std_normals(stream, scenario.n)
-    theta_new = scenario.mu + tau * float(_std_normals(stream, 1)[0])
-    return MetaDataset(y, np.sqrt(sigma_sq)), theta_new
+    (dataset,), (theta_new,) = _simulate_rows(_stream_prefixes(stream), 1, scenario)
+    return dataset, theta_new
 
 
 def run_replication(
@@ -232,19 +354,21 @@ def _run_block(
 ) -> list[dict[str, tuple[bool, float, bool]]]:
     """run_replication for each replication index in reps, as one block.
 
-    Every replication draws its dataset from its own stream, as alone; the
-    datasets then go through the methods together (one grid batch and one
-    inversion batch for the Bayesian tags of the whole block, one DL fit
-    and one REML scoring loop for its plug-in t and Wald tags), so each
+    The block hashes its scenario once and draws all its datasets in one
+    pass (_simulate_rows): each replication reads its own stream, the one
+    replication_stream(master_seed, scenario, rep) replays, so its dataset
+    is the one simulate_dataset draws from that stream alone. The datasets
+    then go through the methods together (one grid batch and one inversion
+    batch for the Bayesian tags of the whole block, one DL fit and one
+    REML scoring loop for its plug-in t and Wald tags), so each
     replication's row equals its run_replication row bit for bit.
     """
-    draws = [
-        simulate_dataset(replication_stream(master_seed, scenario, rep), scenario)
-        for rep in reps
-    ]
-    results = _evaluate_block(methods, [dataset for dataset, _ in draws], scenario.level)
+    datasets, theta_news = _simulate_rows(
+        _block_prefixes(master_seed, scenario, reps), len(reps), scenario
+    )
+    results = _evaluate_block(methods, datasets, scenario.level)
     rows = []
-    for rep, (_, theta_new), intervals in zip(reps, draws, results):
+    for rep, theta_new, intervals in zip(reps, theta_news, results):
         out: dict[str, tuple[bool, float, bool]] = {}
         for method, interval in zip(methods, intervals):
             if isinstance(interval, NumericFailure):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 from scipy import integrate, optimize, stats
-from scipy.special import logsumexp, ndtr
+from scipy.special import logsumexp, ndtr, ndtri
 
 MU_PRIOR_VAR = 10_000.0
 
@@ -240,6 +240,29 @@ def truncated_sigma_sq_mean(lo=0.009, hi=0.6):
     mass, _ = integrate.quad(pdf, lo / 0.25, hi / 0.25)
     m1, _ = integrate.quad(lambda x: 0.25 * x * pdf(x), lo / 0.25, hi / 0.25)
     return m1 / mass
+
+
+def sequential_draw(stream, n, tau2, mu=0.0, lo=0.009, hi=0.6):
+    """One replication drawn value by value from a numpy Generator, in the
+    harness's draw order: n variances 0.25 x chi^2(1), each rejection round
+    redrawing the out-of-range positions in position order, then n true
+    effects, n observation errors and the new-study effect, every normal
+    being ndtri of one uniform clamped to [2^-53, 1 - 2^-53].
+    Returns (effects, std_errs, theta_new)."""
+
+    def normals(size):
+        return ndtri(np.clip(stream.random(size), 2.0**-53, 1.0 - 2.0**-53))
+
+    sigma_sq = 0.25 * normals(n) ** 2
+    bad = (sigma_sq < lo) | (sigma_sq > hi)
+    while bad.any():
+        sigma_sq[bad] = 0.25 * normals(int(bad.sum())) ** 2
+        bad = (sigma_sq < lo) | (sigma_sq > hi)
+    tau = math.sqrt(tau2)
+    theta = mu + tau * normals(n)
+    std_errs = np.sqrt(sigma_sq)
+    effects = theta + std_errs * normals(n)
+    return effects, std_errs, mu + tau * float(normals(1)[0])
 
 
 def random_walk_sampler(

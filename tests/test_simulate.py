@@ -3,9 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from metapred import (
     DEFAULT_METHODS,
+    MetaDataset,
     Scenario,
     SimConfig,
     draw_within_variances,
@@ -19,7 +23,7 @@ from metapred.errors import NumericFailure
 from metapred.io import emit_coverage_table, parse_sim_config
 from metapred.methods import METHODS
 from metapred.simulate import SIGMA_SQ_HIGH, SIGMA_SQ_LOW
-from oracles import truncated_sigma_sq_mean
+from oracles import sequential_draw, truncated_sigma_sq_mean
 
 
 class TestScenarioConfig:
@@ -30,6 +34,9 @@ class TestScenarioConfig:
             Scenario(n=7, tau2=-0.1)
         with pytest.raises(ValueError):
             Scenario(n=7, tau2=0.1, level=1.0)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                Scenario(n=7, tau2=0.1, mu=mu)
 
     def test_default_methods_are_priors_plus_hts(self):
         assert len(DEFAULT_METHODS) == 12
@@ -102,6 +109,13 @@ class TestWithinVariances:
         b = draw_within_variances(replication_stream(1, SC, 5), 64)
         np.testing.assert_array_equal(a, b)
 
+    def test_equals_value_by_value_draw(self):
+        # the variances are the first draws of a replication's stream
+        for n in (1, 3, 60, 5000):
+            vals = draw_within_variances(replication_stream(2, SC, n), n)
+            _, std_errs, _ = sequential_draw(replication_stream(2, SC, n), n, 0.0)
+            assert np.sqrt(vals).tobytes() == std_errs.tobytes()
+
     def test_mean_matches_truncated_chi2_oracle(self):
         stream = replication_stream(7, SC, 0)
         vals = draw_within_variances(stream, 100_000)
@@ -124,6 +138,27 @@ class TestSimulateDataset:
         np.testing.assert_array_equal(d1.effects, d2.effects)
         np.testing.assert_array_equal(d1.std_errs, d2.std_errs)
 
+    def test_uniforms_at_0_and_1_are_clamped(self):
+        # ndtri(0) and ndtri(1) are infinite: a normal's uniform is clamped
+        # to [2^-53, 1 - 2^-53] first, so the draw stays finite
+        class Edges:
+            # uniforms 0.3, 0.3, 0.3 (accepted variances), then 0 and 1 by turns
+            def __init__(self):
+                self.drawn = 0
+
+            def random(self, size):
+                i = np.arange(self.drawn, self.drawn + size)
+                self.drawn += size
+                return np.where(i < 3, 0.3, (i % 2 == 0).astype(float))
+
+        scenario = Scenario(3, 1.0)
+        dataset, theta_new = simulate_dataset(Edges(), scenario)
+        effects, std_errs, new_effect = sequential_draw(Edges(), 3, 1.0)
+        assert np.isfinite(dataset.effects).all() and math.isfinite(theta_new)
+        assert dataset.effects.tobytes() == effects.tobytes()
+        assert dataset.std_errs.tobytes() == std_errs.tobytes()
+        assert theta_new == new_effect == float(ndtri(2.0**-53))
+
     def test_theta_new_variance(self):
         tau2 = 0.1
         scenario = Scenario(3, tau2)
@@ -136,6 +171,101 @@ class TestSimulateDataset:
         sample_var = draws.var(ddof=1)
         se = tau2 * math.sqrt(2.0 / (len(draws) - 1))
         assert abs(sample_var - tau2) <= 3.0 * se
+
+
+def block_draws(master_seed, scenario, reps):
+    # the datasets and new-study effects a run_study block draws
+    import metapred.simulate as sim
+
+    prefixes = sim._block_prefixes(master_seed, scenario, reps)
+    return sim._simulate_rows(prefixes, len(reps), scenario)
+
+
+class TestBlockDraws:
+    def test_drawn_data_meet_the_dataset_invariants(self):
+        # drawn datasets skip MetaDataset's validation; each must equal the
+        # validated dataset built from its own arrays
+        for scenario in (Scenario(3, 0.0), Scenario(7, 0.1, mu=-1.5), Scenario(60, 2.0)):
+            datasets, theta_new = block_draws(5, scenario, range(40))
+            assert all(type(t) is float and math.isfinite(t) for t in theta_new)
+            for dataset in [*datasets, simulate_dataset(replication_stream(5, scenario, 3), scenario)[0]]:
+                checked = MetaDataset.from_arrays(dataset.effects, dataset.std_errs)
+                for name in ("effects", "std_errs", "variances"):
+                    got, want = getattr(dataset, name), getattr(checked, name)
+                    assert got.dtype == want.dtype == np.float64
+                    assert got.shape == want.shape == (scenario.n,)
+                    assert got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable and not want.flags.writeable
+                    with pytest.raises(ValueError):
+                        got.flags.writeable = True
+                se_sq = dataset.std_errs**2
+                assert se_sq.min() >= SIGMA_SQ_LOW and se_sq.max() <= SIGMA_SQ_HIGH
+
+    @pytest.mark.parametrize("spare", [1, 0])
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        first_rep=st.integers(0, 2**32 - 41),
+        size=st.integers(1, 40),
+        n=st.integers(3, 60),
+        tau2=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        mu=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    )
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_block_rows_equal_single_draws(
+        self, monkeypatch, spare, master_seed, first_rep, size, n, tau2, mu
+    ):
+        # a spare of 0 leaves a row no uniform for a rejection: every row
+        # that rejects a variance runs past its prefix and is drawn again
+        import metapred.simulate as sim
+
+        monkeypatch.setattr(sim, "_PREFIX_SPARE", spare)
+        scenario = Scenario(n, tau2, mu=mu)
+        reps = range(first_rep, first_rep + size)
+        datasets, theta_new = block_draws(master_seed, scenario, reps)
+        for rep, dataset, new_effect in zip(reps, datasets, theta_new):
+            alone, alone_new = simulate_dataset(
+                replication_stream(master_seed, scenario, rep), scenario
+            )
+            assert new_effect.hex() == alone_new.hex()
+            assert dataset.effects.tobytes() == alone.effects.tobytes()
+            assert dataset.std_errs.tobytes() == alone.std_errs.tobytes()
+        # and the first row equals the value-by-value draw from its stream
+        stream = replication_stream(master_seed, scenario, first_rep)
+        effects, std_errs, new_effect = sequential_draw(stream, n, tau2, mu)
+        assert theta_new[0].hex() == new_effect.hex()
+        assert datasets[0].effects.tobytes() == effects.tobytes()
+        assert datasets[0].std_errs.tobytes() == std_errs.tobytes()
+
+    def test_rows_past_the_prefix_are_drawn_again(self, monkeypatch):
+        # with no spare uniforms, the rows that reject a variance ask for a
+        # prefix twice as long, and every row still gets the dataset its
+        # stream gives at the default prefix
+        import metapred.simulate as sim
+
+        scenario = Scenario(30, 0.1)
+        expected, expected_new = block_draws(11, scenario, range(20))
+        asked = []
+        real = sim._block_prefixes
+
+        def recorded(master_seed, scenario, reps):
+            prefixes = real(master_seed, scenario, reps)
+
+            def asking(pending, k):
+                asked.append((len(pending), k))
+                return prefixes(pending, k)
+
+            return asking
+
+        monkeypatch.setattr(sim, "_block_prefixes", recorded)
+        monkeypatch.setattr(sim, "_PREFIX_SPARE", 0)
+        datasets, theta_new = block_draws(11, scenario, range(20))
+        assert asked[0] == (20, 91) and asked[1][1] == 182 and len(asked) >= 2
+        assert theta_new == expected_new
+        for got, want in zip(datasets, expected):
+            assert got.effects.tobytes() == want.effects.tobytes()
+            assert got.std_errs.tobytes() == want.std_errs.tobytes()
 
 
 class TestRunReplication:
