@@ -13,7 +13,9 @@ rejection loop for the whole block (_draw_rows, of which the public
 simulate_dataset and draw_within_variances are blocks of one). The
 block's datasets then go through the methods together, one grid batch
 and one inversion batch for all of them, and one pass for the plug-in t
-and Wald tags (one DL fit and one REML scoring loop over all of them). A
+and Wald tags (one DL fit and one REML scoring loop over all of them).
+On more than one CPU the blocks run on a pool of worker processes that
+is forked at a process's first parallel study and kept for later ones. A
 replication's result does not depend on its block, so the study is
 bit-identical for any degree of parallelism and any block size.
 """
@@ -23,8 +25,11 @@ from __future__ import annotations
 import logging
 import math
 import os
+import threading
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Sequence
@@ -394,6 +399,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# run_study's worker pool, kept open from one study to the next: starting
+# and stopping a pool for each study cost a parallelism-2 study of 400
+# small replications about 30% of its wall time (BENCH_16.json). Its
+# workers hold about 6 MB of private memory each while it is open.
+# _pool_key is the (executor type, workers) it was made with;
+# _pool_stack closes it.
+_pool_lock = threading.Lock()
+_pool_stack = ExitStack()
+_pool_key: tuple | None = None
+_pool = None
+
+
+def _worker_pool(workers: int):
+    """The kept pool of `workers` processes, made at first use. A request
+    for another size shuts the old pool down before the new one forks."""
+    global _pool, _pool_key
+    key = (ProcessPoolExecutor, workers)
+    with _pool_lock:
+        if key != _pool_key:
+            _pool_stack.close()
+            _pool_key = None
+            _pool = _pool_stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            _pool_key = key
+        return _pool
+
+
+def _drop_pool() -> None:
+    # a worker died: shut the pool down so the next study forks a new one
+    global _pool, _pool_key
+    with _pool_lock:
+        _pool_stack.close()
+        _pool = _pool_key = None
+
+
 def _blocks(config: SimConfig, cap: int) -> list[tuple[Scenario, tuple[int, ...]]]:
     """run_study's units of work, in order: each scenario's replication
     indices cut into blocks of min(cap, _BLOCK_STUDIES // n) (at least 1)."""
@@ -415,10 +454,14 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     about four pieces of every scenario. The blocks run as one ordered
     map, so each scenario's rows are one contiguous slice, on a pool of
     min(parallelism, usable CPUs) worker processes, or in process when
-    that is 1. Every replication draws from its own stream and its row
-    does not depend on the rest of its block; coverage is an integer
-    count and widths are summed exactly (math.fsum), so the output is
-    bit-identical for any parallelism value under the same master seed.
+    that is 1. The pool is forked at the first parallel study and kept
+    open for later studies of the same size, so its workers run the
+    module state (logging and warning filters included) of the moment
+    they were forked. Every replication draws from its own stream and
+    its row does not depend on the rest of its block; coverage is an
+    integer count and widths are summed exactly (math.fsum), so the
+    output is bit-identical for any parallelism value under the same
+    master seed.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -430,8 +473,11 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     if workers == 1:
         blocks = list(map(_run_block, *args))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block, *args))
+        try:
+            blocks = list(_worker_pool(workers).map(_run_block, *args))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     rows = [row for block in blocks for row in block]
 
     records = []

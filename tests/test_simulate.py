@@ -481,6 +481,51 @@ class TestRunStudy:
         assert capped == sim.run_study(config, parallelism=1)
         assert len(asked) == 1  # parallelism 1 runs in process
 
+    def test_pool_is_kept_between_studies(self, monkeypatch):
+        # studies of one size share a pool; another size shuts it down
+        # before making its own, and a broken pool is not kept
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        import metapred.simulate as sim
+
+        events = []
+
+        class CountingExecutor:
+            broken = False
+
+            def __init__(self, max_workers):
+                events.append(("make", max_workers))
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                events.append(("close", self.max_workers))
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                if CountingExecutor.broken:
+                    raise BrokenProcessPool("a worker died")
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingExecutor)
+        config = SimConfig(scenarios=(Scenario(4, 0.1),), methods=("hts",), reps=5, master_seed=3)
+        expected = sim.run_study(config, parallelism=1)
+        assert sim.run_study(config, parallelism=2) == expected
+        assert sim.run_study(config, parallelism=2) == expected
+        assert events == [("make", 2)]
+        assert sim.run_study(config, parallelism=3) == expected
+        assert events == [("make", 2), ("close", 2), ("make", 3)]
+        CountingExecutor.broken = True
+        with pytest.raises(BrokenProcessPool):
+            sim.run_study(config, parallelism=3)
+        CountingExecutor.broken = False
+        assert sim.run_study(config, parallelism=3) == expected
+        assert events[3:] == [("close", 3), ("make", 3)]
+
     def test_scenario_order_does_not_change_cells(self):
         s1, s2 = Scenario(4, 0.1), Scenario(5, 0.02)
         base = run_study(
