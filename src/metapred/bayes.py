@@ -36,22 +36,23 @@ closed-form, so each step costs one pass over the components, and a step
 that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
-One block is one batch. A block is a list of (dataset, prior) rows whose
-datasets share their number of studies: the one row of
+One block is one batch. A block is a list of datasets that share their
+number of studies, each with one prior bound to it, and a list of prior
+families to run on every one of them: the one prior of
 build_posterior_grid, the priors of evaluate_methods on its dataset, or
 those priors on every replication of a block of one scenario in the
 coverage study. The marginal likelihood does not depend on the prior, and
-every prior of a dataset shares s0 and so the ladder; each prior's panel
-breaks are a prefix of those of the prior with the largest tau_max
-(proper1 adds its own last panel). _posterior_grids therefore evaluates
-the likelihood once on every dataset's scan probes, evaluates each prior
-family's kernel once on the probes of all its rows, scans each dataset's
-priors as one (priors, probes) array and cuts every prior's breaks from
-its dataset's ladder. _refine_panels keeps the open panels of all rows as
-the rows of one set of arrays, tagged with their row, evaluates the
-likelihood once per pass on the distinct (dataset, panel) pairs and each
-family's kernel once per pass on the panels of its rows, with the bound
-constants of each row's dataset, and returns the finished grids.
+a dataset's priors share its bound constants, s0 and so the ladder; each
+prior's panel breaks are a prefix of those of the prior with the largest
+tau_max (proper1 adds its own last panel). _posterior_grids therefore
+evaluates the likelihood once on every dataset's scan probes and each
+scanned family's kernel once on all of them, scans each dataset's columns
+of that (families, probes) array, and cuts every prior's breaks from its
+dataset's ladder. _refine_panels keeps the open panels of all
+(family, dataset) rows, family after family, as the rows of one set of
+arrays, tagged with their row, evaluates the likelihood once per pass on
+the distinct (dataset, panel) pairs and each family's kernel once per
+pass on the run of its rows' panels, and returns the finished grids.
 _mixture_intervals inverts every (mixture, endpoint) row in one masked
 Newton loop. Reductions run over a node's studies in sequence (C-ordered
 (studies, nodes) arrays, whether a block of one broadcasts its dataset or
@@ -342,38 +343,39 @@ def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
 class _Block:
     """The datasets of one block, all with the same number of studies, as
     the likelihood and the prior kernels read them, with the bound
-    constants (s0^2, log s0, sigma_hat^2) that each dataset's priors share.
+    constants (s0^2, log s0, sigma_hat^2) that all of a dataset's priors
+    share. bound holds one (dataset, bound prior) pair per dataset; only the
+    prior's constants are read. Each per-dataset value is one array with an
+    entry per dataset (log s0 from math.log, which np.log can round
+    differently in the last bit).
 
-    A block of one broadcasts its dataset against the nodes: its deviations
-    and variances are (studies, 1) columns and its constants floats. A
-    larger block gathers each node's dataset: np.take keeps the gathered
+    A larger block gathers each node's dataset: np.take keeps the gathered
     (studies, nodes) arrays C-ordered (Y[:, idx] would not be, and numpy
     would then sum its studies pairwise), so every node's studies are
-    summed in the same sequence either way; a kernel gets its constants
-    as one value per row of its tau array.
+    summed in the same sequence either way; a kernel gets its constants as
+    one value per row of its tau array. A block of one broadcasts its
+    (studies, 1) columns against the nodes and reads entry 0 of each
+    constant instead: gathering there as well made analyze-mixed 12-15%
+    slower (139.6 -> 118.4 and 161.3 -> 142.9 requests/s in two sets of 8
+    pairs on a shared 2-vCPU VM).
     """
 
-    def __init__(self, datasets, bound, mu_prior_var):
-        self.size = len(datasets)
+    def __init__(self, bound, mu_prior_var):
+        self.size = len(bound)
         self.mu_prior_var = mu_prior_var
-        self.centre, self.c, self.consts, devs = [], [], [], []
-        for dataset, prior in zip(datasets, bound):
-            centre = _weighted_mean(dataset.effects, dataset.variances)
-            c = math.sqrt(prior.s0_sq)  # the w map's scale s0
-            self.centre.append(centre)
-            self.c.append(c)
-            self.consts.append((prior.s0_sq, math.log(c), prior.sigma_hat_sq, dataset.variances))
-            devs.append(dataset.effects - centre)
-        if self.size == 1:
-            self.dev, self.sigma_sq = devs[0][:, None], datasets[0].variances[:, None]
-        else:
-            if len({len(dev) for dev in devs}) > 1:
-                raise ValueError("the datasets of a block must have the same number of studies")
-            self.dev = np.stack(devs, axis=1)
-            self.sigma_sq = np.stack([dataset.variances for dataset in datasets], axis=1)
-            # per-dataset values that a node or row gathers by its dataset
-            self.centre_of, self.c_of = np.array(self.centre), np.array(self.c)
-            self.consts_of = [np.array(column) for column in zip(*self.consts)]
+        if len({dataset.n for dataset, _ in bound}) > 1:
+            raise ValueError("the datasets of a block must have the same number of studies")
+        centre = [_weighted_mean(dataset.effects, dataset.variances) for dataset, _ in bound]
+        c = [math.sqrt(prior.s0_sq) for _, prior in bound]  # the w map's scale s0
+        self.dev = np.stack([ds.effects - m for (ds, _), m in zip(bound, centre)], axis=1)
+        self.sigma_sq = np.stack([dataset.variances for dataset, _ in bound], axis=1)
+        self.centre, self.c = np.array(centre), np.array(c)
+        self.consts = [
+            np.array([prior.s0_sq for _, prior in bound]),
+            np.array([math.log(x) for x in c]),
+            np.array([prior.sigma_hat_sq for _, prior in bound]),
+            self.sigma_sq.T,  # a row of variances per dataset
+        ]
 
     def loglik(self, idx, tau):
         """_loglik_terms at the 1-d tau, node j on dataset idx[j]."""
@@ -382,7 +384,7 @@ class _Block:
         return _loglik_terms(
             np.take(self.dev, idx, axis=1),
             np.take(self.sigma_sq, idx, axis=1),
-            self.centre_of[idx],
+            self.centre[idx],
             tau,
             self.mu_prior_var,
         )
@@ -391,9 +393,9 @@ class _Block:
         """The family's log_prior_kernel at tau, row i of tau on dataset
         idx[i]: one call for every dataset of the block."""
         if self.size == 1:
-            return _log_kernel(family, tau, *self.consts[0])
+            return _log_kernel(family, tau, *(column[0] for column in self.consts))
         col = idx.reshape(idx.shape + (1,) * (tau.ndim - idx.ndim))
-        return _log_kernel(family, tau, *(column[col] for column in self.consts_of))
+        return _log_kernel(family, tau, *(column[col] for column in self.consts))
 
 
 def _distinct(*keys):
@@ -424,18 +426,19 @@ def _panel_nodes(c, lo, hi):
     return tau, quad_weights
 
 
-def _refine_panels(block, owner_ds, priors, breaks, tol):
-    """Every row's posterior grid: row r is prior priors[r] on the block's
-    dataset owner_ds[r], its w-panels cut at its tau breaks (0, the octave
-    ladder below its tau_max, and tau_max) and bisected until each passes
-    its error test.
+def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
+    """Every row's posterior grid: row r is the prior
+    families[row_family[r]] on the block's dataset owner_ds[r], its
+    w-panels cut at its tau breaks (0, the octave ladder below its tau_max,
+    and tau_max) and bisected until each passes its error test. The rows
+    come family after family (row_family does not decrease), so each pass
+    finds a family's panels as one run.
 
     The open panels of all rows are the rows of one set of arrays; owner
-    gives each panel's row, and the rows are taken in family-major order.
-    A pass evaluates the likelihood once on the distinct (dataset, panel)
-    pairs' _PANEL_ORDER-point half rules (the first pass also on the
-    whole-panel rules, each panel's before its halves) and each prior
-    family's kernel once, on the run of panel rules of its rows. A panel's
+    gives each panel's row. A pass evaluates the likelihood once on the
+    distinct (dataset, panel) pairs' _PANEL_ORDER-point half rules (the
+    first pass also on the whole-panel rules, each panel's before its
+    halves) and each prior family's kernel once, on that run. A panel's
     error estimate is the difference between its whole-panel rule and the
     sum of its two half rules, for the mass and for the tau^2-weighted
     mass: an estimate of the whole-panel rule's error. One running total,
@@ -456,7 +459,7 @@ def _refine_panels(block, owner_ds, priors, breaks, tol):
     to the totals (the larger of the two ratios). A row whose grid fails
     _grid_failure's checks gets that DivergedPosteriorError instead.
     """
-    m, n = _PANEL_ORDER, len(priors)
+    m, n = _PANEL_ORDER, len(breaks)
     if not n:
         return []
 
@@ -465,19 +468,10 @@ def _refine_panels(block, owner_ds, priors, breaks, tol):
         np.add.at(sums, rows, values)
         return sums
 
-    # rows in family-major order, so each pass finds a family's panels as
-    # one run and evaluates its kernel on a slice
-    index = {}
-    family_of = [index.setdefault(prior.family, len(index)) for prior in priors]
-    by_family = sorted(range(n), key=family_of.__getitem__)
-    families, names = list(index), [family.name for family in index]
-    row_family = np.array([family_of[r] for r in by_family])
-    owner_ds = owner_ds[by_family]
-    breaks = [breaks[r] for r in by_family]
     single = block.size == 1
     lengths = [len(b) for b in breaks]
     flat = np.concatenate(breaks)
-    c = block.c[0] if single else np.repeat(block.c_of[owner_ds], lengths)
+    c = block.c[0] if single else np.repeat(block.c[owner_ds], lengths)
     w_breaks = np.sqrt(flat / (c + flat))
     opens = np.ones(len(flat), dtype=bool)  # every break but a row's last opens a panel
     opens[np.cumsum(lengths) - 1] = False
@@ -501,7 +495,7 @@ def _refine_panels(block, owner_ds, priors, breaks, tol):
             panels, which = _distinct(a, b) if single else _distinct(datasets, a, b)
         node_ds = None if single else datasets[panels]
         with np.errstate(divide="ignore", invalid="ignore"):  # infinite nodes, NaN mass
-            c = block.c[0] if single else block.c_of[node_ds, None]
+            c = block.c[0] if single else block.c[node_ds, None]
             tau, quad_weights = _panel_nodes(c, a[panels], b[panels])
             terms = block.loglik(None if single else node_ds.repeat(m), tau.ravel())
             # tau, quad weight, log posterior, conditional mean and variance,
@@ -568,15 +562,15 @@ def _refine_panels(block, owner_ds, priors, breaks, tol):
         weights = nodes[1] * np.exp(nodes[2] - np.repeat(log_norm, counts))
         miss = np.add.reduceat(weights, starts) - 1.0
     log_norm, quad_error, miss = log_norm.tolist(), quad_error.tolist(), miss.tolist()
-    out = [None] * n
+    out = []
     for r, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-        name = names[row_family[r]]
+        name = families[row_family[r]].name
         grid = _grid_failure(name, failed[r], log_norm[r], quad_error[r], miss[r])
         if grid is None:
             arrays = nodes[:, start : start + count]
             tau_max = float(breaks[r][-1])
             grid = PosteriorGrid(*arrays, log_norm[r], name, tau_max, quad_error[r])
-        out[by_family[r]] = grid
+        out.append(grid)
     return out
 
 
@@ -609,84 +603,73 @@ def _grid_failure(name, failed, log_norm, quad_error, miss):
     return DivergedPosteriorError(name, message)
 
 
-def _posterior_grids(rows, config: EngineConfig | None = None) -> list:
-    """Posterior grids of (dataset, bound prior) rows, in one pass.
+def _posterior_grids(bound, families, config: EngineConfig | None = None) -> list:
+    """Posterior grids of every prior family on every dataset of a block,
+    in one pass.
 
-    The batch behind build_posterior_grid (one row) and evaluate_methods
-    (every prior its tags need, on every dataset of a block). The datasets
-    must share their number of studies. It trusts its callers to pass
-    priors bound to their row's dataset, so n >= 2: evaluate_methods binds
-    a dataset's priors from one bind_prior call, and build_posterior_grid
-    checks the one prior it is given. So a dataset's priors share s0 and
-    its octave ladder: per dataset, the scans of its priors run as one
-    (priors, probes) array and every prior's panel breaks are cut from the
-    one ladder; the likelihood is evaluated once on every dataset's scan
-    probes, each prior family's kernel once on the probes of all its rows,
-    and _refine_panels refines the panels of all rows together and returns
-    the finished grids. A row's result equals its batch-of-one result bit
-    for bit. Returns one PosteriorGrid or DivergedPosteriorError per row;
-    no rows give an empty list.
+    The batch behind build_posterior_grid (one dataset, one family) and
+    evaluate_methods (every prior its tags need, on every dataset of a
+    block). bound holds one (dataset, bound prior) pair per dataset, and the
+    datasets must share their number of studies; only the prior's bound
+    constants are read, and they serve every family on that dataset, so
+    all of a dataset's priors share s0 and its octave ladder. The
+    likelihood is evaluated once on every dataset's scan probes and each
+    scanned family's kernel once on all of them; each dataset's columns of
+    that (families, probes) array are scanned together, and every prior's
+    panel breaks are cut from its dataset's ladder. _refine_panels then
+    refines the panels of all (family, dataset) rows together. A grid
+    equals its batch-of-one result bit for bit. Returns, per dataset, one
+    PosteriorGrid or DivergedPosteriorError per family.
     """
     if config is None:
         config = EngineConfig()
-    if not rows:
+    if not bound:
         return []
-    first = {}  # a dataset's first prior, whose bound constants all its priors share
-    for dataset, prior in rows:
-        first.setdefault(dataset, prior)
-    position = {dataset: i for i, dataset in enumerate(first)}
-    block = _Block(list(first), list(first.values()), config.mu_prior_var)
-    priors = [prior for _, prior in rows]
-    row_ds = [position[dataset] for dataset, _ in rows]
-
-    ladders = [_tau_ladder(ds.effects, ds.variances, c) for ds, c in zip(first, block.c)]
-    uniform = [p.family.kind == "proper-uniform" for p in priors]
-    tau_max = np.array([p.family.hi if u else math.nan for p, u in zip(priors, uniform)])
-    scanned = [r for r, u in enumerate(uniform) if not u]
+    block = _Block(bound, config.mu_prior_var)
+    ladders = [
+        _tau_ladder(dataset.effects, dataset.variances, c)
+        for (dataset, _), c in zip(bound, block.c.tolist())
+    ]
+    tau_max = np.full((len(families), block.size), math.nan)  # family f on dataset i
+    scanned = []
+    for f, family in enumerate(families):
+        if family.kind == "proper-uniform":
+            tau_max[f] = family.hi
+        else:
+            scanned.append(f)
     if scanned:
         # every dataset's scan probes, end to end, and each one's dataset
-        probes, spans, end = [], [], 0
-        for ladder, start in ladders:
-            probes.append(ladder[start:])
-            spans.append((end, end + len(probes[-1])))
-            end += len(probes[-1])
+        probes = [ladder[start:] for ladder, start in ladders]
+        sizes = [len(p) for p in probes]
+        ends = np.cumsum(sizes).tolist()
         if block.size == 1:
             all_probes, probe_ds = probes[0], None
         else:
             all_probes = np.concatenate(probes)
-            probe_ds = np.repeat(np.arange(block.size), [len(p) for p in probes])
+            probe_ds = np.repeat(np.arange(block.size), sizes)
         probe_loglik = block.loglik(probe_ds, all_probes)[0]
-        by_family, by_dataset = {}, {}
-        for r in scanned:
-            by_family.setdefault(priors[r].family, []).append(r)
-            by_dataset.setdefault(row_ds[r], []).append(r)
-        log_h = {}  # each scanned row's log posterior density at its probes
-        for family, family_rows in by_family.items():
-            sel = np.concatenate([np.arange(*spans[row_ds[r]]) for r in family_rows])
-            idx = None if probe_ds is None else probe_ds[sel]
-            kernel = block.kernel(family, all_probes[sel], idx)
-            at = 0
-            for r in family_rows:
-                lo, hi = spans[row_ds[r]]
-                log_h[r] = kernel[at : at + hi - lo] + probe_loglik[lo:hi]
-                at += hi - lo
-        for i, mine in by_dataset.items():
-            tau_max[mine] = _scan_tau_max(np.stack([log_h[r] for r in mine]), probes[i])
+        log_h = np.stack(
+            [block.kernel(families[f], all_probes, probe_ds) + probe_loglik for f in scanned]
+        )
+        for i, (end, size) in enumerate(zip(ends, sizes)):
+            tau_max[scanned, i] = _scan_tau_max(log_h[:, end - size : end], probes[i])
 
-    good = np.flatnonzero(~np.isnan(tau_max)).tolist()
+    row_family, owner_ds = np.nonzero(~np.isnan(tau_max))  # family after family
     breaks = [
         np.concatenate([[0.0], ladder[ladder < t], [t]])
-        for ladder, t in ((ladders[row_ds[r]][0], tau_max[r]) for r in good)
+        for ladder, t in ((ladders[i][0], tau_max[f, i]) for f, i in zip(row_family, owner_ds))
     ]
     tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-    owner_ds = np.array([row_ds[r] for r in good], dtype=np.intp)
-    grids = iter(_refine_panels(block, owner_ds, [priors[r] for r in good], breaks, tol))
-    return [
-        _scan_failure(prior.name, dataset.effects, dataset.variances, config.mu_prior_var)
-        if math.isnan(t)
-        else next(grids)
-        for (dataset, prior), t in zip(rows, tau_max.tolist())
-    ]
+    grids = iter(_refine_panels(block, owner_ds, row_family, families, breaks, tol))
+    out = [[] for _ in bound]
+    for family, row in zip(families, tau_max.tolist()):
+        for (dataset, _), grids_of, t in zip(bound, out, row):
+            grids_of.append(
+                _scan_failure(family.name, dataset.effects, dataset.variances, config.mu_prior_var)
+                if math.isnan(t)
+                else next(grids)
+            )
+    return out
 
 
 def build_posterior_grid(
@@ -721,7 +704,7 @@ def build_posterior_grid(
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     if not np.array_equal(prior.sigma_sq, dataset.variances):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-    (grid,) = _posterior_grids([(dataset, prior)], config)
+    ((grid,),) = _posterior_grids([(dataset, prior)], [prior.family], config)
     if isinstance(grid, Exception):
         raise grid
     return grid

@@ -188,9 +188,7 @@ def _plugin_intervals(
         if not rows:
             continue
         tau2 = [fits[estimator][i].tau2 for i in rows]
-        # gather only when a fit failed: two fancy-index copies cost about
-        # 5 us, which a block of one (hts_interval, 40-80 us) would pay
-        y_rows, v_rows = (y, v) if len(rows) == len(datasets) else (y[rows], v[rows])
+        y_rows, v_rows = y[rows], v[rows]
         w, total, mu = _pooled(y_rows, v_rows, tau2)
         if estimator == "REML":
             kinds = [_VARIANT_OF[tag] for tag in est_tags]

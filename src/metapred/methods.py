@@ -6,7 +6,7 @@ interval) and ``cred:<prior>`` (credible interval) target the grand mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .bayes import EngineConfig, PosteriorGrid, _mixture_intervals, _posterior_grids
@@ -57,24 +57,24 @@ def _bayes_outcomes(
     block: one grid batch for every prior named on every dataset, then one
     inversion batch for every interval whose grid was built."""
     names = list(dict.fromkeys(name for name, _ in pairs))
+    families = [NAMED_PRIORS[name] for name in names]
     out: list[dict] = []
-    bound_outcomes, rows = [], []  # the outcomes and grid rows of every bound dataset
+    bound_outcomes, bound = [], []  # the outcomes and bound prior of every bound dataset
     for dataset in datasets:
         try:
-            bound = bind_prior(NAMED_PRIORS[names[0]], dataset)
+            bound.append((dataset, bind_prior(families[0], dataset)))
         except (ValueError, NumericFailure) as exc:
             out.append(dict.fromkeys(pairs, exc))
             continue
         out.append({})
         bound_outcomes.append(out[-1])
-        rows += [(dataset, replace(bound, family=NAMED_PRIORS[name])) for name in names]
     try:
-        grids = iter(_posterior_grids(rows, _ENGINE))
+        grids = _posterior_grids(bound, families, _ENGINE)
     except (ValueError, NumericFailure) as exc:
-        grids = iter([exc] * len(rows))
+        grids = [[exc] * len(families)] * len(bound)
     ready = []  # (dataset's outcomes, pair, grid) of every interval to invert
-    for outcomes in bound_outcomes:
-        by_name = {name: next(grids) for name in names}
+    for outcomes, grids_of in zip(bound_outcomes, grids):
+        by_name = dict(zip(names, grids_of))
         for pair in pairs:
             grid = outcomes[pair] = by_name[pair[0]]  # a failed grid is its error
             if isinstance(grid, PosteriorGrid):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os
 import threading
 import zlib
@@ -69,6 +70,14 @@ _BLOCK_STUDIES = 256
 DEFAULT_METHODS: tuple[str, ...] = ("hts",) + tuple(NAMED_PRIORS)
 
 
+def _check_integer(value, label):
+    """ValueError unless value is an integer (a Python or numpy int)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{label} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulation cell: number of studies and true heterogeneity."""
@@ -79,6 +88,7 @@ class Scenario:
     level: float = 0.95
 
     def __post_init__(self):
+        _check_integer(self.n, "n")
         if self.n < 3:
             raise ValueError(f"scenario needs n >= 3, got {self.n}")
         if not (math.isfinite(self.tau2) and self.tau2 >= 0):
@@ -113,6 +123,8 @@ class SimConfig:
                 if x in seen:
                     raise ValueError(f"config repeats {label} {x!r}")
                 seen.add(x)
+        _check_integer(self.reps, "reps")
+        _check_integer(self.master_seed, "seed")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (0 <= self.master_seed < 2**64):

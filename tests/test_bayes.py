@@ -54,8 +54,12 @@ def grid_for(dataset, name, config=None):
 
 
 def dataset_batch(dataset, priors, config):
-    """The engine's grid batch of one dataset's priors (a block of one)."""
-    return bayes._posterior_grids([(dataset, prior) for prior in priors], config)
+    """The engine's grid batch of one dataset's priors (a block of one):
+    their families on the dataset, bound once (any family binds the same
+    constants)."""
+    bound = bind_prior(named_prior("uniform"), dataset)
+    (grids,) = bayes._posterior_grids([(dataset, bound)], [p.family for p in priors], config)
+    return grids
 
 
 def ladder_for(dataset):
@@ -82,7 +86,7 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     w = ((0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]).ravel()
     tau = c * w**2 / (1.0 - w**2)
     quad_weights = (half * _GL16[1]).ravel() * 2.0 * c * w / (1.0 - w**2) ** 2
-    loglik, cond_mean, cond_var = bayes._Block([dataset], [prior], 10_000.0).loglik(None, tau)
+    loglik, cond_mean, cond_var = bayes._Block([(dataset, prior)], 10_000.0).loglik(None, tau)
     log_post = log_prior_kernel(prior, tau) + loglik
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
@@ -892,12 +896,15 @@ class TestBatch:
                 block[-1] = MetaDataset.from_arrays(block[-1].effects + 1e5, block[-1].std_errs)
             rows = [(ds, bind_prior(family, ds)) for ds in block for family in families]
             with np.errstate(all="ignore"):
-                grids = bayes._posterior_grids(rows, config)
+                bound = [(ds, bind_prior(families[0], ds)) for ds in block]
+                per_dataset = bayes._posterior_grids(bound, families, config)
+                grids = [grid for grids_of in per_dataset for grid in grids_of]
                 alone = [
                     grid
                     for ds in block
                     for grid in dataset_batch(ds, [prior for d, prior in rows if d is ds], config)
                 ]
+            assert [len(grids_of) for grids_of in per_dataset] == [len(families)] * size
             last = grids[len(families) - 1 :: len(families)]  # every power(1e308) row
             assert all(isinstance(g, DivergedPosteriorError) for g in last)
             requests = [
@@ -922,9 +929,9 @@ class TestBatch:
 
     def test_block_datasets_must_share_n(self):
         a, b = README_DATA, SPREAD
-        rows = [(ds, bind_prior(named_prior("jeffreys"), ds)) for ds in (a, b)]
+        bound = [(ds, bind_prior(named_prior("jeffreys"), ds)) for ds in (a, b)]
         with pytest.raises(ValueError, match="same number of studies"):
-            bayes._posterior_grids(rows, EngineConfig())
+            bayes._posterior_grids(bound, [named_prior("jeffreys")], EngineConfig())
 
     def test_batch_order_and_subsets_do_not_matter(self):
         # the same prior in a batch of one, of three and of eleven, in
@@ -983,9 +990,10 @@ class TestBatch:
         breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in (ladder[-1], 10.0)]
         config = EngineConfig()
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-        block = bayes._Block([README_DATA], priors[:1], config.mu_prior_var)
+        block = bayes._Block([(README_DATA, priors[0])], config.mu_prior_var)
+        owner_ds, row_family = np.zeros(2, dtype=np.intp), np.arange(2)
         with np.errstate(all="ignore"):
-            bad, good = bayes._refine_panels(block, np.zeros(2, dtype=np.intp), priors, breaks, tol)
+            bad, good = bayes._refine_panels(block, owner_ds, row_family, families, breaks, tol)
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
         assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metapred.intervals as intervals_module
+import metapred.methods as methods_module
 from metapred import (
     MetaDataset,
     NumericFailure,
@@ -181,6 +182,38 @@ class TestBatchedEvaluation:
             calls.clear()
             _evaluate_block(["hts", "hts-hk", "dl", "hts-sj"], datasets, 0.95)
             assert calls == [("_dl_fits", len(datasets)), ("_reml_fits", len(datasets))]
+
+    def test_one_grid_batch_and_one_inversion_batch_per_block(self, monkeypatch):
+        # every Bayesian tag of a block shares one grid batch, over every
+        # dataset and all 11 prior families, and one inversion batch
+        calls = []
+        real_grids = methods_module._posterior_grids
+        real_intervals = methods_module._mixture_intervals
+
+        def grids(bound, families, config):
+            calls.append(("grids", [ds for ds, _ in bound], list(families)))
+            return real_grids(bound, families, config)
+
+        def intervals(requests, level, cdf_tolerance):
+            calls.append(("intervals", len(requests)))
+            return real_intervals(requests, level, cdf_tolerance)
+
+        monkeypatch.setattr(methods_module, "_posterior_grids", grids)
+        monkeypatch.setattr(methods_module, "_mixture_intervals", intervals)
+        scenario = Scenario(n=6, tau2=0.1)
+        block = [
+            simulate_dataset(replication_stream(3, scenario, rep), scenario)[0]
+            for rep in range(5)
+        ]
+        for datasets in ([DATASET], block):
+            calls.clear()
+            _evaluate_block(ALL_TAGS, datasets, 0.95)
+            assert [call[0] for call in calls] == ["grids", "intervals"]
+            assert len(calls[0][1]) == len(datasets)
+            assert all(a is b for a, b in zip(calls[0][1], datasets))
+            assert sorted(family.name for family in calls[0][2]) == sorted(NAMED_PRIORS)
+            # a prediction and a credible interval per prior on each dataset
+            assert calls[1][1] == 2 * len(NAMED_PRIORS) * len(datasets)
 
     def test_reml_failure_fails_both_robust_tags(self):
         # REML scoring stalls on this replication (a known defect): both

@@ -65,6 +65,25 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="share stream key 0x312f649"):
             SimConfig(scenarios=(Scenario(89, 0.716), Scenario(900, 0.907)))
 
+    def test_counts_and_seed_must_be_integers(self):
+        # a fractional n, reps or seed is refused when it is given, not by a
+        # TypeError deep inside the first run; numpy integers are accepted
+        sc = (Scenario(7, 0.1),)
+        with pytest.raises(ValueError, match="n must be an integer, got 3.5"):
+            Scenario(3.5, 0.1)
+        with pytest.raises(ValueError, match="reps must be an integer, got 2.5"):
+            SimConfig(scenarios=sc, reps=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            SimConfig(scenarios=sc, master_seed=1.5)
+        config = SimConfig(
+            scenarios=(Scenario(np.int64(3), 0.1),),
+            methods=("hts",),
+            reps=np.int32(2),
+            master_seed=np.uint64(5),
+        )
+        plain = SimConfig(scenarios=(Scenario(3, 0.1),), methods=("hts",), reps=2, master_seed=5)
+        assert run_study(config) == run_study(plain)
+
     def test_repeat_checks_scale_to_large_configs(self):
         # 20000 scenarios: a scan of every earlier element took about a minute
         sc = tuple(Scenario(n, 0.0) for n in range(3, 20003))
