@@ -37,22 +37,22 @@ that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
 One block is one batch. A block is a list of datasets that share their
-number of studies, each with one prior bound to it, and a list of prior
-families to run on every one of them: the one prior of
-build_posterior_grid, the priors of evaluate_methods on its dataset, or
-those priors on every replication of a block of one scenario in the
-coverage study. The marginal likelihood does not depend on the prior, and
-a dataset's priors share its bound constants, s0 and so the ladder; each
-prior's panel breaks are a prefix of those of the prior with the largest
-tau_max (proper1 adds its own last panel). _posterior_grids therefore
-evaluates the likelihood once on every dataset's scan probes and each
-scanned family's kernel once on all of them, scans each dataset's columns
-of that (families, probes) array, and cuts every prior's breaks from its
-dataset's ladder. _refine_panels keeps the open panels of all
+number of studies, and a list of prior families to run on every one of
+them: the one prior of build_posterior_grid, the priors of
+evaluate_methods on its dataset, or those priors on every replication of a
+block of one scenario in the coverage study. The marginal likelihood does
+not depend on the prior, and a dataset's priors share its bound constants
+(one row of priors._bound_constants per dataset), s0 and so the ladder;
+each prior's panel breaks are a prefix of those of the prior with the
+largest tau_max (proper1 adds its own last panel). _posterior_grids
+therefore evaluates the likelihood once on every dataset's scan probes and
+each scanned family's kernel once on all of them, scans each dataset's
+columns of that (families, probes) array, and cuts every prior's breaks
+from its dataset's ladder. _refine_panels keeps the open panels of all
 (family, dataset) rows, family after family, as the rows of one set of
 arrays, tagged with their row, evaluates the likelihood once per pass on
-the distinct (dataset, panel) pairs and each family's kernel once per
-pass on the run of its rows' panels, and returns the finished grids.
+the distinct (dataset, panel) pairs and each family's kernel once per pass
+on the run of its rows' panels, and returns the finished grids.
 _mixture_intervals inverts every (mixture, endpoint) row in one masked
 Newton loop. Reductions run over a node's studies in sequence (C-ordered
 (studies, nodes) arrays, whether a block of one broadcasts its dataset or
@@ -73,8 +73,8 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .core import MetaDataset
 from .errors import DivergedPosteriorError, NumericFailure
-from .intervals import IntervalEstimate
-from .priors import BoundPrior, _log_kernel
+from .intervals import IntervalEstimate, _check_level
+from .priors import BoundPrior, _bound_constants, _log_kernel
 
 __all__ = [
     "EngineConfig",
@@ -344,10 +344,9 @@ class _Block:
     """The datasets of one block, all with the same number of studies, as
     the likelihood and the prior kernels read them, with the bound
     constants (s0^2, log s0, sigma_hat^2) that all of a dataset's priors
-    share. bound holds one (dataset, bound prior) pair per dataset; only the
-    prior's constants are read. Each per-dataset value is one array with an
-    entry per dataset (log s0 from math.log, which np.log can round
-    differently in the last bit).
+    share, from one _bound_constants call over the block's rows. Each
+    per-dataset value is one array with an entry per dataset (log s0 from
+    math.log, which np.log can round differently in the last bit).
 
     A larger block gathers each node's dataset: np.take keeps the gathered
     (studies, nodes) arrays C-ordered (Y[:, idx] would not be, and numpy
@@ -360,22 +359,20 @@ class _Block:
     pairs on a shared 2-vCPU VM).
     """
 
-    def __init__(self, bound, mu_prior_var):
-        self.size = len(bound)
+    def __init__(self, datasets, mu_prior_var):
+        self.size = len(datasets)
         self.mu_prior_var = mu_prior_var
-        if len({dataset.n for dataset, _ in bound}) > 1:
+        if len({dataset.n for dataset in datasets}) > 1:
             raise ValueError("the datasets of a block must have the same number of studies")
-        centre = [_weighted_mean(dataset.effects, dataset.variances) for dataset, _ in bound]
-        c = [math.sqrt(prior.s0_sq) for _, prior in bound]  # the w map's scale s0
-        self.dev = np.stack([ds.effects - m for (ds, _), m in zip(bound, centre)], axis=1)
-        self.sigma_sq = np.stack([dataset.variances for dataset, _ in bound], axis=1)
-        self.centre, self.c = np.array(centre), np.array(c)
-        self.consts = [
-            np.array([prior.s0_sq for _, prior in bound]),
-            np.array([math.log(x) for x in c]),
-            np.array([prior.sigma_hat_sq for _, prior in bound]),
-            self.sigma_sq.T,  # a row of variances per dataset
-        ]
+        variances = np.stack([dataset.variances for dataset in datasets])  # a row per dataset
+        s0_sq, sigma_hat_sq = _bound_constants(1.0 / variances)
+        centre = [_weighted_mean(dataset.effects, dataset.variances) for dataset in datasets]
+        self.dev = np.stack([ds.effects - m for ds, m in zip(datasets, centre)], axis=1)
+        self.sigma_sq = np.ascontiguousarray(variances.T)
+        self.centre = np.array(centre)
+        self.c = np.sqrt(s0_sq)  # the w map's scale s0
+        log_s0 = np.array([math.log(x) for x in self.c.tolist()])
+        self.consts = [s0_sq, log_s0, sigma_hat_sq, variances]
 
     def loglik(self, idx, tau):
         """_loglik_terms at the 1-d tau, node j on dataset idx[j]."""
@@ -603,16 +600,16 @@ def _grid_failure(name, failed, log_norm, quad_error, miss):
     return DivergedPosteriorError(name, message)
 
 
-def _posterior_grids(bound, families, config: EngineConfig | None = None) -> list:
+def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> list:
     """Posterior grids of every prior family on every dataset of a block,
     in one pass.
 
     The batch behind build_posterior_grid (one dataset, one family) and
     evaluate_methods (every prior its tags need, on every dataset of a
-    block). bound holds one (dataset, bound prior) pair per dataset, and the
-    datasets must share their number of studies; only the prior's bound
-    constants are read, and they serve every family on that dataset, so
-    all of a dataset's priors share s0 and its octave ladder. The
+    block). The datasets must share their number of studies, which must be
+    at least 2 (else bind_prior's ValueError); _Block gathers every
+    dataset's bound constants, which serve every family on that dataset,
+    so all of a dataset's priors share s0 and its octave ladder. The
     likelihood is evaluated once on every dataset's scan probes and each
     scanned family's kernel once on all of them; each dataset's columns of
     that (families, probes) array are scanned together, and every prior's
@@ -623,12 +620,12 @@ def _posterior_grids(bound, families, config: EngineConfig | None = None) -> lis
     """
     if config is None:
         config = EngineConfig()
-    if not bound:
+    if not datasets:
         return []
-    block = _Block(bound, config.mu_prior_var)
+    block = _Block(datasets, config.mu_prior_var)
     ladders = [
         _tau_ladder(dataset.effects, dataset.variances, c)
-        for (dataset, _), c in zip(bound, block.c.tolist())
+        for dataset, c in zip(datasets, block.c.tolist())
     ]
     tau_max = np.full((len(families), block.size), math.nan)  # family f on dataset i
     scanned = []
@@ -642,11 +639,8 @@ def _posterior_grids(bound, families, config: EngineConfig | None = None) -> lis
         probes = [ladder[start:] for ladder, start in ladders]
         sizes = [len(p) for p in probes]
         ends = np.cumsum(sizes).tolist()
-        if block.size == 1:
-            all_probes, probe_ds = probes[0], None
-        else:
-            all_probes = np.concatenate(probes)
-            probe_ds = np.repeat(np.arange(block.size), sizes)
+        all_probes = np.concatenate(probes)
+        probe_ds = np.repeat(np.arange(block.size), sizes)
         probe_loglik = block.loglik(probe_ds, all_probes)[0]
         log_h = np.stack(
             [block.kernel(families[f], all_probes, probe_ds) + probe_loglik for f in scanned]
@@ -661,9 +655,9 @@ def _posterior_grids(bound, families, config: EngineConfig | None = None) -> lis
     ]
     tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
     grids = iter(_refine_panels(block, owner_ds, row_family, families, breaks, tol))
-    out = [[] for _ in bound]
+    out = [[] for _ in datasets]
     for family, row in zip(families, tau_max.tolist()):
-        for (dataset, _), grids_of, t in zip(bound, out, row):
+        for dataset, grids_of, t in zip(datasets, out, row):
             grids_of.append(
                 _scan_failure(family.name, dataset.effects, dataset.variances, config.mu_prior_var)
                 if math.isnan(t)
@@ -677,15 +671,18 @@ def build_posterior_grid(
 ) -> PosteriorGrid:
     """Quadrature representation of the posterior over tau for one prior.
 
-    The grid spans (0, tau_max] with tau_max found by the geometric tail
-    scan (for the proper-uniform family the support endpoint is used
-    directly). Composite 16-point Gauss-Legendre panels in w = sqrt(tau /
-    (s0 + tau)) are bisected until each one's local error estimate (its
-    rule against the rules on its two halves), in posterior mass and in
-    tau^2-weighted mass, is within config.cdf_tolerance / 100 of the total,
-    or until the grid would exceed 16384 nodes (quad_error then records the
-    shortfall); the grid keeps each accepted panel's 16 nodes. Nodes never
-    touch tau = 0, so integrable endpoint singularities are fine.
+    The engine reads the prior's family and takes the bound constants (s0^2,
+    sigma_hat^2) from the dataset, so the prior must have been bound to this
+    dataset's within-study variances. The grid spans (0, tau_max] with
+    tau_max found by the geometric tail scan (for the proper-uniform family
+    the support endpoint is used directly). Composite 16-point
+    Gauss-Legendre panels in w = sqrt(tau / (s0 + tau)) are bisected until
+    each one's local error estimate (its rule against the rules on its two
+    halves), in posterior mass and in tau^2-weighted mass, is within
+    config.cdf_tolerance / 100 of the total, or until the grid would exceed
+    16384 nodes (quad_error then records the shortfall); the grid keeps each
+    accepted panel's 16 nodes. Nodes never touch tau = 0, so integrable
+    endpoint singularities are fine.
 
     Raises
     ------
@@ -704,7 +701,7 @@ def build_posterior_grid(
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     if not np.array_equal(prior.sigma_sq, dataset.variances):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-    ((grid,),) = _posterior_grids([(dataset, prior)], [prior.family], config)
+    ((grid,),) = _posterior_grids([dataset], [prior.family], config)
     if isinstance(grid, Exception):
         raise grid
     return grid
@@ -850,8 +847,7 @@ def _mixture_intervals(requests, level, cdf_tolerance):
     endpoint's failure first); a level outside (0, 1) or a cdf_tolerance
     outside (0, 1e-2) raises ValueError.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    _check_level(level)
     _check_cdf_tolerance(cdf_tolerance)
     alpha = 1.0 - level
     probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(requests))

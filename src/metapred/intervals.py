@@ -54,8 +54,7 @@ class IntervalEstimate:
     def __post_init__(self):
         if not (self.lower <= self.upper):
             raise ValueError(f"lower {self.lower!r} exceeds upper {self.upper!r}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        _check_level(self.level)
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
 
@@ -68,8 +67,11 @@ class IntervalEstimate:
 
 
 def _check_level(level: float) -> None:
-    if not (isinstance(level, (int, float)) and 0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    """ValueError unless level is a Python float in (0, 1). Other number
+    types are refused: a numpy float32 level would carry its precision into
+    the interval arithmetic and the reports."""
+    if not (isinstance(level, float) and 0.0 < level < 1.0):
+        raise ValueError(f"level must be a float in (0, 1), got {level!r}")
 
 
 def _t_quantile(p: float, df: int) -> float:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .core import MetaDataset, cochran_q, dl_tau2, i_squared, pooled_mu, q_test_pvalue
 from .errors import ConfigError, DataError
-from .intervals import IntervalEstimate
+from .intervals import IntervalEstimate, _check_level
 from .methods import evaluate_methods
 from .priors import NAMED_PRIORS
 from .simulate import DEFAULT_METHODS, CoverageRecord, Scenario, SimConfig
@@ -267,8 +267,7 @@ def run_analysis(
     level: float = 0.95,
 ) -> AnalysisReport:
     """Dataset summary plus every requested interval (failures captured)."""
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    _check_level(level)
     outcomes = evaluate_methods(methods, dataset, level)
     results = tuple(
         MethodResult(method=m, error=str(out))

@@ -13,7 +13,7 @@ from .bayes import EngineConfig, PosteriorGrid, _mixture_intervals, _posterior_g
 from .core import MetaDataset
 from .errors import NumericFailure
 from .intervals import HTS_VARIANTS, IntervalEstimate, _plugin_intervals
-from .priors import NAMED_PRIORS, bind_prior
+from .priors import NAMED_PRIORS
 
 __all__ = ["Method", "METHODS", "lookup_method", "evaluate_methods"]
 
@@ -58,27 +58,18 @@ def _bayes_outcomes(
     inversion batch for every interval whose grid was built."""
     names = list(dict.fromkeys(name for name, _ in pairs))
     families = [NAMED_PRIORS[name] for name in names]
-    out: list[dict] = []
-    bound_outcomes, bound = [], []  # the outcomes and bound prior of every bound dataset
-    for dataset in datasets:
-        try:
-            bound.append((dataset, bind_prior(families[0], dataset)))
-        except (ValueError, NumericFailure) as exc:
-            out.append(dict.fromkeys(pairs, exc))
-            continue
-        out.append({})
-        bound_outcomes.append(out[-1])
     try:
-        grids = _posterior_grids(bound, families, _ENGINE)
-    except (ValueError, NumericFailure) as exc:
-        grids = [[exc] * len(families)] * len(bound)
+        grids = _posterior_grids(datasets, families, _ENGINE)
+    except (ValueError, NumericFailure) as exc:  # the block shares n: every dataset fails alike
+        grids = [[exc] * len(families)] * len(datasets)
+    out: list[dict] = []
     ready = []  # (dataset's outcomes, pair, grid) of every interval to invert
-    for outcomes, grids_of in zip(bound_outcomes, grids):
+    for grids_of in grids:
         by_name = dict(zip(names, grids_of))
-        for pair in pairs:
-            grid = outcomes[pair] = by_name[pair[0]]  # a failed grid is its error
-            if isinstance(grid, PosteriorGrid):
-                ready.append((outcomes, pair, grid))
+        outcomes = {pair: by_name[pair[0]] for pair in pairs}  # a failed grid is its error
+        out.append(outcomes)
+        ready += [(outcomes, pair, grid) for pair, grid in outcomes.items()
+                  if isinstance(grid, PosteriorGrid)]
     requests = [(grid, kind == "prediction") for _, (_, kind), grid in ready]
     try:
         intervals = _mixture_intervals(requests, level, _ENGINE.cdf_tolerance)

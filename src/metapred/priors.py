@@ -202,20 +202,23 @@ def _conventional_mass(sigma_sq, upto):
     return mass / s
 
 
+def _bound_constants(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s0^2 and sigma_hat^2 of each row of the (rows, n) inverse within-study
+    variances inv: s0^2 = n / S1 and sigma_hat^2 = (n - 1) S1 / (S1^2 - S2),
+    with S1 = sum sigma_i^-2 and S2 = sum sigma_i^-4 over the row. Each row
+    is summed on its own, so its constants do not depend on the other rows."""
+    n = inv.shape[1]
+    if n < 2:
+        raise ValueError(f"binding a prior needs n >= 2, dataset has {n}")
+    return n / inv.sum(axis=1), (n - 1) / np.array(_weight_spread(inv))
+
+
 def bind_prior(family: PriorFamily, dataset: MetaDataset) -> BoundPrior:
-    """Fix a prior family's data-dependent constants for one dataset."""
-    if dataset.n < 2:
-        raise ValueError(f"binding a prior needs n >= 2, dataset has {dataset.n}")
+    """Fix a prior family's data-dependent constants for one dataset: a
+    block of one of _bound_constants."""
     sigma_sq = dataset.variances
-    inv = 1.0 / sigma_sq
-    n = dataset.n
-    # sigma_hat^2 = (n - 1) S1 / (S1^2 - S2), S1 = sum sigma_i^-2, S2 = sum sigma_i^-4
-    return BoundPrior(
-        family=family,
-        s0_sq=n / float(np.sum(inv)),
-        sigma_hat_sq=(n - 1) / _weight_spread(inv[None])[0],
-        sigma_sq=sigma_sq,
-    )
+    s0_sq, sigma_hat_sq = _bound_constants(1.0 / sigma_sq[None])
+    return BoundPrior(family, float(s0_sq[0]), float(sigma_hat_sq[0]), sigma_sq)
 
 
 def log_prior_density(prior: BoundPrior, tau) -> float | np.ndarray:

@@ -40,6 +40,7 @@ from scipy.special import ndtri
 
 from .core import MetaDataset
 from .errors import NumericFailure
+from .intervals import _check_level
 from .methods import METHODS, _evaluate_block, lookup_method
 from .priors import NAMED_PRIORS
 
@@ -95,8 +96,7 @@ class Scenario:
             raise ValueError(f"tau2 must be finite and >= 0, got {self.tau2!r}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        _check_level(self.level)
 
 
 @dataclass(frozen=True)
@@ -475,6 +475,7 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     output is bit-identical for any parallelism value under the same
     master seed.
     """
+    _check_integer(parallelism, "parallelism")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, _usable_cpus())

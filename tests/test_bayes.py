@@ -27,6 +27,7 @@ from metapred import (
     prediction_interval,
     predictive_cdf,
 )
+from metapred.methods import METHODS
 from metapred.priors import log_prior_kernel
 from oracles import (
     interval_from_mixture,
@@ -55,10 +56,8 @@ def grid_for(dataset, name, config=None):
 
 def dataset_batch(dataset, priors, config):
     """The engine's grid batch of one dataset's priors (a block of one):
-    their families on the dataset, bound once (any family binds the same
-    constants)."""
-    bound = bind_prior(named_prior("uniform"), dataset)
-    (grids,) = bayes._posterior_grids([(dataset, bound)], [p.family for p in priors], config)
+    their families on the dataset."""
+    (grids,) = bayes._posterior_grids([dataset], [p.family for p in priors], config)
     return grids
 
 
@@ -86,7 +85,7 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     w = ((0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]).ravel()
     tau = c * w**2 / (1.0 - w**2)
     quad_weights = (half * _GL16[1]).ravel() * 2.0 * c * w / (1.0 - w**2) ** 2
-    loglik, cond_mean, cond_var = bayes._Block([(dataset, prior)], 10_000.0).loglik(None, tau)
+    loglik, cond_mean, cond_var = bayes._Block([dataset], 10_000.0).loglik(None, tau)
     log_post = log_prior_kernel(prior, tau) + loglik
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
@@ -896,8 +895,7 @@ class TestBatch:
                 block[-1] = MetaDataset.from_arrays(block[-1].effects + 1e5, block[-1].std_errs)
             rows = [(ds, bind_prior(family, ds)) for ds in block for family in families]
             with np.errstate(all="ignore"):
-                bound = [(ds, bind_prior(families[0], ds)) for ds in block]
-                per_dataset = bayes._posterior_grids(bound, families, config)
+                per_dataset = bayes._posterior_grids(block, families, config)
                 grids = [grid for grids_of in per_dataset for grid in grids_of]
                 alone = [
                     grid
@@ -928,10 +926,8 @@ class TestBatch:
                     assert next(intervals) == want, (size, prior.name, pred)
 
     def test_block_datasets_must_share_n(self):
-        a, b = README_DATA, SPREAD
-        bound = [(ds, bind_prior(named_prior("jeffreys"), ds)) for ds in (a, b)]
         with pytest.raises(ValueError, match="same number of studies"):
-            bayes._posterior_grids(bound, [named_prior("jeffreys")], EngineConfig())
+            bayes._posterior_grids([README_DATA, SPREAD], [named_prior("jeffreys")])
 
     def test_batch_order_and_subsets_do_not_matter(self):
         # the same prior in a batch of one, of three and of eleven, in
@@ -990,7 +986,7 @@ class TestBatch:
         breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in (ladder[-1], 10.0)]
         config = EngineConfig()
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-        block = bayes._Block([(README_DATA, priors[0])], config.mu_prior_var)
+        block = bayes._Block([README_DATA], config.mu_prior_var)
         owner_ds, row_family = np.zeros(2, dtype=np.intp), np.arange(2)
         with np.errstate(all="ignore"):
             bad, good = bayes._refine_panels(block, owner_ds, row_family, families, breaks, tol)
@@ -998,3 +994,20 @@ class TestBatch:
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
         assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)
         assert (good.log_norm, good.quad_error) == (alone.log_norm, alone.quad_error)
+
+
+def test_engine_digest_runs_on_one_block():
+    # tests/engine_digest.py prints the engine's outputs for comparing two
+    # trees bit for bit; on one block of two datasets it prints, per
+    # dataset, 12 grids (power(1e308) fails), two intervals per grid built
+    # and every method tag's outcome, and the same lines when run again
+    import engine_digest
+
+    other = MetaDataset.from_arrays(README_DATA.effects + 0.1, README_DATA.std_errs)
+    with np.errstate(all="ignore"):
+        lines = engine_digest.block_lines("smoke", [README_DATA, other])
+        assert engine_digest.block_lines("smoke", [README_DATA, other]) == lines
+    assert len(lines) == 2 * (12 + 2 * 11 + len(METHODS))
+    grid_lines = [line.split() for line in lines if line.split()[3] == "grid"]
+    assert len(grid_lines) == 22 and all(len(fields[4]) == 64 for fields in grid_lines)
+    assert sum(" fail DivergedPosteriorError: " in line for line in lines) == 2

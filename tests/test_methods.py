@@ -21,6 +21,7 @@ from metapred import (
     bind_prior,
     build_posterior_grid,
     DegenerateDispersionWarning,
+    IntervalEstimate,
     credible_interval_mu,
     dl_tau2,
     hts_interval,
@@ -162,6 +163,40 @@ class TestBatchedEvaluation:
     def test_invalid_level_fails_every_tag_alike(self):
         assert_same_outcomes(ALL_TAGS, DATASET, level=1.5)
 
+    def test_one_level_check(self):
+        # every entry point refuses a float32 level alike; Scenario,
+        # IntervalEstimate and the Bayesian tags used to take it, and hts not
+        level = np.float32(0.9)
+        outcomes = evaluate_methods(ALL_TAGS, DATASET, level)
+        assert {(type(out), str(out)) for out in outcomes} == {
+            (ValueError, f"level must be a float in (0, 1), got {level!r}")
+        }
+        assert_same_outcomes(ALL_TAGS, DATASET, level=level)
+        with pytest.raises(ValueError, match="level must be a float in"):
+            Scenario(3, 0.1, level=level)
+        with pytest.raises(ValueError, match="level must be a float in"):
+            IntervalEstimate(0.0, 1.0, level, "hts", "prediction")
+        with pytest.raises(ValueError, match="level must be a float in"):
+            run_analysis(DATASET, ("uniform",), level)
+        # numpy's float64 is a Python float
+        assert evaluate_methods(ALL_TAGS, DATASET, np.float64(0.9)) == evaluate_methods(
+            ALL_TAGS, DATASET, 0.9
+        )
+
+    def test_one_study_fails_every_bayesian_tag_with_the_bind_message(self):
+        # the grid batch gathers the bound constants of the whole block, so
+        # a one-study block fails each of its datasets as bind_prior does
+        dataset = MetaDataset.from_arrays([0.3], [0.2])
+        with pytest.raises(ValueError) as err:
+            bind_prior(named_prior("uniform"), dataset)
+        tags = [tag for tag, m in METHODS.items() if m.prior is not None]
+        block = [dataset, MetaDataset.from_arrays([-0.1], [0.5])]
+        alone = evaluate_methods(tags, dataset, 0.95)
+        for outcomes in (alone, *_evaluate_block(tags, block, 0.95)):
+            assert [(type(out), str(out)) for out in outcomes] == [
+                (ValueError, str(err.value))
+            ] * len(tags)
+
     def test_each_heterogeneity_fit_runs_once(self, monkeypatch):
         # one DL fit and one REML fit per block, each over all its rows
         calls = []
@@ -190,9 +225,9 @@ class TestBatchedEvaluation:
         real_grids = methods_module._posterior_grids
         real_intervals = methods_module._mixture_intervals
 
-        def grids(bound, families, config):
-            calls.append(("grids", [ds for ds, _ in bound], list(families)))
-            return real_grids(bound, families, config)
+        def grids(datasets, families, config):
+            calls.append(("grids", list(datasets), list(families)))
+            return real_grids(datasets, families, config)
 
         def intervals(requests, level, cdf_tolerance):
             calls.append(("intervals", len(requests)))

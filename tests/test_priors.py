@@ -14,7 +14,7 @@ from metapred import (
     named_prior,
     prior_cdf,
 )
-from metapred.priors import BoundPrior
+from metapred.priors import BoundPrior, _bound_constants
 
 DS = MetaDataset.from_arrays([0.3, -0.2, 0.8], [0.4, 0.9, 0.6])
 DS_EQUAL = MetaDataset.from_arrays([-1.0, 0.5, 1.5], [1.0, 1.0, 1.0])
@@ -119,6 +119,22 @@ class TestBindPrior:
     def test_needs_two_studies(self):
         with pytest.raises(ValueError):
             bind_prior(named_prior("uniform"), MetaDataset.from_arrays([1.0], [1.0]))
+        with pytest.raises(ValueError, match="binding a prior needs n >= 2, dataset has 1"):
+            _bound_constants(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 36])
+    def test_block_rows_equal_bind_prior(self, size):
+        # numpy sums a row pairwise in blocks of 8, 128 and powers of 2
+        # beyond: these n cross each change of the summation's shape
+        rng = np.random.default_rng(size)
+        for n in [*range(2, 41), 63, 64, 65, 127, 128, 129, 200, 1000]:
+            scale = 10.0 ** rng.uniform(-4, 3, (size, n))
+            se = np.sqrt(rng.uniform(0.009, 0.6, (size, n))) * scale
+            datasets = [MetaDataset.from_arrays(np.zeros(n), row) for row in se]
+            s0_sq, sigma_hat_sq = _bound_constants(1.0 / np.stack([d.variances for d in datasets]))
+            for dataset, s0, sigma_hat in zip(datasets, s0_sq.tolist(), sigma_hat_sq.tolist()):
+                bound = bind_prior(named_prior("i2"), dataset)
+                assert (bound.s0_sq, bound.sigma_hat_sq) == (s0, sigma_hat), (size, n)
 
 
 class TestLogDensity:

@@ -545,6 +545,22 @@ class TestRunStudy:
         assert sim.run_study(config, parallelism=3) == expected
         assert events[3:] == [("close", 3), ("make", 3)]
 
+    def test_parallelism_must_be_an_integer(self, monkeypatch):
+        # refused before any pool is made: the executor here starts nothing
+        import metapred.simulate as sim
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was asked for")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sim, "_worker_pool", no_pool)
+        config = SimConfig(scenarios=(Scenario(4, 0.1),), methods=("hts",), reps=2)
+        for bad in (1.5, "2", None):
+            with pytest.raises(ValueError, match=f"parallelism must be an integer, got {bad!r}"):
+                sim.run_study(config, parallelism=bad)
+        with pytest.raises(ValueError, match="parallelism must be >= 1, got 0"):
+            sim.run_study(config, parallelism=0)
+
     def test_scenario_order_does_not_change_cells(self):
         s1, s2 = Scenario(4, 0.1), Scenario(5, 0.02)
         base = run_study(
