@@ -54,13 +54,13 @@ arrays, tagged with their row, evaluates the likelihood once per pass on
 the distinct (dataset, panel) pairs and each family's kernel once per pass
 on the run of its rows' panels, and returns the finished grids.
 _mixture_intervals inverts every (mixture, endpoint) row in one masked
-Newton loop. Reductions run over a node's studies in sequence (C-ordered
-(studies, nodes) arrays, whether a block of one broadcasts its dataset or
-a larger block gathers each node's), within a row (row sums,
-np.add.reduceat over flat segments) or over one row's panels in order
-(np.add.at into zeroed per-row sums), never across rows, so a row's grid
-and endpoints equal its batch-of-one result - the public single-prior
-functions - bit for bit.
+Newton loop. Every block, of one dataset or many, takes the same path:
+each panel and each probe gathers its own dataset's values. Reductions
+run over a node's studies in sequence (C-ordered (studies, ...) arrays),
+within a row (row sums, np.add.reduceat over flat segments) or over one
+row's panels in order (np.add.at into zeroed per-row sums), never across
+rows, so a row's grid and endpoints equal its batch-of-one result - the
+public single-prior functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -187,19 +187,20 @@ def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
     c is the 1/sigma^2-weighted mean of the effects and d = y - c their
     deviations from it; d and sigma_sq lay the studies along axis 0 and
     broadcast against tau along the other axes: (studies, 1) columns of one
-    dataset, or (studies, nodes) arrays that hold each node's own dataset,
-    with c then one value per node. The quadratic form sum(y^2/v) -
-    (sum(y/v))^2/prec is computed about c, as sum(d^2/v) - D^2/prec + (2cD
-    + c^2 A)/(S prec) with D = sum(d/v), A = sum(1/v): the raw form cancels
-    catastrophically when |y| is large against the spread of the effects.
+    dataset against a 1-d tau, or (studies, rows, 1) arrays that hold each
+    row's own dataset against a (rows, nodes) tau, with c then a (rows, 1)
+    column. The quadratic form sum(y^2/v) - (sum(y/v))^2/prec is computed
+    about c, as sum(d^2/v) - D^2/prec + (2cD + c^2 A)/(S prec) with D =
+    sum(d/v), A = sum(1/v): the raw form cancels catastrophically when |y|
+    is large against the spread of the effects.
     """
     t2 = tau**2
     # with two or more nodes each sum over studies runs as elementwise adds
-    # over C-ordered (studies, nodes) arrays, study after study, so a
-    # node's value does not depend on the other nodes of the call (a BLAS
-    # product may round a row differently depending on how many rows share
-    # it), and a grid does not depend on which other priors or datasets
-    # share its likelihood evaluation
+    # over C-ordered (studies, ...) arrays, study after study, so a node's
+    # value does not depend on the other nodes of the call (a BLAS product
+    # may round a row differently depending on how many rows share it), and
+    # a grid does not depend on which other priors or datasets share its
+    # likelihood evaluation
     v = sigma_sq + t2
     inv_v = 1.0 / v
     a = inv_v.sum(axis=0)
@@ -348,19 +349,15 @@ class _Block:
     per-dataset value is one array with an entry per dataset (log s0 from
     math.log, which np.log can round differently in the last bit).
 
-    A larger block gathers each node's dataset: np.take keeps the gathered
-    (studies, nodes) arrays C-ordered (Y[:, idx] would not be, and numpy
+    A caller names one dataset per row of its 2-d tau array - a panel's
+    nodes in the refinement, a probe in the scan - and the row's nodes
+    broadcast against that dataset's values. np.take keeps the gathered
+    (studies, rows) arrays C-ordered (Y[:, idx] would not be, and numpy
     would then sum its studies pairwise), so every node's studies are
-    summed in the same sequence either way; a kernel gets its constants as
-    one value per row of its tau array. A block of one broadcasts its
-    (studies, 1) columns against the nodes and reads entry 0 of each
-    constant instead: gathering there as well made analyze-mixed 12-15%
-    slower (139.6 -> 118.4 and 161.3 -> 142.9 requests/s in two sets of 8
-    pairs on a shared 2-vCPU VM).
+    summed in the same sequence whatever the block.
     """
 
     def __init__(self, datasets, mu_prior_var):
-        self.size = len(datasets)
         self.mu_prior_var = mu_prior_var
         if len({dataset.n for dataset in datasets}) > 1:
             raise ValueError("the datasets of a block must have the same number of studies")
@@ -375,24 +372,19 @@ class _Block:
         self.consts = [s0_sq, log_s0, sigma_hat_sq, variances]
 
     def loglik(self, idx, tau):
-        """_loglik_terms at the 1-d tau, node j on dataset idx[j]."""
-        if self.size == 1:
-            return _loglik_terms(self.dev, self.sigma_sq, self.centre[0], tau, self.mu_prior_var)
+        """_loglik_terms at the 2-d tau, row i on dataset idx[i]."""
         return _loglik_terms(
-            np.take(self.dev, idx, axis=1),
-            np.take(self.sigma_sq, idx, axis=1),
-            self.centre[idx],
+            np.take(self.dev, idx, axis=1)[:, :, None],
+            np.take(self.sigma_sq, idx, axis=1)[:, :, None],
+            self.centre[idx, None],
             tau,
             self.mu_prior_var,
         )
 
-    def kernel(self, family, tau, idx):
-        """The family's log_prior_kernel at tau, row i of tau on dataset
-        idx[i]: one call for every dataset of the block."""
-        if self.size == 1:
-            return _log_kernel(family, tau, *(column[0] for column in self.consts))
-        col = idx.reshape(idx.shape + (1,) * (tau.ndim - idx.ndim))
-        return _log_kernel(family, tau, *(column[col] for column in self.consts))
+    def constants(self, idx):
+        """_log_kernel's bound constants for a 2-d tau, row i on dataset
+        idx[i]: one gather that every family's call can slice."""
+        return [column[idx, None] for column in self.consts]
 
 
 def _distinct(*keys):
@@ -412,8 +404,8 @@ def _distinct(*keys):
 
 def _panel_nodes(c, lo, hi):
     """Gauss-Legendre nodes on the w-panels [lo, hi], panel after panel:
-    tau and the quadrature weight in tau. c is s0, a float or a column of
-    one value per panel. A panel end where w rounds to 1 gives infinite
+    tau and the quadrature weight in tau, a row per panel. c is s0, a column
+    of one value per panel. A panel end where w rounds to 1 gives infinite
     nodes (and a divide-by-zero), which fail their grid (_grid_failure)."""
     half = 0.5 * (hi - lo)[:, None]
     w = (0.5 * (hi + lo))[:, None] + half * _GL_NODES
@@ -435,7 +427,9 @@ def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
     gives each panel's row. A pass evaluates the likelihood once on the
     distinct (dataset, panel) pairs' _PANEL_ORDER-point half rules (the
     first pass also on the whole-panel rules, each panel's before its
-    halves) and each prior family's kernel once, on that run. A panel's
+    halves), each pair gathering its dataset once for its nodes, and each
+    prior family's kernel once, on that run, with its slice of the bound
+    constants that the pass gathers once for all its rules. A panel's
     error estimate is the difference between its whole-panel rule and the
     sum of its two half rules, for the mass and for the tau^2-weighted
     mass: an estimate of the whole-panel rule's error. One running total,
@@ -465,10 +459,9 @@ def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
         np.add.at(sums, rows, values)
         return sums
 
-    single = block.size == 1
     lengths = [len(b) for b in breaks]
     flat = np.concatenate(breaks)
-    c = block.c[0] if single else np.repeat(block.c[owner_ds], lengths)
+    c = np.repeat(block.c[owner_ds], lengths)
     w_breaks = np.sqrt(flat / (c + flat))
     opens = np.ones(len(flat), dtype=bool)  # every break but a row's last opens a panel
     opens[np.cumsum(lengths) - 1] = False
@@ -485,27 +478,22 @@ def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
         # each panel's half rules, after its whole-panel rule in the first pass
         lower, upper = ([0, 1], [1, 2]) if whole is not None else ([0, 0, 1], [2, 1, 2])
         a, b, rows = edges[:, lower].ravel(), edges[:, upper].ravel(), owner.repeat(len(lower))
-        datasets = None if single else owner_ds[rows]
-        if n == 1:  # one row's panels are distinct; skipping the sort saves ~7% of a grid
-            panels = which = slice(None)
-        else:
-            panels, which = _distinct(a, b) if single else _distinct(datasets, a, b)
-        node_ds = None if single else datasets[panels]
+        datasets = owner_ds[rows]
+        panels, which = _distinct(datasets, a, b)
+        node_ds = datasets[panels]
         with np.errstate(divide="ignore", invalid="ignore"):  # infinite nodes, NaN mass
-            c = block.c[0] if single else block.c[node_ds, None]
-            tau, quad_weights = _panel_nodes(c, a[panels], b[panels])
-            terms = block.loglik(None if single else node_ds.repeat(m), tau.ravel())
+            tau, quad_weights = _panel_nodes(block.c[node_ds, None], a[panels], b[panels])
             # tau, quad weight, log posterior, conditional mean and variance,
             # each a row of m nodes per panel rule
-            nodes = np.stack([tau.ravel(), quad_weights.ravel(), *terms])
-            nodes = nodes.reshape(5, -1, m)[:, which]
+            nodes = np.stack([tau, quad_weights, *block.loglik(node_ds, tau)])[:, which]
             family = row_family[rows]  # the runs of rows of one family
             cuts = [0, *(np.flatnonzero(family[1:] != family[:-1]) + 1).tolist(), len(rows)]
+            consts = block.constants(datasets)
             for start, end in zip(cuts[:-1], cuts[1:]):
-                nodes[2, start:end] += block.kernel(
-                    families[row_family[rows[start]]],
+                nodes[2, start:end] += _log_kernel(
+                    families[family[start]],
                     nodes[0, start:end],
-                    None if single else datasets[start:end],
+                    *(column[start:end] for column in consts),
                 )
             log_mass = nodes[2] + np.log(nodes[1])
             top = np.full(n, -np.inf)
@@ -627,7 +615,7 @@ def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> 
         _tau_ladder(dataset.effects, dataset.variances, c)
         for dataset, c in zip(datasets, block.c.tolist())
     ]
-    tau_max = np.full((len(families), block.size), math.nan)  # family f on dataset i
+    tau_max = np.full((len(families), len(datasets)), math.nan)  # family f on dataset i
     scanned = []
     for f, family in enumerate(families):
         if family.kind == "proper-uniform":
@@ -635,16 +623,16 @@ def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> 
         else:
             scanned.append(f)
     if scanned:
-        # every dataset's scan probes, end to end, and each one's dataset
+        # every dataset's scan probes, end to end, a row each, and each one's dataset
         probes = [ladder[start:] for ladder, start in ladders]
         sizes = [len(p) for p in probes]
         ends = np.cumsum(sizes).tolist()
-        all_probes = np.concatenate(probes)
-        probe_ds = np.repeat(np.arange(block.size), sizes)
+        all_probes = np.concatenate(probes)[:, None]
+        probe_ds = np.repeat(np.arange(len(datasets)), sizes)
         probe_loglik = block.loglik(probe_ds, all_probes)[0]
-        log_h = np.stack(
-            [block.kernel(families[f], all_probes, probe_ds) + probe_loglik for f in scanned]
-        )
+        consts = block.constants(probe_ds)
+        log_h = np.stack([_log_kernel(families[f], all_probes, *consts) for f in scanned])
+        log_h = (log_h + probe_loglik)[:, :, 0]  # (families, probes)
         for i, (end, size) in enumerate(zip(ends, sizes)):
             tau_max[scanned, i] = _scan_tau_max(log_h[:, end - size : end], probes[i])
 
@@ -844,11 +832,13 @@ def _mixture_intervals(requests, level, cdf_tolerance):
     batch. A request's interval does not depend on the other requests.
 
     Returns one IntervalEstimate or NumericFailure per request (the lower
-    endpoint's failure first); a level outside (0, 1) or a cdf_tolerance
-    outside (0, 1e-2) raises ValueError.
+    endpoint's failure first), so none for no requests; a level outside
+    (0, 1) or a cdf_tolerance outside (0, 1e-2) raises ValueError.
     """
     _check_level(level)
     _check_cdf_tolerance(cdf_tolerance)
+    if not requests:
+        return []
     alpha = 1.0 - level
     probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(requests))
     m, s, w, lengths = _mixtures([request for request in requests for _ in range(2)])

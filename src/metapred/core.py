@@ -191,17 +191,18 @@ def _weight_spread(w: np.ndarray) -> list[float]:
 
 
 def _estimate(tau2: float, method: str):
-    """HeterogeneityEstimate(tau2, method), or the ValueError it raises."""
+    """HeterogeneityEstimate(tau2, method), or a NumericFailure with its
+    ValueError's message: a fitted tau2 that is not finite (huge effects)."""
     try:
         return HeterogeneityEstimate(tau2, method)
     except ValueError as exc:
-        return exc
+        return NumericFailure(str(exc))
 
 
 def _dl_fits(y: np.ndarray, v: np.ndarray) -> list:
     """The DerSimonian-Laird estimate of each row of the (rows, n >= 2)
-    effects y and variances v, or the ValueError of a row whose estimate is
-    not finite."""
+    effects y and variances v, or the NumericFailure of a row whose estimate
+    is not finite."""
     w = 1.0 / v
     df = y.shape[1] - 1
     return [
@@ -220,7 +221,8 @@ def dl_tau2(dataset: MetaDataset) -> HeterogeneityEstimate:
     """DerSimonian-Laird method-of-moments heterogeneity variance.
 
     tau2_DL = max(0, (Q - (n-1)) / (S1 - S2/S1)) with S1 = sum sigma_i^-2
-    and S2 = sum sigma_i^-4.
+    and S2 = sum sigma_i^-4. Effects so large that Q overflows raise
+    NumericFailure: the estimate is not finite.
     """
     _require_n(dataset, 2)
     return _unwrap(_dl_fits(dataset.effects[None], dataset.variances[None])[0])
@@ -317,7 +319,7 @@ def _reml_fits(
     Each pass scores every open row at once (_restricted_scores), then
     steps each row alone (_RemlRow.step); a row that has converged or
     failed leaves the arrays. A row's outcome is its HeterogeneityEstimate,
-    its NumericFailure, or the ValueError of its start or its estimate.
+    or the NumericFailure of its scoring, its start or its estimate.
     """
     out = list(starts)
     rows = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
@@ -366,8 +368,8 @@ def reml_tau2(
     NumericFailure
         If the iteration has not converged after ``max_iter`` steps, or if
         a scoring step meets an expected information that is not positive
-        (it cancels to 0 at extreme SE ratios); the exception carries the
-        last iterate in ``last_value``.
+        (it cancels to 0 at extreme SE ratios), carrying the last iterate
+        in ``last_value``; also if huge effects make the estimate infinite.
     """
     _require_n(dataset, 2)
     y = dataset.effects[None]

@@ -12,8 +12,8 @@ from typing import Optional, Sequence, Union
 from .bayes import EngineConfig, PosteriorGrid, _mixture_intervals, _posterior_grids
 from .core import MetaDataset
 from .errors import NumericFailure
-from .intervals import HTS_VARIANTS, IntervalEstimate, _plugin_intervals
-from .priors import NAMED_PRIORS
+from .intervals import HTS_VARIANTS, IntervalEstimate, _check_level, _plugin_intervals
+from .priors import NAMED_PRIORS, _check_bindable
 
 __all__ = ["Method", "METHODS", "lookup_method", "evaluate_methods"]
 
@@ -55,13 +55,16 @@ def _bayes_outcomes(
 ) -> list[dict]:
     """The outcome of each (prior name, kind) pair on each dataset of a
     block: one grid batch for every prior named on every dataset, then one
-    inversion batch for every interval whose grid was built."""
-    names = list(dict.fromkeys(name for name, _ in pairs))
-    families = [NAMED_PRIORS[name] for name in names]
+    inversion batch for every interval whose grid was built. A block with
+    fewer than two studies, or an invalid level, fails every pair alike
+    before any grid is built."""
     try:
-        grids = _posterior_grids(datasets, families, _ENGINE)
-    except (ValueError, NumericFailure) as exc:  # the block shares n: every dataset fails alike
-        grids = [[exc] * len(families)] * len(datasets)
+        _check_bindable(datasets[0].n)  # the block shares n
+        _check_level(level)
+    except ValueError as exc:
+        return [dict.fromkeys(pairs, exc) for _ in datasets]
+    names = list(dict.fromkeys(name for name, _ in pairs))
+    grids = _posterior_grids(datasets, [NAMED_PRIORS[name] for name in names], _ENGINE)
     out: list[dict] = []
     ready = []  # (dataset's outcomes, pair, grid) of every interval to invert
     for grids_of in grids:
@@ -71,10 +74,7 @@ def _bayes_outcomes(
         ready += [(outcomes, pair, grid) for pair, grid in outcomes.items()
                   if isinstance(grid, PosteriorGrid)]
     requests = [(grid, kind == "prediction") for _, (_, kind), grid in ready]
-    try:
-        intervals = _mixture_intervals(requests, level, _ENGINE.cdf_tolerance)
-    except ValueError as exc:  # an invalid level fails every interval alike
-        intervals = [exc] * len(ready)
+    intervals = _mixture_intervals(requests, level, _ENGINE.cdf_tolerance)
     for (outcomes, pair, _), interval in zip(ready, intervals):
         outcomes[pair] = interval
     return out
@@ -117,7 +117,9 @@ def evaluate_methods(tags: Sequence[str], dataset: MetaDataset, level: float) ->
     tags, and all their endpoints are inverted in one Newton batch. Every
     outcome equals what the public per-method functions (hts_interval,
     wald_ci_mu, build_posterior_grid with prediction_interval or
-    credible_interval_mu) return or raise, bit for bit. This is a block of one for the engine
+    credible_interval_mu) return or raise, bit for bit, save that an
+    invalid level fails every tag alike where those may first raise a
+    grid's failure. This is a block of one for the engine
     that the coverage study runs on a block of replications at a time.
     """
     (outcomes,) = _evaluate_block(tags, [dataset], level)

@@ -202,14 +202,19 @@ def _conventional_mass(sigma_sq, upto):
     return mass / s
 
 
+def _check_bindable(n: int) -> None:
+    """ValueError unless a dataset of n studies can bind a prior (n >= 2)."""
+    if n < 2:
+        raise ValueError(f"binding a prior needs n >= 2, dataset has {n}")
+
+
 def _bound_constants(inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """s0^2 and sigma_hat^2 of each row of the (rows, n) inverse within-study
     variances inv: s0^2 = n / S1 and sigma_hat^2 = (n - 1) S1 / (S1^2 - S2),
     with S1 = sum sigma_i^-2 and S2 = sum sigma_i^-4 over the row. Each row
     is summed on its own, so its constants do not depend on the other rows."""
     n = inv.shape[1]
-    if n < 2:
-        raise ValueError(f"binding a prior needs n >= 2, dataset has {n}")
+    _check_bindable(n)
     return n / inv.sum(axis=1), (n - 1) / np.array(_weight_spread(inv))
 
 

@@ -1,8 +1,15 @@
+import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -82,10 +89,13 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     w_max = math.sqrt(tau_max / (c + tau_max))
     ends = 0.5 * w_max * (1.0 - np.cos(np.pi * np.arange(panels + 1) / panels))
     half = 0.5 * np.diff(ends)[:, None]
-    w = ((0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]).ravel()
+    w = (0.5 * (ends[:-1] + ends[1:]))[:, None] + half * _GL16[0]  # a row per panel
     tau = c * w**2 / (1.0 - w**2)
-    quad_weights = (half * _GL16[1]).ravel() * 2.0 * c * w / (1.0 - w**2) ** 2
-    loglik, cond_mean, cond_var = bayes._Block([dataset], 10_000.0).loglik(None, tau)
+    quad_weights = half * _GL16[1] * 2.0 * c * w / (1.0 - w**2) ** 2
+    terms = bayes._Block([dataset], 10_000.0).loglik(np.zeros(panels, dtype=np.intp), tau)
+    tau, quad_weights, loglik, cond_mean, cond_var = (
+        x.ravel() for x in (tau, quad_weights, *terms)
+    )
     log_post = log_prior_kernel(prior, tau) + loglik
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
@@ -426,6 +436,14 @@ class TestIntervals:
                 prediction_interval(grid, 0.95, cdf_tolerance=tol)
             with pytest.raises(ValueError, match="cdf_tolerance"):
                 credible_interval_mu(grid, 0.95, cdf_tolerance=tol)
+
+    def test_empty_batch_gives_no_intervals(self):
+        # an empty inversion batch still checks its level and tolerance
+        assert bayes._mixture_intervals([], 0.95, 1e-8) == []
+        with pytest.raises(ValueError, match="level"):
+            bayes._mixture_intervals([], 1.5, 1e-8)
+        with pytest.raises(ValueError, match="cdf_tolerance"):
+            bayes._mixture_intervals([], 0.95, 0.5)
 
 
 class TestMoments:
@@ -1011,3 +1029,40 @@ def test_engine_digest_runs_on_one_block():
     grid_lines = [line.split() for line in lines if line.split()[3] == "grid"]
     assert len(grid_lines) == 22 and all(len(fields[4]) == 64 for fields in grid_lines)
     assert sum(" fail DivergedPosteriorError: " in line for line in lines) == 2
+
+
+def numpy_simd():
+    """The SIMD targets numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+def test_engine_digest_matches_its_pin():
+    # tests/data/engine_digest.sha256 pins the hash of tests/engine_digest.py's
+    # output, so a change to the engine shows without a second tree that its
+    # grids, endpoints and failures keep every bit; it holds only where the
+    # versions and numpy's SIMD targets are those it was made with
+    tests = Path(__file__).parent
+    pin = dict(
+        line.split(" ", 1)
+        for line in (tests / "data" / "engine_digest.sha256").read_text().splitlines()
+        if not line.startswith("#")
+    )
+    here = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "simd": numpy_simd(),
+    }
+    if any(pin[key] != value for key, value in here.items()):
+        made, now = ("; ".join(f"{k} {env[k]}" for k in here) for env in (pin, here))
+        pytest.skip(f"the digest pin was made with {made}; this is {now}")
+    path = [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, str(tests / "engine_digest.py")], env=env, capture_output=True, check=True
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == pin["sha256"]

@@ -87,6 +87,18 @@ class TestAnalyze:
         hts = results["hts"]
         assert (round(hts["lower"], 6), round(hts["upper"], 6)) == (-7.300379, 7.520379)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["1e154", "1e300"])
+    def test_overflowing_effects_are_a_numeric_failure(self, scale, tmp_path, capsys):
+        # Cochran's Q overflows, so the DL estimate is not finite: a numeric
+        # failure of the data (exit 4), not a config error (exit 2)
+        path = tmp_path / "huge.csv"
+        path.write_text(f"study,effect,se\nA,{scale},1\nB,-{scale},1\nC,0.3,2\n")
+        assert main(["analyze", "--data", str(path)]) == 4
+        assert capsys.readouterr().err.endswith(
+            "metapred: numeric failure: tau2 must be finite and >= 0, got inf\n"
+        )
+
     def test_mean_prior_conflict_warns(self, tmp_path, capsys):
         # effects near 1045 lie 10 SDs out under the N(0, 10000) mean prior,
         # which drags the Bayesian intervals toward 0: one stderr line, and

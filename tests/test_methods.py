@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import metapred.bayes as bayes_module
 import metapred.intervals as intervals_module
 import metapred.methods as methods_module
 from metapred import (
@@ -182,6 +183,25 @@ class TestBatchedEvaluation:
         assert evaluate_methods(ALL_TAGS, DATASET, np.float64(0.9)) == evaluate_methods(
             ALL_TAGS, DATASET, 0.9
         )
+
+    def test_invalid_level_fails_a_diverging_prior_alike(self):
+        # the level is checked before any grid is built, so a prior whose
+        # posterior would not decay gets the level's error like every tag
+        shifted = MetaDataset.from_arrays(DATASET.effects + 1e5, DATASET.std_errs)
+        outcomes = evaluate_methods(ALL_TAGS, shifted, 1.5)
+        assert {(type(out), str(out)) for out in outcomes} == {
+            (ValueError, "level must be a float in (0, 1), got 1.5")
+        }
+
+    def test_an_error_in_the_inversion_propagates(self, monkeypatch):
+        # only the checks of n and level become outcomes; any other
+        # ValueError from the engine is a fault and reaches the caller
+        def broken(*args):
+            raise ValueError("injected inversion fault")
+
+        monkeypatch.setattr(bayes_module, "_invert_mixture_cdfs", broken)
+        with pytest.raises(ValueError, match="injected inversion fault"):
+            evaluate_methods(["uniform", "hts"], DATASET, 0.95)
 
     def test_one_study_fails_every_bayesian_tag_with_the_bind_message(self):
         # the grid batch gathers the bound constants of the whole block, so
