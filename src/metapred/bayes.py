@@ -208,11 +208,14 @@ def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
     cond_var = 1.0 / prec
     dev = (inv_v * d).sum(axis=0)
     cond_mean = c + (dev - c / mu_prior_var) * cond_var
-    quad_form = (
-        (inv_v * (d * d)).sum(axis=0)
-        - dev**2 * cond_var
-        + (2.0 * c * dev + c * c * a) * cond_var / mu_prior_var
-    )
+    # deviations near 1e154 overflow d * d: the infinite loglik fails the
+    # tail scan
+    with np.errstate(over="ignore"):
+        quad_form = (
+            (inv_v * (d * d)).sum(axis=0)
+            - dev**2 * cond_var
+            + (2.0 * c * dev + c * c * a) * cond_var / mu_prior_var
+        )
     loglik = (
         -0.5 * (np.log(v).sum(axis=0) + d.shape[0] * _LOG_2PI)
         - 0.5 * np.log(mu_prior_var * prec)
@@ -253,7 +256,8 @@ def _tau_ladder(y, sigma_sq, s0):
     cap = _TAU_MAX_CAP_FACTOR * s0
     # np.std(y, ddof=1) step for step, without its per-call overhead
     d = y - y.sum() / len(y)
-    spread = math.sqrt(float((d * d).sum()) / (len(y) - 1)) if len(y) > 1 else 0.0
+    with np.errstate(over="ignore"):  # an infinite spread is clipped to cap / 1024
+        spread = math.sqrt(float((d * d).sum()) / (len(y) - 1)) if len(y) > 1 else 0.0
     start = min(max(s0, spread, 1e-8), cap / 1024.0)
     floor = 0.25 * math.sqrt(float(sigma_sq.min()))
     n_down = max(int(math.ceil(math.log2(start / floor))), 0)
@@ -284,11 +288,13 @@ def _scan_tau_max(log_h, ladder):
     log_cut = math.log(_TAIL_MASS_CUT)
 
     running_peak = np.maximum.accumulate(log_h, axis=1)
-    decayed = log_h - running_peak <= log_cut
-
-    # local decay power between ladder points (tail ~ tau^-power)
-    power = np.zeros(log_h.shape)
-    power[:, 1:] = -(log_h[:, 1:] - log_h[:, :-1]) / np.diff(np.log(ladder))
+    # a row of -inf (an overflowing likelihood) gives NaN differences here,
+    # which fail every test: the row gets NaN
+    with np.errstate(invalid="ignore"):
+        decayed = log_h - running_peak <= log_cut
+        # local decay power between ladder points (tail ~ tau^-power)
+        power = np.zeros(log_h.shape)
+        power[:, 1:] = -(log_h[:, 1:] - log_h[:, :-1]) / np.diff(np.log(ladder))
 
     # crude running mass: ladder trapezoids plus a floor for mass below the
     # start; underestimating the total only makes the tail check stricter
@@ -307,7 +313,8 @@ def _scan_tau_max(log_h, ladder):
     # proper posteriors with very heavy tails (n = 2 with a flat prior) may
     # not reach the full density cut inside the cap; the cap is accepted as
     # long as the tail is clearly decaying at an integrable rate
-    heavy = (log_h[:, -1] - running_peak[:, -1] <= 0.5 * log_cut) & (power[:, -1] > 1.05)
+    with np.errstate(invalid="ignore"):
+        heavy = (log_h[:, -1] - running_peak[:, -1] <= 0.5 * log_cut) & (power[:, -1] > 1.05)
     return np.where(
         ok.any(axis=1),
         ladder[ok.argmax(axis=1)],

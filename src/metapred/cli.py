@@ -36,6 +36,7 @@ from .io import (
     parse_sim_config,
     run_analysis,
 )
+from .intervals import _check_level
 from .methods import lookup_method
 from .priors import NAMED_PRIORS, bind_prior, log_prior_density, named_prior
 from .simulate import run_study
@@ -55,10 +56,15 @@ def _cmd_analyze(args) -> int:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
         if not methods:
             raise ConfigError("--methods list is empty")
+    # only the level and the tags are the caller's to get wrong: any other
+    # ValueError from the run is a fault and propagates
     try:
-        report = run_analysis(dataset, methods, level=args.level)
+        _check_level(args.level)
+        for tag in methods:
+            lookup_method(tag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    report = run_analysis(dataset, methods, level=args.level)
     if any(lookup_method(m).prior for m in methods):
         conflict = _mean_prior_conflict(
             dataset.effects, dataset.variances, EngineConfig.mu_prior_var

@@ -14,10 +14,15 @@ simulate_dataset and draw_within_variances are blocks of one). The
 block's datasets then go through the methods together, one grid batch
 and one inversion batch for all of them, and one pass for the plug-in t
 and Wald tags (one DL fit and one REML scoring loop over all of them).
-On more than one CPU the blocks run on a pool of worker processes that
-is forked at a process's first parallel study and kept for later ones. A
-replication's result does not depend on its block, so the study is
-bit-identical for any degree of parallelism and any block size.
+Each scenario is cut into the fewest near-equal blocks, a multiple of
+the worker count in number, that fit a bound on studies per block: a
+small one when a tag is Bayesian, which bounds the engine's arrays, and
+a large one otherwise, since every block runs REML passes until its
+slowest row converges. On more than one CPU the blocks run on a pool of
+worker processes that is forked at a process's first parallel study and
+kept for later ones. A replication's result does not depend on its
+block, so the study is bit-identical for any degree of parallelism and
+any block size.
 """
 
 from __future__ import annotations
@@ -61,11 +66,19 @@ logger = logging.getLogger(__name__)
 SIGMA_SQ_LOW = 0.009
 SIGMA_SQ_HIGH = 0.6
 
-# studies per block of replications: bounds the engine's (studies x nodes)
-# arrays to a few MB each at the first refinement pass. Speed does not set
-# it: per replication, blocks of 12 to 36 cost the same within noise at
-# n = 7 and 15, and larger blocks keep paying at n = 30 (BENCH_14.json)
+# studies per block of replications that runs a Bayesian tag: bounds the
+# engine's (studies x nodes) arrays to a few MB each at the first
+# refinement pass. Speed does not set it: per replication, blocks of 12 to
+# 36 cost the same within noise at n = 7 and 15, and larger blocks keep
+# paying at n = 30 (BENCH_14.json)
 _BLOCK_STUDIES = 256
+
+# studies per block that runs only plug-in t and Wald tags, whose arrays
+# are (replications x n). Speed sets it: a block runs REML scoring passes
+# until its slowest row converges, so small blocks repeat those passes;
+# per replication, the cost levels off at about 256 to 512 replications
+# for n = 5 to 100, which 2^15 studies allow at n <= 100 (BENCH_22.json)
+_PLUGIN_STUDIES = 2**15
 
 # the standard study grid: the 11 tau priors plus the plug-in t interval
 DEFAULT_METHODS: tuple[str, ...] = ("hts",) + tuple(NAMED_PRIORS)
@@ -445,14 +458,22 @@ def _drop_pool() -> None:
         _pool = _pool_key = None
 
 
-def _blocks(config: SimConfig, cap: int) -> list[tuple[Scenario, tuple[int, ...]]]:
+def _blocks(config: SimConfig, workers: int) -> list[tuple[Scenario, tuple[int, ...]]]:
     """run_study's units of work, in order: each scenario's replication
-    indices cut into blocks of min(cap, _BLOCK_STUDIES // n) (at least 1)."""
+    indices cut into the fewest near-equal blocks, a multiple of workers
+    in number, that each hold at most studies // n replications (at least
+    1), or into one block per replication when reps is smaller than that
+    number. studies is _BLOCK_STUDIES when a tag is Bayesian, else
+    _PLUGIN_STUDIES."""
+    bayes = any(METHODS[m].prior is not None for m in config.methods)
+    studies = _BLOCK_STUDIES if bayes else _PLUGIN_STUDIES
+    reps = config.reps
     blocks = []
     for sc in config.scenarios:
-        size = max(1, min(cap, _BLOCK_STUDIES // sc.n))
-        for start in range(0, config.reps, size):
-            blocks.append((sc, tuple(range(start, min(start + size, config.reps)))))
+        size = max(1, studies // sc.n)
+        count = min(reps, workers * -(-reps // (size * workers)))
+        stops = [reps * (i + 1) // count for i in range(count)]
+        blocks += [(sc, tuple(range(a, b))) for a, b in zip([0] + stops, stops)]
     return blocks
 
 
@@ -460,28 +481,30 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
     The unit of work is a block of one scenario's replications, which
-    _run_block evaluates together: at most _BLOCK_STUDIES studies (one
-    replication when n alone exceeds that), and on a pool at most
-    ceil(reps / (4 x workers)) replications, so that each worker gets
-    about four pieces of every scenario. The blocks run as one ordered
-    map, so each scenario's rows are one contiguous slice, on a pool of
-    min(parallelism, usable CPUs) worker processes, or in process when
-    that is 1. The pool is forked at the first parallel study and kept
-    open for later studies of the same size, so its workers run the
-    module state (logging and warning filters included) of the moment
-    they were forked. Every replication draws from its own stream and
-    its row does not depend on the rest of its block; coverage is an
-    integer count and widths are summed exactly (math.fsum), so the
-    output is bit-identical for any parallelism value under the same
-    master seed.
+    _run_block evaluates together. Each scenario is cut into the fewest
+    near-equal blocks whose number is a multiple of the worker count, so
+    that every worker gets an equal share of it, and that each hold at
+    most _BLOCK_STUDIES studies when a tag is Bayesian (this bounds the
+    engine's arrays) or _PLUGIN_STUDIES when every tag is a plug-in t or
+    Wald tag (a larger block shares its REML scoring passes among more
+    replications); a block holds one replication when n alone exceeds
+    the bound. The blocks run as one ordered map, so each scenario's rows
+    are one contiguous slice, on a pool of min(parallelism, usable CPUs)
+    worker processes, or in process when that is 1. The pool is forked
+    at the first parallel study and kept open for later studies of the
+    same size, so its workers run the module state (logging and warning
+    filters included) of the moment they were forked. Every replication
+    draws from its own stream and its row does not depend on the rest of
+    its block; coverage is an integer count and widths are summed exactly
+    (math.fsum), so the output is bit-identical for any parallelism value
+    under the same master seed.
     """
     _check_integer(parallelism, "parallelism")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, _usable_cpus())
     reps = config.reps
-    cap = reps if workers == 1 else math.ceil(reps / (4 * workers))
-    scenarios, indices = zip(*_blocks(config, cap))
+    scenarios, indices = zip(*_blocks(config, workers))
     args = (scenarios, repeat(config.methods), repeat(config.master_seed), indices)
     if workers == 1:
         blocks = list(map(_run_block, *args))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,26 @@ class TestAnalyze:
     def test_bad_level_is_config_error(self, data_file, capsys):
         assert main(["analyze", "--data", data_file, "--level", "1.5"]) == 2
 
+    def test_only_the_level_and_tags_are_config_errors(self, data_file, monkeypatch, capsys):
+        # a ValueError from inside the run is a fault: it propagates out of
+        # main instead of being reported as a config error
+        from metapred import bayes
+
+        def broken(*args):
+            raise ValueError("injected inversion fault")
+
+        monkeypatch.setattr(bayes, "_invert_mixture_cdfs", broken)
+        with pytest.raises(ValueError, match="injected inversion fault"):
+            main(["analyze", "--data", data_file, "--methods", "hts,jeffreys"])
+        assert main(["analyze", "--data", data_file, "--level", "1.5"]) == 2
+        assert capsys.readouterr().err == (
+            "metapred: config error: level must be a float in (0, 1), got 1.5\n"
+        )
+        assert main(["analyze", "--data", data_file, "--methods", "hts,bogus"]) == 2
+        assert capsys.readouterr().err == (
+            "metapred: config error: unknown method tag 'bogus'\n"
+        )
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("study,effect,se\nA,1,0\nB,2,1\n")
@@ -87,14 +108,16 @@ class TestAnalyze:
         hts = results["hts"]
         assert (round(hts["lower"], 6), round(hts["upper"], 6)) == (-7.300379, 7.520379)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", ["1e154", "1e300"])
     def test_overflowing_effects_are_a_numeric_failure(self, scale, tmp_path, capsys):
         # Cochran's Q overflows, so the DL estimate is not finite: a numeric
-        # failure of the data (exit 4), not a config error (exit 2)
+        # failure of the data (exit 4), not a config error (exit 2), and no
+        # numpy warning on the way
         path = tmp_path / "huge.csv"
         path.write_text(f"study,effect,se\nA,{scale},1\nB,-{scale},1\nC,0.3,2\n")
-        assert main(["analyze", "--data", str(path)]) == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--data", str(path)]) == 4
         assert capsys.readouterr().err.endswith(
             "metapred: numeric failure: tau2 must be finite and >= 0, got inf\n"
         )

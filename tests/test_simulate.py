@@ -406,36 +406,85 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_block_size_does_not_change_records(self, monkeypatch, parallelism):
-        # run_study runs each scenario's replications in blocks of at most
-        # _BLOCK_STUDIES // n (and, on a pool, ceil(reps / (4 workers)));
-        # blocks of 1, of 2 and of the default size give the same records
+        # run_study cuts each scenario into the fewest near-equal blocks, a
+        # multiple of the workers in number, of at most studies // n
+        # replications (studies is _BLOCK_STUDIES with a Bayesian tag, else
+        # _PLUGIN_STUDIES); blocks of 1, of 2 and of the default size give
+        # the same records
         import metapred.simulate as sim
 
-        config = SimConfig(
-            scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
-            methods=("hts", "jeffreys", "cred:shrinkage", "proper1", "hts-hk", "hts-sj", "dl"),
-            reps=19,
-            master_seed=17,
-        )
-        expected = run_study(config, parallelism=1)
+        plugin = ("hts", "hts-hk", "hts-sj", "dl")
+        bayes = ("hts", "jeffreys", "cred:shrinkage", "proper1", "hts-hk", "hts-sj", "dl")
         sizes = []
         real_blocks = sim._blocks
 
-        def recorded(config, cap):
-            blocks = real_blocks(config, cap)
+        def recorded(config, workers):
+            blocks = real_blocks(config, workers)
             sizes.extend(len(reps) for _, reps in blocks)
             return blocks
 
         monkeypatch.setattr(sim, "_blocks", recorded)
-        # a pool of 2 takes at most ceil(19 / 8) = 3 replications at a time
-        largest = 19 if min(parallelism, sim._usable_cpus()) == 1 else 3
-        for block_studies, cap in ((4, 1), (10, 2), (sim._BLOCK_STUDIES, largest)):
-            monkeypatch.setattr(sim, "_BLOCK_STUDIES", block_studies)
-            sizes.clear()
-            assert run_study(config, parallelism=parallelism) == expected
-            assert max(sizes) == cap and sum(sizes) == 2 * 19
+        workers = min(parallelism, sim._usable_cpus())
+        for methods, bound in ((bayes, "_BLOCK_STUDIES"), (plugin, "_PLUGIN_STUDIES")):
+            config = SimConfig(
+                scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
+                methods=methods,
+                reps=19,
+                master_seed=17,
+            )
+            expected = run_study(config, parallelism=1)
+            # at the default bound each scenario is one block per worker
+            default = (getattr(sim, bound), -(-19 // workers))
+            for studies, largest in ((4, 1), (10, 2), default):
+                monkeypatch.setattr(sim, bound, studies)
+                sizes.clear()
+                assert run_study(config, parallelism=parallelism) == expected
+                assert max(sizes) == largest and sum(sizes) == 2 * 19
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_are_the_fewest_balanced_pieces_that_fit(self, workers):
+        # _blocks alone: nothing runs and no process starts
+        import metapred.simulate as sim
+
+        scenarios = (Scenario(3, 0.0), Scenario(7, 0.1), Scenario(30, 0.1), Scenario(300, 0.0))
+        for methods, studies in (
+            (("hts", "hts-hk", "dl"), sim._PLUGIN_STUDIES),
+            (("hts", "cred:jeffreys"), sim._BLOCK_STUDIES),
+        ):
+            for reps in (1, 2, 5, 100, 1000, 7919):
+                config = SimConfig(scenarios=scenarios, methods=methods, reps=reps)
+                blocks = sim._blocks(config, workers)
+                assert [sc for sc, _ in blocks] == sorted(
+                    (sc for sc, _ in blocks), key=scenarios.index
+                )
+                for sc in scenarios:
+                    cut = [reps_of for block_sc, reps_of in blocks if block_sc == sc]
+                    sizes = [len(reps_of) for reps_of in cut]
+                    bound = max(1, studies // sc.n)
+                    assert [i for reps_of in cut for i in reps_of] == list(range(reps))
+                    assert max(sizes) <= bound
+                    assert max(sizes) - min(sizes) <= 1
+                    # a multiple of the workers, unless every block is one
+                    # replication
+                    assert len(cut) % workers == 0 or max(sizes) == 1
+                    # the fewest: one block fewer per worker would not fit
+                    if len(cut) > workers:
+                        assert -(-reps // (len(cut) - workers)) > bound
+        # only a Bayesian tag keeps blocks at _BLOCK_STUDIES // n
+        for methods, larger in ((("hts", "dl"), True), (("hts", "uniform"), False)):
+            config = SimConfig(scenarios=(Scenario(7, 0.1),), methods=methods, reps=1000)
+            largest = max(len(reps_of) for _, reps_of in sim._blocks(config, workers))
+            assert (largest > sim._BLOCK_STUDIES // 7) == larger
+        # a frequentist study of four scenarios of 100 replications: one
+        # block per scenario and worker
+        config = SimConfig(
+            scenarios=tuple(Scenario(n, t) for n in (5, 30) for t in (0.0, 0.1)),
+            methods=("hts", "hts-hk", "hts-sj", "dl"),
+            reps=100,
+        )
+        assert len(sim._blocks(config, workers)) == 4 * workers
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 3])
     def test_frequentist_table_is_pinned(self, parallelism):
         # hts, hts-hk, hts-sj and dl at n = 3, 5, 30 and tau2 = 0, 0.1, byte
         # for byte; n = 3, tau2 = 0 holds the REML stall of replication 306
