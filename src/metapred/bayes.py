@@ -36,31 +36,30 @@ closed-form, so each step costs one pass over the components, and a step
 that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
-One block is one batch. A block is a list of datasets that share their
-number of studies, and a list of prior families to run on every one of
-them: the one prior of build_posterior_grid, the priors of
-evaluate_methods on its dataset, or those priors on every replication of a
-block of one scenario in the coverage study. The marginal likelihood does
-not depend on the prior, and a dataset's priors share its bound constants
-(one row of priors._bound_constants per dataset), s0 and so the ladder;
-each prior's panel breaks are a prefix of those of the prior with the
-largest tau_max (proper1 adds its own last panel). _posterior_grids
-therefore evaluates the likelihood once on every dataset's scan probes and
-each scanned family's kernel once on all of them, scans each dataset's
-columns of that (families, probes) array, and cuts every prior's breaks
-from its dataset's ladder. _refine_panels keeps the open panels of all
-(family, dataset) rows, family after family, as the rows of one set of
-arrays, tagged with their row, evaluates the likelihood once per pass on
-the distinct (dataset, panel) pairs and each family's kernel once per pass
-on the run of its rows' panels, and returns the finished grids.
-_mixture_intervals inverts every (mixture, endpoint) row in one masked
-Newton loop. Every block, of one dataset or many, takes the same path:
-each panel and each probe gathers its own dataset's values. Reductions
-run over a node's studies in sequence (C-ordered (studies, ...) arrays),
-within a row (row sums, np.add.reduceat over flat segments) or over one
-row's panels in order (np.add.at into zeroed per-row sums), never across
-rows, so a row's grid and endpoints equal its batch-of-one result - the
-public single-prior functions - bit for bit.
+One block is one batch, in one flat layout from refinement to inversion.
+A block is a list of datasets that share their number of studies, and a
+list of prior families to run on every one of them: the one prior of
+build_posterior_grid, the priors of evaluate_methods on its dataset, or
+those priors on every replication of a block of one scenario in the
+coverage study. The marginal likelihood does not depend on the prior, and
+a dataset's priors share its bound constants (one row of
+priors._bound_constants per dataset), s0 and so the ladder.
+_posterior_grids therefore evaluates the likelihood once on every
+dataset's scan probes and each scanned family's kernel once on all of
+them, scans each dataset's columns of that (families, probes) array, and
+cuts every (family, dataset) row's panels from its dataset's ladder.
+_refine_panels refines all rows' panels as one set of arrays and returns
+the grids as one _Grids layout, every row's nodes end to end with row
+offsets; _mixture_intervals reads each mixture from it once and inverts
+every (mixture, endpoint) row in one masked Newton loop. A PosteriorGrid,
+a view of one row, is built only for a caller that asks for one. Every
+block, of one dataset or many, takes the same path: each panel and each
+probe gathers its own dataset's values. Reductions run over a node's
+studies in sequence (C-ordered (studies, ...) arrays), within a row (row
+sums, np.add.reduceat over flat segments) or over one row's panels in
+order (np.add.at into zeroed per-row sums), never across rows, so a row's
+grid and endpoints equal its batch-of-one result - the public single-prior
+functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .core import MetaDataset
+from .core import MetaDataset, _unwrap
 from .errors import DivergedPosteriorError, NumericFailure
 from .intervals import IntervalEstimate, _check_level
 from .priors import BoundPrior, _bound_constants, _log_kernel
@@ -174,6 +173,34 @@ class PosteriorGrid:
     def posterior_weights(self) -> np.ndarray:
         """Normalized node masses; they sum to 1 up to rounding."""
         return self.quad_weights * np.exp(self.log_post - self.log_norm)
+
+
+class _Grids:
+    """A block's posterior grids as one flat layout, a row per grid: nodes
+    holds PosteriorGrid's five arrays as rows, grid r's counts[r] nodes
+    from starts[r]; weights each node's normalised posterior weight; tails
+    each grid's (log_norm, prior_name, tau_max, quad_error)."""
+
+    def __init__(self, nodes, weights, counts, tails):
+        self.nodes, self.weights, self.tails = nodes, weights, tails
+        self.counts, self.starts = counts, counts.cumsum() - counts
+
+    def grid(self, r) -> PosteriorGrid:
+        """Row r as a PosteriorGrid, whose arrays are views of the layout's."""
+        start, count = int(self.starts[r]), int(self.counts[r])
+        return PosteriorGrid(*self.nodes[:, start : start + count], *self.tails[r])
+
+    @classmethod
+    def of(cls, grid: PosteriorGrid) -> "_Grids":
+        """A PosteriorGrid as a layout of one row."""
+        arrays = [grid.nodes, grid.quad_weights, grid.log_post, grid.cond_mean, grid.cond_var]
+        tail = (grid.log_norm, grid.prior_name, grid.tau_max, grid.quad_error)
+        return cls(np.array(arrays), grid.posterior_weights(), np.array([len(grid.nodes)]), [tail])
+
+
+def _segments(starts, counts):
+    """The index array of every segment k, starts[k] + range(counts[k])."""
+    return np.arange(counts.sum()) + np.repeat(starts - counts.cumsum() + counts, counts)
 
 
 def _weighted_mean(y, sigma_sq):
@@ -335,10 +362,10 @@ def _mean_prior_conflict(y, sigma_sq, mu_prior_var):
     )
 
 
-def _scan_failure(prior_name, y, sigma_sq, mu_prior_var):
+def _scan_failure(prior_name, dataset, mu_prior_var):
     """The error for a tail that never decays; it blames the N(0, S) mean
     prior when _mean_prior_conflict finds one."""
-    conflict = _mean_prior_conflict(y, sigma_sq, mu_prior_var)
+    conflict = _mean_prior_conflict(dataset.effects, dataset.variances, mu_prior_var)
     if conflict is not None:
         return DivergedPosteriorError(
             prior_name,
@@ -422,13 +449,14 @@ def _panel_nodes(c, lo, hi):
     return tau, quad_weights
 
 
-def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
+def _refine_panels(block, owner_ds, row_family, families, lo, panels, tau_max, tol):
     """Every row's posterior grid: row r is the prior
-    families[row_family[r]] on the block's dataset owner_ds[r], its
-    w-panels cut at its tau breaks (0, the octave ladder below its tau_max,
-    and tau_max) and bisected until each passes its error test. The rows
-    come family after family (row_family does not decrease), so each pass
-    finds a family's panels as one run.
+    families[row_family[r]] on the block's dataset owner_ds[r]; its
+    panels[r] panels start at its run of lo (increasing tau) and end at
+    the next start, the last at tau_max[r], and are mapped to w and
+    bisected until each passes its error test. The rows come family after
+    family (row_family does not decrease), so each pass finds a family's
+    panels as one run.
 
     The open panels of all rows are the rows of one set of arrays; owner
     gives each panel's row. A pass evaluates the likelihood once on the
@@ -451,29 +479,26 @@ def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
     step is elementwise, within a panel or a maximum, so a row's result
     does not depend on the other rows.
 
-    Returns one PosteriorGrid per row: the kept nodes sorted by tau,
-    log_norm from the running total - the mass of exactly those nodes -
-    and quad_error, the summed estimates of the accepted panels relative
-    to the totals (the larger of the two ratios). A row whose grid fails
-    _grid_failure's checks gets that DivergedPosteriorError instead.
+    Returns one _Grids layout of the rows' kept nodes sorted by tau, their
+    log_norm from the running total - the mass of exactly those nodes - and
+    quad_error, the summed estimates of the accepted panels relative to the
+    totals (the larger of the two ratios), and a dict from each row that
+    fails _grid_failure's checks (array tests of every row) to its error.
     """
-    m, n = _PANEL_ORDER, len(breaks)
+    m, n = _PANEL_ORDER, len(row_family)
     if not n:
-        return []
+        return _Grids(np.empty((5, 0)), np.empty(0), np.zeros(0, dtype=np.intp), []), {}
 
     def per_row(rows, values):
         sums = np.zeros((n, 2))
         np.add.at(sums, rows, values)
         return sums
 
-    lengths = [len(b) for b in breaks]
-    flat = np.concatenate(breaks)
-    c = np.repeat(block.c[owner_ds], lengths)
-    w_breaks = np.sqrt(flat / (c + flat))
-    opens = np.ones(len(flat), dtype=bool)  # every break but a row's last opens a panel
-    opens[np.cumsum(lengths) - 1] = False
-    lo, hi = w_breaks[opens], w_breaks[1:][opens[:-1]]
-    owner = np.repeat(np.arange(n), [length - 1 for length in lengths])
+    owner = np.arange(n).repeat(panels)
+    hi = np.concatenate((lo[1:], lo[:1]))
+    hi[panels.cumsum() - 1] = tau_max
+    c = block.c[owner_ds[owner]]
+    lo, hi = np.sqrt(lo / (c + lo)), np.sqrt(hi / (c + hi))
     whole = whole_nodes = None  # the open panels' whole-panel sums and nodes
     ref = np.full(n, -np.inf)  # row r's panel sums are (mass, tau^2 mass) x exp(-ref[r])
     total, error = np.zeros((n, 2)), np.zeros((n, 2))
@@ -545,25 +570,24 @@ def _refine_panels(block, owner_ds, row_family, families, breaks, tol):
     order = np.lexsort((nodes[0, :, 0], rows))  # panels are disjoint: sorts every tau
     nodes = nodes[:, order].reshape(5, -1)
     counts = m * np.bincount(rows, minlength=n)
-    starts = np.cumsum(counts) - counts
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_norm = ref + np.log(total[:, 0])
         quad_error = (error / total).max(axis=1)
         # the sum of each row's normalised weights; it is not finite when a
         # node is not (tau and its quadrature weight overflow together)
         weights = nodes[1] * np.exp(nodes[2] - np.repeat(log_norm, counts))
-        miss = np.add.reduceat(weights, starts) - 1.0
-    log_norm, quad_error, miss = log_norm.tolist(), quad_error.tolist(), miss.tolist()
-    out = []
-    for r, (start, count) in enumerate(zip(starts.tolist(), counts.tolist())):
-        name = families[row_family[r]].name
-        grid = _grid_failure(name, failed[r], log_norm[r], quad_error[r], miss[r])
-        if grid is None:
-            arrays = nodes[:, start : start + count]
-            tau_max = float(breaks[r][-1])
-            grid = PosteriorGrid(*arrays, log_norm[r], name, tau_max, quad_error[r])
-        out.append(grid)
-    return out
+        miss = np.add.reduceat(weights, np.cumsum(counts) - counts) - 1.0
+        # _grid_failure's checks, each false on a NaN
+        certified = ~failed & (np.abs(log_norm) <= _MAX_ABS_LOG_NORM) & np.isfinite(quad_error)
+        certified &= np.abs(miss) <= quad_error + _WEIGHT_SUM_ROUNDING
+    names = [families[f].name for f in row_family.tolist()]
+    log_norm, quad_error = log_norm.tolist(), quad_error.tolist()
+    failures = {
+        r: _grid_failure(names[r], failed[r], log_norm[r], quad_error[r], float(miss[r]))
+        for r in (~certified).nonzero()[0].tolist()
+    }
+    tails = list(zip(log_norm, names, tau_max.tolist(), quad_error))
+    return _Grids(nodes, weights, counts, tails), failures
 
 
 def _grid_failure(name, failed, log_norm, quad_error, miss):
@@ -595,7 +619,7 @@ def _grid_failure(name, failed, log_norm, quad_error, miss):
     return DivergedPosteriorError(name, message)
 
 
-def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> list:
+def _posterior_grids(datasets, families, config: EngineConfig | None = None):
     """Posterior grids of every prior family on every dataset of a block,
     in one pass.
 
@@ -607,16 +631,14 @@ def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> 
     so all of a dataset's priors share s0 and its octave ladder. The
     likelihood is evaluated once on every dataset's scan probes and each
     scanned family's kernel once on all of them; each dataset's columns of
-    that (families, probes) array are scanned together, and every prior's
-    panel breaks are cut from its dataset's ladder. _refine_panels then
-    refines the panels of all (family, dataset) rows together. A grid
-    equals its batch-of-one result bit for bit. Returns, per dataset, one
-    PosteriorGrid or DivergedPosteriorError per family.
+    that (families, probes) array are scanned together, and every row's
+    panels are cut from its dataset's ladder. _refine_panels then refines
+    the panels of all (family, dataset) rows together. A grid equals its
+    batch-of-one result bit for bit. Returns the grids' _Grids layout and
+    index[i][f], family f on dataset i: its row or DivergedPosteriorError.
     """
     if config is None:
         config = EngineConfig()
-    if not datasets:
-        return []
     block = _Block(datasets, config.mu_prior_var)
     ladders = [
         _tau_ladder(dataset.effects, dataset.variances, c)
@@ -633,32 +655,30 @@ def _posterior_grids(datasets, families, config: EngineConfig | None = None) -> 
         # every dataset's scan probes, end to end, a row each, and each one's dataset
         probes = [ladder[start:] for ladder, start in ladders]
         sizes = [len(p) for p in probes]
-        ends = np.cumsum(sizes).tolist()
         all_probes = np.concatenate(probes)[:, None]
         probe_ds = np.repeat(np.arange(len(datasets)), sizes)
         probe_loglik = block.loglik(probe_ds, all_probes)[0]
         consts = block.constants(probe_ds)
         log_h = np.stack([_log_kernel(families[f], all_probes, *consts) for f in scanned])
         log_h = (log_h + probe_loglik)[:, :, 0]  # (families, probes)
-        for i, (end, size) in enumerate(zip(ends, sizes)):
+        for i, (end, size) in enumerate(zip(np.cumsum(sizes).tolist(), sizes)):
             tau_max[scanned, i] = _scan_tau_max(log_h[:, end - size : end], probes[i])
 
     row_family, owner_ds = np.nonzero(~np.isnan(tau_max))  # family after family
-    breaks = [
-        np.concatenate([[0.0], ladder[ladder < t], [t]])
-        for ladder, t in ((ladders[i][0], tau_max[f, i]) for f, i in zip(row_family, owner_ds))
-    ]
-    tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
-    grids = iter(_refine_panels(block, owner_ds, row_family, families, breaks, tol))
-    out = [[] for _ in datasets]
-    for family, row in zip(families, tau_max.tolist()):
-        for dataset, grids_of, t in zip(datasets, out, row):
-            grids_of.append(
-                _scan_failure(family.name, dataset.effects, dataset.variances, config.mu_prior_var)
-                if math.isnan(t)
-                else next(grids)
-            )
-    return out
+    # row r's panels start at 0 and at its dataset's ladder points below its
+    # tau_max: a run of that ladder with a 0 in front
+    padded = [np.concatenate(([0.0], ladder)) for ladder, _ in ladders]
+    panels = np.array([np.searchsorted(p, t) for p, t in zip(padded, tau_max.T)])
+    panels = panels[owner_ds, row_family]
+    lo = np.concatenate([np.empty(0)] + [padded[i][:k] for i, k in zip(owner_ds, panels)])
+    t, tol = tau_max[row_family, owner_ds], _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+    grids, failures = _refine_panels(block, owner_ds, row_family, families, lo, panels, t, tol)
+    row_of = np.full(tau_max.shape, -1)  # family f on dataset i: its row, or -1
+    row_of[row_family, owner_ds] = np.arange(len(row_family))
+    index = [[failures.get(r, r) for r in rows] for rows in row_of.T.tolist()]
+    for f, i in zip(*np.nonzero(row_of < 0)):
+        index[i][f] = _scan_failure(families[f].name, datasets[i], config.mu_prior_var)
+    return grids, index
 
 
 def build_posterior_grid(
@@ -696,60 +716,49 @@ def build_posterior_grid(
         raise ValueError(f"posterior grid needs n >= 2, dataset has {dataset.n}")
     if not np.array_equal(prior.sigma_sq, dataset.variances):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
-    ((grid,),) = _posterior_grids([dataset], [prior.family], config)
-    if isinstance(grid, Exception):
-        raise grid
-    return grid
+    grids, ((row,),) = _posterior_grids([dataset], [prior.family], config)
+    return grids.grid(_unwrap(row))
 
 
-def _mixtures(requests):
-    """Flat (means, sds, weights, lengths) of several posterior mixtures.
+def _mixtures(grids, requests):
+    """Flat (means, sds, weights, lengths, mean, sd) of several posterior
+    mixtures sum_k w_k N(m_k, s_k^2), and each one's own mean and SD.
 
-    requests holds (grid, predictive) pairs: the theta_new mixture of the
-    grid when predictive, else the mu mixture. Mixture r occupies the next
-    lengths[r] entries of the flat arrays. Components under 1e-17 of their
-    mixture's peak weight (together less than 1e-13 of the mass) are
-    dropped and the rest renormalised to sum to 1. Segment reductions use
-    np.add.reduceat, which gives a segment the same bits wherever it lies in
-    the flat arrays, so a mixture does not depend on the others.
+    requests holds (row, predictive) pairs of the _Grids layout grids: the
+    theta_new mixture of that row's grid when predictive, else the mu
+    mixture. Mixture k occupies the next lengths[k] entries of the flat
+    arrays. Components under 1e-17 of their mixture's peak weight (together
+    less than 1e-13 of the mass) are dropped and the rest renormalised to
+    sum to 1. Segment reductions use np.add.reduceat, which gives a segment
+    the same bits wherever it lies in the flat arrays, so a mixture does
+    not depend on the others.
     """
-    grids = [grid for grid, _ in requests]
-    counts = [len(grid.nodes) for grid in grids]
-    log_norm = np.repeat([grid.log_norm for grid in grids], counts)
-    pi = np.concatenate([grid.quad_weights for grid in grids]) * np.exp(
-        np.concatenate([grid.log_post for grid in grids]) - log_norm
-    )
-    starts = np.cumsum(counts) - counts
+    rows, predictive = zip(*requests)
+    counts = grids.counts[list(rows)]
+    take = _segments(grids.starts[list(rows)], counts)
+    pi = grids.weights[take]
+    starts = counts.cumsum() - counts
     keep = pi > np.repeat(np.maximum.reduceat(pi, starts), counts) * 1e-17
-    var = np.concatenate(
-        [grid.cond_var + grid.nodes**2 if pred else grid.cond_var for grid, pred in requests]
-    )
-    means = np.concatenate([grid.cond_mean for grid in grids])[keep]
+    take = take[keep]
+    tau, means, var = (grids.nodes[i, take] for i in (0, 3, 4))  # tau, cond_mean, cond_var
+    sds = np.sqrt(var + np.where(np.repeat(predictive, counts)[keep], tau**2, 0.0))
     lengths = np.add.reduceat(keep, starts, dtype=np.intp)
     w = pi[keep]
-    weights = w / np.repeat(np.add.reduceat(w, np.cumsum(lengths) - lengths), lengths)
-    return means, np.sqrt(var[keep]), weights, lengths
-
-
-def _mean_sd(m, s, w, lengths):
-    """Mean and SD of each mixture sum_k w_k N(m_k, s_k^2) of a flat layout
-    (weights summing to 1 per mixture).
-
-    The central second moment is summed: E[x^2] - E[x]^2 cancels when |mean| >> sd.
-    """
-    starts = np.cumsum(lengths) - lengths
-    mean = np.add.reduceat(w * m, starts)
-    var = np.add.reduceat(w * (s * s + (m - np.repeat(mean, lengths)) ** 2), starts)
-    return mean, np.sqrt(np.maximum(var, 1e-300))
+    starts = lengths.cumsum() - lengths
+    weights = w / np.repeat(np.add.reduceat(w, starts), lengths)
+    mean = np.add.reduceat(weights * means, starts)
+    # the central second moment: E[x^2] - E[x]^2 cancels when |mean| >> sd
+    var = np.add.reduceat(weights * (sds * sds + (means - np.repeat(mean, lengths)) ** 2), starts)
+    return means, sds, weights, lengths, mean, np.sqrt(np.maximum(var, 1e-300))
 
 
 def predictive_cdf(grid: PosteriorGrid, x: float) -> float:
     """CDF of the new-study effect under the discretized posterior mixture."""
-    m, s, w, _ = _mixtures([(grid, True)])
+    m, s, w, *_ = _mixtures(_Grids.of(grid), [(0, True)])
     return float(np.sum(w * ndtr((x - m) / s)))
 
 
-def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths):
+def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths, center, sd):
     """Solve F_r(x) = sum_k w_k Phi((x - m_k)/s_k) = probs[r] for every
     mixture r of a flat layout by safeguarded Newton, all rows at once.
 
@@ -758,8 +767,9 @@ def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths):
     max_k(m_k + s_k q), so the components' own quantiles bracket the root
     without evaluating F. Newton steps (prob - F)/f, with the closed-form
     density f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from the normal
-    quantile of the mixture's own mean and SD; every evaluation shrinks the
-    bracket by the sign of F - prob, and a step that would leave the
+    quantile of the mixture's own mean and SD (center and sd, one per row);
+    every evaluation shrinks the bracket by the sign of F - prob, and a
+    step that would leave the
     bracket or not halve the previous step is replaced by the bracket
     midpoint (as in rtsafe). A row's root is returned once a Newton step is
     within tol_width / 2 (whether or not it stays strictly inside the
@@ -780,7 +790,6 @@ def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths):
     component_quantiles = means + sds * np.repeat(q, lengths)
     lo = np.minimum.reduceat(component_quantiles, starts)
     hi = np.maximum.reduceat(component_quantiles, starts)
-    center, sd = _mean_sd(means, sds, weights, lengths)
     x = np.minimum(np.maximum(center + sd * q, lo), hi)
     step = hi - lo
     w_over_s = weights / sds
@@ -833,44 +842,35 @@ def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths):
     ]
 
 
-def _mixture_intervals(requests, level, cdf_tolerance):
-    """Equal-tail intervals of the mixtures of requests ((grid, predictive)
-    pairs, as in _mixtures), every endpoint in one _invert_mixture_cdfs
-    batch. A request's interval does not depend on the other requests.
-
-    Returns one IntervalEstimate or NumericFailure per request (the lower
-    endpoint's failure first), so none for no requests; a level outside
-    (0, 1) or a cdf_tolerance outside (0, 1e-2) raises ValueError.
+def _mixture_intervals(grids, requests, level, cdf_tolerance):
+    """Equal-tail intervals of the mixtures of requests ((row, predictive)
+    pairs as in _mixtures; a failed row, as _posterior_grids indexes it, is
+    its request's outcome), every endpoint in one _invert_mixture_cdfs
+    batch: each mixture is read once and its components repeated for its
+    lower and upper endpoint. A request's interval does not depend on the
+    others. Returns one IntervalEstimate or NumericFailure per request (the
+    lower endpoint's failure first); a level outside (0, 1) or a
+    cdf_tolerance outside (0, 1e-2) raises ValueError.
     """
     _check_level(level)
     _check_cdf_tolerance(cdf_tolerance)
-    if not requests:
-        return []
+    out = [row for row, _ in requests]
+    live = [k for k, row in enumerate(out) if not isinstance(row, Exception)]
+    if not live:
+        return out
+    m, s, w, lengths, center, sd = _mixtures(grids, [requests[k] for k in live])
+    both = np.arange(len(live)).repeat(2)  # every mixture's lower, then upper endpoint
+    take = _segments((lengths.cumsum() - lengths)[both], lengths[both])
     alpha = 1.0 - level
-    probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(requests))
-    m, s, w, lengths = _mixtures([request for request in requests for _ in range(2)])
-    tol_widths = cdf_tolerance * _mean_sd(m, s, w, lengths)[1]
-    roots = _invert_mixture_cdfs(m, s, w, lengths, probs, tol_widths)
-    out = []
-    for (grid, predictive), lower, upper in zip(requests, roots[::2], roots[1::2]):
+    probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(live))
+    m, s, w, center, sd = m[take], s[take], w[take], center[both], sd[both]
+    roots = _invert_mixture_cdfs(m, s, w, lengths[both], probs, cdf_tolerance * sd, center, sd)
+    for k, lower, upper in zip(live, roots[::2], roots[1::2]):
+        row, predictive = requests[k]
         failure = next((r for r in (lower, upper) if isinstance(r, NumericFailure)), None)
-        if failure is not None:
-            out.append(failure)
-            continue
         kind = "prediction" if predictive else "credible"
-        out.append(
-            IntervalEstimate(
-                lower=lower, upper=upper, level=level, method=grid.prior_name, kind=kind
-            )
-        )
+        out[k] = failure or IntervalEstimate(lower, upper, level, grids.tails[row][1], kind)
     return out
-
-
-def _one_interval(grid, level, predictive, cdf_tolerance):
-    (interval,) = _mixture_intervals([(grid, predictive)], level, cdf_tolerance)
-    if isinstance(interval, NumericFailure):
-        raise interval
-    return interval
 
 
 def prediction_interval(
@@ -881,14 +881,14 @@ def prediction_interval(
     cdf_tolerance is the relative endpoint error of EngineConfig and must
     lie in (0, 1e-2); anything else raises ValueError.
     """
-    return _one_interval(grid, level, True, cdf_tolerance)
+    return _unwrap(_mixture_intervals(_Grids.of(grid), [(0, True)], level, cdf_tolerance)[0])
 
 
 def credible_interval_mu(
     grid: PosteriorGrid, level: float = 0.95, cdf_tolerance: float = 1e-8
 ) -> IntervalEstimate:
     """Equal-tail credible interval for the grand mean (cdf_tolerance as above)."""
-    return _one_interval(grid, level, False, cdf_tolerance)
+    return _unwrap(_mixture_intervals(_Grids.of(grid), [(0, False)], level, cdf_tolerance)[0])
 
 
 def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
@@ -898,7 +898,6 @@ def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
     invert, so the identity Var(theta_new) = Var(mu) + E[tau^2] holds up to
     rounding and the < 1e-13 of mass the mixture reader drops.
     """
-    m, s, w, lengths = _mixtures([(grid, False), (grid, True)])
-    sd_mu, sd_new = _mean_sd(m, s, w, lengths)[1].tolist()
+    sd_mu, sd_new = _mixtures(_Grids.of(grid), [(0, False), (0, True)])[-1].tolist()
     mean_tau2 = float(np.sum(grid.posterior_weights() * grid.nodes**2))
     return mean_tau2, sd_mu**2, sd_new**2

@@ -206,10 +206,9 @@ def _dl_fits(y: np.ndarray, v: np.ndarray) -> list:
     is not finite."""
     w = 1.0 / v
     df = y.shape[1] - 1
-    return [
-        _estimate(max(0.0, (q - df) / spread), "DL")
-        for q, spread in zip(_cochran_q(y, w), _weight_spread(w))
-    ]
+    tau2 = [(q - df) / spread for q, spread in zip(_cochran_q(y, w), _weight_spread(w))]
+    # max(0.0, nan) is 0.0: a NaN Q (overflowing effects) must fail the estimate
+    return [_estimate(t if math.isnan(t) else max(0.0, t), "DL") for t in tau2]
 
 
 def _unwrap(outcome):

@@ -129,12 +129,11 @@ def _check_hts(n: int, level: float, variant: str) -> None:
 
 
 def _interval(mu, multiplier, spread, level, method, kind):
-    """The interval mu +/- multiplier * sqrt(spread), or its ValueError."""
-    try:
-        half = multiplier * math.sqrt(spread)
-        return IntervalEstimate(mu - half, mu + half, level, method, kind)
-    except ValueError as exc:
-        return exc
+    """The interval mu +/- multiplier * sqrt(spread). The fits it reads
+    are finite (a non-finite DL or REML tau2 fails its fit first), so a
+    ValueError here is a fault and propagates."""
+    half = multiplier * math.sqrt(spread)
+    return IntervalEstimate(mu - half, mu + half, level, method, kind)
 
 
 def _plugin_intervals(

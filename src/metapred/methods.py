@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .bayes import EngineConfig, PosteriorGrid, _mixture_intervals, _posterior_grids
+from .bayes import EngineConfig, _mixture_intervals, _posterior_grids
 from .core import MetaDataset
 from .errors import NumericFailure
 from .intervals import HTS_VARIANTS, IntervalEstimate, _check_level, _plugin_intervals
@@ -55,7 +55,7 @@ def _bayes_outcomes(
 ) -> list[dict]:
     """The outcome of each (prior name, kind) pair on each dataset of a
     block: one grid batch for every prior named on every dataset, then one
-    inversion batch for every interval whose grid was built. A block with
+    inversion batch over its layout for every interval. A block with
     fewer than two studies, or an invalid level, fails every pair alike
     before any grid is built."""
     try:
@@ -64,20 +64,12 @@ def _bayes_outcomes(
     except ValueError as exc:
         return [dict.fromkeys(pairs, exc) for _ in datasets]
     names = list(dict.fromkeys(name for name, _ in pairs))
-    grids = _posterior_grids(datasets, [NAMED_PRIORS[name] for name in names], _ENGINE)
-    out: list[dict] = []
-    ready = []  # (dataset's outcomes, pair, grid) of every interval to invert
-    for grids_of in grids:
-        by_name = dict(zip(names, grids_of))
-        outcomes = {pair: by_name[pair[0]] for pair in pairs}  # a failed grid is its error
-        out.append(outcomes)
-        ready += [(outcomes, pair, grid) for pair, grid in outcomes.items()
-                  if isinstance(grid, PosteriorGrid)]
-    requests = [(grid, kind == "prediction") for _, (_, kind), grid in ready]
-    intervals = _mixture_intervals(requests, level, _ENGINE.cdf_tolerance)
-    for (outcomes, pair, _), interval in zip(ready, intervals):
-        outcomes[pair] = interval
-    return out
+    grids, index = _posterior_grids(datasets, [NAMED_PRIORS[name] for name in names], _ENGINE)
+    column = {name: f for f, name in enumerate(names)}
+    # a request whose grid failed gets the grid's error
+    requests = [(rows[column[n]], kind == "prediction") for rows in index for n, kind in pairs]
+    intervals = iter(_mixture_intervals(grids, requests, level, _ENGINE.cdf_tolerance))
+    return [{pair: next(intervals) for pair in pairs} for _ in index]
 
 
 def _evaluate_block(

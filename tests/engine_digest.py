@@ -16,8 +16,9 @@ inputs:
 - a block of two-study datasets and one of one-study datasets.
 
 Every block runs the eleven named priors and power(1e308), whose tail never
-decays, through one bayes._posterior_grids batch and inverts each grid's
-prediction and credible intervals in one bayes._mixture_intervals batch; at
+decays, through one bayes._posterior_grids batch, reads each grid it built
+through the layout's accessor, and inverts each grid's prediction and
+credible intervals in one bayes._mixture_intervals batch; at
 the default EngineConfig it also runs every method tag through
 methods._evaluate_block. A grid line holds a SHA-256 of the grid's arrays
 and its log_norm, tau_max and quad_error; an interval line its endpoints;
@@ -58,18 +59,20 @@ def block_lines(label, datasets, config=EngineConfig()):
     of every grid that was built and, at the default config, every method
     tag's outcome."""
     try:
-        grids = _posterior_grids(datasets, FAMILIES, config)
+        grids, index = _posterior_grids(datasets, FAMILIES, config)
     except ValueError as exc:  # n < 2 fails the whole block
-        grids = [[exc] * len(FAMILIES)] * len(datasets)
+        grids, index = None, [[exc] * len(FAMILIES)] * len(datasets)
     lines, requests = [], []
-    for i, grids_of in enumerate(grids):
-        for family, grid in zip(FAMILIES, grids_of):
-            lines.append(f"{label} {i} {family.name} {outcome_text(grid)}")
-            if isinstance(grid, PosteriorGrid):
-                key = f"{label} {i} {family.name}"
-                requests += [(key, (grid, pred)) for pred in (True, False)]
+    for i, rows in enumerate(index):
+        for family, row in zip(FAMILIES, rows):
+            key = f"{label} {i} {family.name}"
+            if isinstance(row, Exception):
+                lines.append(f"{key} {outcome_text(row)}")
+            else:
+                lines.append(f"{key} {outcome_text(grids.grid(row))}")
+                requests += [(key, (row, pred)) for pred in (True, False)]
     if requests:
-        intervals = _mixture_intervals([request for _, request in requests], 0.95, 1e-8)
+        intervals = _mixture_intervals(grids, [request for _, request in requests], 0.95, 1e-8)
         lines += [f"{key} {outcome_text(out)}" for (key, _), out in zip(requests, intervals)]
     if config == EngineConfig():
         for i, outcomes in enumerate(_evaluate_block(list(METHODS), datasets, 0.95)):

@@ -63,9 +63,21 @@ def grid_for(dataset, name, config=None):
 
 def dataset_batch(dataset, priors, config):
     """The engine's grid batch of one dataset's priors (a block of one):
-    their families on the dataset."""
-    (grids,) = bayes._posterior_grids([dataset], [p.family for p in priors], config)
-    return grids
+    their families on the dataset, as the batch's layout and each prior's
+    row of it or failure."""
+    grids, (rows,) = bayes._posterior_grids([dataset], [p.family for p in priors], config)
+    return grids, rows
+
+
+def grid_views(grids, rows):
+    """Each row's PosteriorGrid, read through the layout's one accessor, or
+    the row's failure."""
+    return [row if isinstance(row, Exception) else grids.grid(row) for row in rows]
+
+
+def built_rows(rows):
+    """The rows whose grid was built, without the failures."""
+    return [row for row in rows if not isinstance(row, Exception)]
 
 
 def ladder_for(dataset):
@@ -439,11 +451,12 @@ class TestIntervals:
 
     def test_empty_batch_gives_no_intervals(self):
         # an empty inversion batch still checks its level and tolerance
-        assert bayes._mixture_intervals([], 0.95, 1e-8) == []
+        grids, _ = dataset_batch(README_DATA, [], EngineConfig())
+        assert bayes._mixture_intervals(grids, [], 0.95, 1e-8) == []
         with pytest.raises(ValueError, match="level"):
-            bayes._mixture_intervals([], 1.5, 1e-8)
+            bayes._mixture_intervals(grids, [], 1.5, 1e-8)
         with pytest.raises(ValueError, match="cdf_tolerance"):
-            bayes._mixture_intervals([], 0.95, 0.5)
+            bayes._mixture_intervals(grids, [], 0.95, 0.5)
 
 
 class TestMoments:
@@ -564,7 +577,7 @@ class TestAdaptivePanels:
         cases.append((README_DATA, EngineConfig(cdf_tolerance=1e-300)))
         for ds, config in cases:
             priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-            for grid in dataset_batch(ds, priors, config):
+            for grid in grid_views(*dataset_batch(ds, priors, config)):
                 count = len(grid.nodes)
                 assert count % bayes._PANEL_ORDER == 0, grid.prior_name
                 assert count <= bayes._MAX_GRID_NODES, grid.prior_name
@@ -642,11 +655,11 @@ class TestConvergenceProperties:
         names, intervals = [], []
         for d in (ds, moved):
             priors = [bind_prior(family, d) for family in NAMED_PRIORS.values()]
-            grids = dataset_batch(d, priors, EngineConfig(mu_prior_var=1e12))
-            grids = [grid for grid in grids if isinstance(grid, PosteriorGrid)]
-            names.append([grid.prior_name for grid in grids])
-            requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
-            intervals.append(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            grids, rows = dataset_batch(d, priors, EngineConfig(mu_prior_var=1e12))
+            rows = built_rows(rows)
+            names.append([grids.grid(row).prior_name for row in rows])
+            requests = [(row, predictive) for row in rows for predictive in (True, False)]
+            intervals.append(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
         assert names[0] == names[1]
         for a, b in zip(*intervals):
             tol = 1e-4 * (a.upper - a.lower)
@@ -677,9 +690,9 @@ class TestConvergenceProperties:
         intervals = []
         for d, mu_prior_var in ((ds, 1e4), (scaled, 1e4 * k * k)):
             priors = [bind_prior(named_prior(name), d) for name in names]
-            grids = dataset_batch(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
-            requests = [(grid, predictive) for grid in grids for predictive in (True, False)]
-            intervals.append(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            grids, rows = dataset_batch(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
+            requests = [(row, predictive) for row in rows for predictive in (True, False)]
+            intervals.append(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
         for a, b in zip(*intervals):
             tol = 1e-8 * (a.upper - a.lower)
             assert abs(b.lower / k - a.lower) <= tol, (a, b)
@@ -716,9 +729,15 @@ def endpoint_tolerance(grid, kind, cdf_tolerance=1e-8):
 
 
 def invert_one(means, sds, weights, prob, tol_width):
-    """One root of the batched Newton inversion; its failure is raised."""
+    """One root of the batched Newton inversion, started from the mixture's
+    own mean and SD as the engine sums them; its failure is raised."""
+    segment = np.array([0])
+    center = np.add.reduceat(weights * means, segment)
+    var = np.add.reduceat(weights * (sds * sds + (means - center) ** 2), segment)
+    sd = np.sqrt(np.maximum(var, 1e-300))
     (root,) = bayes._invert_mixture_cdfs(
-        means, sds, weights, np.array([len(means)]), np.array([prob]), np.array([tol_width])
+        means, sds, weights, np.array([len(means)]), np.array([prob]), np.array([tol_width]),
+        center, sd,
     )
     if isinstance(root, Exception):
         raise root
@@ -869,9 +888,10 @@ class TestBatch:
                 scale * rng.uniform(-2, 2, n), scale * np.sqrt(rng.uniform(0.009, 0.6, n))
             )
             priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-            batch = dataset_batch(ds, priors, config)
-            requests = [(grid, predictive) for grid in batch for predictive in (True, False)]
-            intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            grids, rows = dataset_batch(ds, priors, config)
+            batch = grid_views(grids, rows)
+            requests = [(row, predictive) for row in rows for predictive in (True, False)]
+            intervals = iter(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
             for prior, batched in zip(priors, batch):
                 grid = build_posterior_grid(ds, prior, config)
                 for field in GRID_ARRAYS:
@@ -913,20 +933,25 @@ class TestBatch:
                 block[-1] = MetaDataset.from_arrays(block[-1].effects + 1e5, block[-1].std_errs)
             rows = [(ds, bind_prior(family, ds)) for ds in block for family in families]
             with np.errstate(all="ignore"):
-                per_dataset = bayes._posterior_grids(block, families, config)
-                grids = [grid for grids_of in per_dataset for grid in grids_of]
+                layout, per_dataset = bayes._posterior_grids(block, families, config)
+                grids = [grid for rows_of in per_dataset for grid in grid_views(layout, rows_of)]
                 alone = [
                     grid
                     for ds in block
-                    for grid in dataset_batch(ds, [prior for d, prior in rows if d is ds], config)
+                    for grid in grid_views(
+                        *dataset_batch(ds, [prior for d, prior in rows if d is ds], config)
+                    )
                 ]
-            assert [len(grids_of) for grids_of in per_dataset] == [len(families)] * size
+            assert [len(rows_of) for rows_of in per_dataset] == [len(families)] * size
             last = grids[len(families) - 1 :: len(families)]  # every power(1e308) row
             assert all(isinstance(g, DivergedPosteriorError) for g in last)
             requests = [
-                (g, pred) for g in grids if isinstance(g, PosteriorGrid) for pred in (True, False)
+                (row, pred)
+                for rows_of in per_dataset
+                for row in built_rows(rows_of)
+                for pred in (True, False)
             ]
-            intervals = iter(bayes._mixture_intervals(requests, 0.95, 1e-8))
+            intervals = iter(bayes._mixture_intervals(layout, requests, 0.95, 1e-8))
             for (ds, prior), together, single in zip(rows, grids, alone):
                 if isinstance(single, Exception):
                     assert type(together) is type(single), (size, prior.name)
@@ -940,7 +965,8 @@ class TestBatch:
                     together.log_norm, together.tau_max, together.quad_error,
                 )
                 for pred in (True, False):
-                    (want,) = bayes._mixture_intervals([(single, pred)], 0.95, 1e-8)
+                    one = bayes._Grids.of(single)  # the grid alone, as a layout of one row
+                    (want,) = bayes._mixture_intervals(one, [(0, pred)], 0.95, 1e-8)
                     assert next(intervals) == want, (size, prior.name, pred)
 
     def test_block_datasets_must_share_n(self):
@@ -952,32 +978,34 @@ class TestBatch:
         # reversed order: its grid and interval arrays stay the same bits
         ds = random_dataset(np.random.default_rng(37), n_lo=8, n_hi=8)
         priors = [bind_prior(named_prior(name), ds) for name in NAMED_PRIORS]
-        full = dataset_batch(ds, priors, EngineConfig())
-        backwards = dataset_batch(ds, priors[::-1], EngineConfig())[::-1]
-        some = dataset_batch(ds, priors[2:5], EngineConfig())
-        assert dataset_batch(ds, [], EngineConfig()) == []
+        grids, rows = dataset_batch(ds, priors, EngineConfig())
+        full = grid_views(grids, rows)
+        backwards = grid_views(*dataset_batch(ds, priors[::-1], EngineConfig()))[::-1]
+        some = grid_views(*dataset_batch(ds, priors[2:5], EngineConfig()))
+        assert grid_views(*dataset_batch(ds, [], EngineConfig())) == []
         for a, b in zip(full[2:5], some):
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
         for a, b in zip(full, backwards):
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
-        forwards = bayes._mixture_intervals([(g, True) for g in full], 0.9, 1e-8)
-        reverse = bayes._mixture_intervals([(g, True) for g in full[::-1]], 0.9, 1e-8)
+        forwards = bayes._mixture_intervals(grids, [(r, True) for r in rows], 0.9, 1e-8)
+        reverse = bayes._mixture_intervals(grids, [(r, True) for r in rows[::-1]], 0.9, 1e-8)
         assert forwards == reverse[::-1]
 
     def test_failures_stay_in_their_row(self):
         # a level just below 1 rounds the upper tail probability to 1: every
         # row fails, each with the message of its own public call
-        grids = [grid_for(README_DATA, name) for name in ("sqrt", "proper1")]
+        priors = [bind_prior(named_prior(name), README_DATA) for name in ("sqrt", "proper1")]
+        layout, rows = dataset_batch(README_DATA, priors, EngineConfig())
         level = 1.0 - 2.0**-53
-        out = bayes._mixture_intervals([(g, True) for g in grids], level, 1e-8)
-        for grid, failure in zip(grids, out):
+        out = bayes._mixture_intervals(layout, [(r, True) for r in rows], level, 1e-8)
+        for grid, failure in zip(grid_views(layout, rows), out):
             with pytest.raises(NumericFailure) as err:
                 prediction_interval(grid, level)
             assert type(failure) is NumericFailure and str(failure) == str(err.value)
         # a prior whose tail never decays fails alone in the grid batch
         ds = MetaDataset.from_arrays([0.0, 1.0], [0.3, 0.4])
         priors = [bind_prior(f, ds) for f in (PriorFamily("power", a=3.0), named_prior("proper1"))]
-        bad, good = dataset_batch(ds, priors, EngineConfig())
+        bad, good = grid_views(*dataset_batch(ds, priors, EngineConfig()))
         assert isinstance(bad, DivergedPosteriorError) and bad.prior_name == "power(3)"
         assert np.array_equal(good.nodes, build_posterior_grid(ds, priors[1]).nodes)
 
@@ -987,7 +1015,7 @@ class TestBatch:
         families = (PriorFamily("power", a=1e308), named_prior("proper1"))
         priors = [bind_prior(f, README_DATA) for f in families]
         with np.errstate(all="ignore"):
-            bad, good = dataset_batch(README_DATA, priors, EngineConfig())
+            bad, good = grid_views(*dataset_batch(README_DATA, priors, EngineConfig()))
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == (
             "posterior for prior 'power(1e+308)' does not decay; "
@@ -1006,8 +1034,16 @@ class TestBatch:
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance
         block = bayes._Block([README_DATA], config.mu_prior_var)
         owner_ds, row_family = np.zeros(2, dtype=np.intp), np.arange(2)
+        # each row's panels start at each of its breaks but the last, tau_max
+        lo = np.concatenate([b[:-1] for b in breaks])
+        panels = np.array([len(b) - 1 for b in breaks])
+        tau_max = np.array([b[-1] for b in breaks])
         with np.errstate(all="ignore"):
-            bad, good = bayes._refine_panels(block, owner_ds, row_family, families, breaks, tol)
+            grids, failures = bayes._refine_panels(
+                block, owner_ds, row_family, families, lo, panels, tau_max, tol
+            )
+        assert list(failures) == [0]
+        bad, good = failures[0], grids.grid(1)
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
         assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)

@@ -158,6 +158,20 @@ class TestDLTau2:
         assert dl_tau2(ds).tau2 == pytest.approx((q - 4) / spread, rel=1e-12)
         assert dl_tau2(ds).tau2 > 0.0
 
+    def test_nan_q_is_a_numeric_failure(self):
+        # effects near 1e199 over SEs near 1e-70: the weighted mean overflows
+        # and Q is NaN, which max(0, Q - (n-1)) used to read as tau2 = 0
+        from metapred.errors import NumericFailure
+
+        ds = dataset(
+            [2.3643249400513431e198, 9.009273926518706e199, -7.116807745607325e199],
+            [1.9229741707058658e-70, 9.677471780157281e-71, 1.1349896734588634e-70],
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(cochran_q(ds))
+            with pytest.raises(NumericFailure, match="got nan"):
+                dl_tau2(ds)
+
 
 class TestPooledMu:
     def test_hand_value_spread(self):

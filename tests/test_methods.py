@@ -18,6 +18,7 @@ import metapred.methods as methods_module
 from metapred import (
     MetaDataset,
     NumericFailure,
+    PosteriorGrid,
     Scenario,
     bind_prior,
     build_posterior_grid,
@@ -240,21 +241,28 @@ class TestBatchedEvaluation:
 
     def test_one_grid_batch_and_one_inversion_batch_per_block(self, monkeypatch):
         # every Bayesian tag of a block shares one grid batch, over every
-        # dataset and all 11 prior families, and one inversion batch
-        calls = []
+        # dataset and all 11 prior families, and one inversion batch that
+        # reads the grids in the batch's flat layout: no PosteriorGrid is built
+        calls, built = [], []
         real_grids = methods_module._posterior_grids
         real_intervals = methods_module._mixture_intervals
+        real_init = PosteriorGrid.__init__
 
         def grids(datasets, families, config):
             calls.append(("grids", list(datasets), list(families)))
             return real_grids(datasets, families, config)
 
-        def intervals(requests, level, cdf_tolerance):
+        def intervals(layout, requests, level, cdf_tolerance):
             calls.append(("intervals", len(requests)))
-            return real_intervals(requests, level, cdf_tolerance)
+            return real_intervals(layout, requests, level, cdf_tolerance)
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(methods_module, "_posterior_grids", grids)
         monkeypatch.setattr(methods_module, "_mixture_intervals", intervals)
+        monkeypatch.setattr(PosteriorGrid, "__init__", counted_init)
         scenario = Scenario(n=6, tau2=0.1)
         block = [
             simulate_dataset(replication_stream(3, scenario, rep), scenario)[0]
@@ -263,6 +271,7 @@ class TestBatchedEvaluation:
         for datasets in ([DATASET], block):
             calls.clear()
             _evaluate_block(ALL_TAGS, datasets, 0.95)
+            assert built == []
             assert [call[0] for call in calls] == ["grids", "intervals"]
             assert len(calls[0][1]) == len(datasets)
             assert all(a is b for a, b in zip(calls[0][1], datasets))
