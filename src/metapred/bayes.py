@@ -36,30 +36,25 @@ closed-form, so each step costs one pass over the components, and a step
 that leaves the bracket or fails to shrink falls back to bisection. About
 four steps reach the tolerance where plain bisection takes about forty.
 
-One block is one batch, in one flat layout from refinement to inversion.
-A block is a list of datasets that share their number of studies, and a
-list of prior families to run on every one of them: the one prior of
-build_posterior_grid, the priors of evaluate_methods on its dataset, or
-those priors on every replication of a block of one scenario in the
-coverage study. The marginal likelihood does not depend on the prior, and
-a dataset's priors share its bound constants (one row of
-priors._bound_constants per dataset), s0 and so the ladder.
-_posterior_grids therefore evaluates the likelihood once on every
-dataset's scan probes and each scanned family's kernel once on all of
-them, scans each dataset's columns of that (families, probes) array, and
-cuts every (family, dataset) row's panels from its dataset's ladder.
-_refine_panels refines all rows' panels as one set of arrays and returns
-the grids as one _Grids layout, every row's nodes end to end with row
-offsets; _mixture_intervals reads each mixture from it once and inverts
-every (mixture, endpoint) row in one masked Newton loop. A PosteriorGrid,
-a view of one row, is built only for a caller that asks for one. Every
-block, of one dataset or many, takes the same path: each panel and each
-probe gathers its own dataset's values. Reductions run over a node's
-studies in sequence (C-ordered (studies, ...) arrays), within a row (row
-sums, np.add.reduceat over flat segments) or over one row's panels in
-order (np.add.at into zeroed per-row sums), never across rows, so a row's
-grid and endpoints equal its batch-of-one result - the public single-prior
-functions - bit for bit.
+One block is one batch, in one flat layout from refinement to inversion:
+datasets that share their number of studies (one dataset, or the
+replications of a coverage-study block, which may span scenarios) and the
+prior families to run on each. The likelihood does not depend on the
+prior, and a dataset's priors share its bound constants, s0 and so its
+ladder. _posterior_grids holds every dataset's ladder as a row of one
+padded array, evaluates the likelihood once on all the scan probes and
+each scanned family's kernel once, scans every (family, dataset) row in
+one ragged pass and cuts each row's panels from its dataset's ladder.
+_refine_panels refines all rows' panels together into one _Grids layout
+(every row's nodes end to end), from which _mixture_intervals reads each
+mixture once and inverts every (mixture, endpoint) row in one masked
+Newton loop; a PosteriorGrid, a view of one row, is built only on
+request. Reductions run over a node's studies in sequence (C-ordered
+(studies, ...) arrays), along a row (the scan, row sums, np.add.reduceat
+over flat segments) or over one row's panels in order (np.add.at into
+zeroed per-row sums), never across rows, so a row's grid and endpoints
+equal its batch-of-one result - the public single-prior functions - bit
+for bit.
 """
 
 from __future__ import annotations
@@ -205,7 +200,8 @@ def _segments(starts, counts):
 
 def _weighted_mean(y, sigma_sq):
     inv_s = 1.0 / sigma_sq
-    return float(inv_s @ y) / float(inv_s.sum())
+    with np.errstate(over="ignore"):  # an infinite mean fails the tail scan
+        return float(inv_s @ y) / float(inv_s.sum())
 
 
 def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
@@ -234,10 +230,10 @@ def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
     prec = a + 1.0 / mu_prior_var
     cond_var = 1.0 / prec
     dev = (inv_v * d).sum(axis=0)
-    cond_mean = c + (dev - c / mu_prior_var) * cond_var
-    # deviations near 1e154 overflow d * d: the infinite loglik fails the
-    # tail scan
-    with np.errstate(over="ignore"):
+    # deviations near 1e154 overflow d * d, and an infinite mean c gives NaN
+    # terms: the loglik that is not finite fails the tail scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond_mean = c + (dev - c / mu_prior_var) * cond_var
         quad_form = (
             (inv_v * (d * d)).sum(axis=0)
             - dev**2 * cond_var
@@ -275,77 +271,85 @@ def marginal_loglik(
     return loglik
 
 
-def _tau_ladder(y, sigma_sq, s0):
-    """The octave ladder start * 2^k in tau, halving down to 0.25 x the
-    smallest SE and doubling up to the cap 1e6 x s0 (which clips the last
-    point), and the index of start = max(s0, sd(y)), where the tail scan
-    begins. Its points below a prior's tau_max are that prior's breaks."""
-    cap = _TAU_MAX_CAP_FACTOR * s0
-    # np.std(y, ddof=1) step for step, without its per-call overhead
-    d = y - y.sum() / len(y)
+def _tau_ladders(y, sigma_sq, s0):
+    """The octave ladder start * 2^k in tau of each dataset (a row of y and
+    sigma_sq; s0 a list), from start = max(s0, sd(y)) halving down to 0.25 x
+    the smallest SE and doubling up to the cap 1e6 x s0, which clips the
+    last point. Returns the ladders, a row each of 0, the points and inf
+    padding; the scan probes, a row each of the points from start to cap
+    and padding of 2 cap - the point before it (which ends the last gap);
+    and the column of each row's cap among its probes."""
+    n = y.shape[1]
+    # np.std(y, ddof=1) row by row, without its per-call overhead
+    d = y - (y.sum(axis=1) / n)[:, None]
     with np.errstate(over="ignore"):  # an infinite spread is clipped to cap / 1024
-        spread = math.sqrt(float((d * d).sum()) / (len(y) - 1)) if len(y) > 1 else 0.0
-    start = min(max(s0, spread, 1e-8), cap / 1024.0)
-    floor = 0.25 * math.sqrt(float(sigma_sq.min()))
-    n_down = max(int(math.ceil(math.log2(start / floor))), 0)
-    n_up = int(math.ceil(math.log2(cap / start))) + 1
-    ladder = start * 2.0 ** np.arange(-n_down, n_up)
-    ladder[-1] = cap
-    return ladder, n_down
+        squares = (d * d).sum(axis=1).tolist()
+    ladders, probes, last = [], [], []
+    for s, square, low in zip(s0, squares, sigma_sq.min(axis=1).tolist()):
+        cap = _TAU_MAX_CAP_FACTOR * s
+        spread = math.sqrt(square / (n - 1)) if n > 1 else 0.0
+        start = min(max(s, spread, 1e-8), cap / 1024.0)
+        down = max(int(math.ceil(math.log2(start / (0.25 * math.sqrt(low))))), 0)
+        up = int(math.ceil(math.log2(cap / start))) + 1
+        points = [start * 2.0**k for k in range(-down, up - 1)] + [cap]
+        ladders.append([0.0, *points])
+        probes.append((points[down:], 2.0 * cap - points[-2]))
+        last.append(up - 1)
+    width = max(map(len, ladders))
+    ladders = [row + [math.inf] * (width - len(row)) for row in ladders]
+    width = max(last) + 2
+    probes = [row + [pad] * (width - len(row)) for row, pad in probes]
+    return np.array(ladders), np.array(probes), np.array(last)
 
 
-def _scan_tau_max(log_h, ladder):
-    """Geometric upward scan for the tau truncation point, one row per prior.
+def _scan_tau_max(log_h, ladder, last):
+    """Geometric upward scan for the tau truncation point of every prior p
+    on every dataset i, in one pass.
 
-    log_h[p, j] is prior p's log posterior density at ladder[j] (_tau_ladder's
-    ladder from its scan start max(s0, sd(y)) up to the cap 1e6 x s0). In each
-    row the first probe where (a) the density is below _TAIL_MASS_CUT x the
-    running peak and (b) the remaining tail mass, estimated from the local
-    decay power, is below _TAIL_MASS_CUT of the accumulated mass is tau_max.
-    Test (a) compares log_h - running peak with log(_TAIL_MASS_CUT): adding
-    the cut to a peak beyond ~1e17 in magnitude would round it away.
-    Starting at the data scale keeps an unbounded prior density at tau -> 0
-    (the sqrt prior) out of the peak, which would otherwise stall the scan.
-    When (a) holds but the tail is too heavy to ever meet (b) inside the cap
-    (e.g. n = 2 with a flat prior), the cap is used. A row whose tail never
-    decays gets NaN. Every operation runs along the ladder axis, so a row's
-    result does not depend on the other rows.
+    Row i of ladder is _tau_ladders' probes of dataset i, from its start
+    max(s0, sd(y)) to its cap 1e6 x s0 at column last[i], then padding;
+    log_h[p, i] is the log posterior density at the probes, NaN past the
+    cap (failing every test below), a column shorter than ladder. A row's
+    tau_max is its first probe where (a) the density is below
+    _TAIL_MASS_CUT x the running peak (compared as log_h - peak: adding the
+    cut to a peak beyond ~1e17 would round it away) and (b) the tail mass,
+    estimated from the local decay power, is below _TAIL_MASS_CUT of the
+    accumulated mass. Starting at the data scale keeps an unbounded prior
+    density at tau -> 0 (the sqrt prior) out of the peak. When (a) holds,
+    or the tail is heavy but integrable at the cap (n = 2 with a flat
+    prior), and (b) never does, the cap is used; a tail that never decays
+    gets NaN. Every step runs along a row or reads the row's own last
+    probe, so a row equals its scan alone, whatever the other rows.
     """
-    cap = ladder[-1]
+    rows = np.arange(len(last))
+    probes = ladder[:, :-1]
     log_cut = math.log(_TAIL_MASS_CUT)
-
-    running_peak = np.maximum.accumulate(log_h, axis=1)
-    # a row of -inf (an overflowing likelihood) gives NaN differences here,
-    # which fail every test: the row gets NaN
-    with np.errstate(invalid="ignore"):
+    # math.log, not np.log, which can round the last bit differently
+    log_first = np.array([math.log(x) for x in ladder[:, 0].tolist()])
+    running_peak = np.maximum.accumulate(log_h, axis=-1)
+    # a row of -inf (an overflowing likelihood) gives NaN differences: NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
         decayed = log_h - running_peak <= log_cut
         # local decay power between ladder points (tail ~ tau^-power)
         power = np.zeros(log_h.shape)
-        power[:, 1:] = -(log_h[:, 1:] - log_h[:, :-1]) / np.diff(np.log(ladder))
-
-    # crude running mass: ladder trapezoids plus a floor for mass below the
-    # start; underestimating the total only makes the tail check stricter
-    gaps = np.diff(ladder, append=2.0 * ladder[-1] - ladder[-2])
-    log_mass = np.logaddexp(
-        np.logaddexp.accumulate(log_h + np.log(gaps), axis=1),
-        (log_h[:, 0] + math.log(ladder[0]))[:, None],
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_tail = np.where(
-            power > 1.05,
-            log_h + np.log(ladder) - np.log(np.maximum(power - 1.0, 1e-12)),
-            np.inf,
+        power[..., 1:] = -(log_h[..., 1:] - log_h[..., :-1]) / np.diff(np.log(probes))
+        # crude running mass: ladder trapezoids plus a floor for mass below
+        # the start; an underestimate only makes the tail check stricter
+        log_mass = np.logaddexp(
+            np.logaddexp.accumulate(log_h + np.log(np.diff(ladder)), axis=-1),
+            (log_h[..., 0] + log_first)[..., None],
         )
-    ok = decayed & (log_tail <= log_mass + log_cut)
-    # proper posteriors with very heavy tails (n = 2 with a flat prior) may
-    # not reach the full density cut inside the cap; the cap is accepted as
-    # long as the tail is clearly decaying at an integrable rate
-    with np.errstate(invalid="ignore"):
-        heavy = (log_h[:, -1] - running_peak[:, -1] <= 0.5 * log_cut) & (power[:, -1] > 1.05)
+        tail = log_h + np.log(probes) - np.log(np.maximum(power - 1.0, 1e-12))
+        log_tail = np.where(power > 1.05, tail, np.inf)
+        ok = decayed & (log_tail <= log_mass + log_cut)
+        # a heavy tail that may not reach the full density cut inside the
+        # cap, but clearly decays there at an integrable rate, takes the cap
+        at_cap = (slice(None), rows, last)
+        heavy = (log_h[at_cap] - running_peak[at_cap] <= 0.5 * log_cut) & (power[at_cap] > 1.05)
     return np.where(
-        ok.any(axis=1),
-        ladder[ok.argmax(axis=1)],
-        np.where(decayed.any(axis=1) | heavy, cap, np.nan),
+        ok.any(axis=-1),
+        probes[rows, ok.argmax(axis=-1)],
+        np.where(decayed.any(axis=-1) | heavy, probes[rows, last], np.nan),
     )
 
 
@@ -461,23 +465,20 @@ def _refine_panels(block, owner_ds, row_family, families, lo, panels, tau_max, t
     The open panels of all rows are the rows of one set of arrays; owner
     gives each panel's row. A pass evaluates the likelihood once on the
     distinct (dataset, panel) pairs' _PANEL_ORDER-point half rules (the
-    first pass also on the whole-panel rules, each panel's before its
-    halves), each pair gathering its dataset once for its nodes, and each
-    prior family's kernel once, on that run, with its slice of the bound
-    constants that the pass gathers once for all its rules. A panel's
-    error estimate is the difference between its whole-panel rule and the
-    sum of its two half rules, for the mass and for the tau^2-weighted
-    mass: an estimate of the whole-panel rule's error. One running total,
-    of the accepted panels' whole-panel sums, decides every bisection: a
-    panel whose estimate exceeds tol x its row's total of either (this
-    pass's panels included) is bisected, and its halves inherit their
-    whole-panel nodes and sums from its half rules, so no rule is
+    first pass also on the whole-panel rules, each before its halves), and
+    each prior family's kernel once on its run, with its slice of the
+    bound constants that the pass gathers once. A panel's error estimate
+    is the difference between its whole-panel rule and the sum of its two
+    half rules, for the mass and the tau^2-weighted mass. One running
+    total, of the accepted panels' whole-panel sums, decides every
+    bisection: a panel whose estimate exceeds tol x its row's total of
+    either (this pass's panels included) is bisected, and its halves take
+    their whole-panel nodes and sums from its half rules, so no rule is
     evaluated twice; an accepted panel keeps its whole-panel nodes. When
     refining would take a row's kept nodes past _MAX_GRID_NODES, every
     open panel of that row is accepted as it stands. Sums over a row's
     panels add them in order into zeroed per-row arrays, and every other
-    step is elementwise, within a panel or a maximum, so a row's result
-    does not depend on the other rows.
+    step is elementwise, so a row does not depend on the other rows.
 
     Returns one _Grids layout of the rows' kept nodes sorted by tau, their
     log_norm from the running total - the mass of exactly those nodes - and
@@ -625,53 +626,44 @@ def _posterior_grids(datasets, families, config: EngineConfig | None = None):
 
     The batch behind build_posterior_grid (one dataset, one family) and
     evaluate_methods (every prior its tags need, on every dataset of a
-    block). The datasets must share their number of studies, which must be
-    at least 2 (else bind_prior's ValueError); _Block gathers every
-    dataset's bound constants, which serve every family on that dataset,
-    so all of a dataset's priors share s0 and its octave ladder. The
-    likelihood is evaluated once on every dataset's scan probes and each
-    scanned family's kernel once on all of them; each dataset's columns of
-    that (families, probes) array are scanned together, and every row's
-    panels are cut from its dataset's ladder. _refine_panels then refines
-    the panels of all (family, dataset) rows together. A grid equals its
-    batch-of-one result bit for bit. Returns the grids' _Grids layout and
-    index[i][f], family f on dataset i: its row or DivergedPosteriorError.
+    block). The datasets must share their number of studies, at least 2
+    (else bind_prior's ValueError); all of a dataset's priors share its
+    bound constants (from _Block), s0 and its ladder. The likelihood is
+    evaluated once on all the datasets' scan probes and each scanned
+    family's kernel once; one _scan_tau_max pass scans that (families,
+    datasets, probes) array, and every row's panels are cut from its
+    dataset's ladder and refined with all others by _refine_panels. A grid
+    equals its batch-of-one result bit for bit. Returns the grids' _Grids
+    layout and index[i][f], family f on dataset i: its row or
+    DivergedPosteriorError.
     """
     if config is None:
         config = EngineConfig()
     block = _Block(datasets, config.mu_prior_var)
-    ladders = [
-        _tau_ladder(dataset.effects, dataset.variances, c)
-        for dataset, c in zip(datasets, block.c.tolist())
-    ]
-    tau_max = np.full((len(families), len(datasets)), math.nan)  # family f on dataset i
-    scanned = []
-    for f, family in enumerate(families):
-        if family.kind == "proper-uniform":
-            tau_max[f] = family.hi
-        else:
-            scanned.append(f)
-    if scanned:
-        # every dataset's scan probes, end to end, a row each, and each one's dataset
-        probes = [ladder[start:] for ladder, start in ladders]
-        sizes = [len(p) for p in probes]
-        all_probes = np.concatenate(probes)[:, None]
-        probe_ds = np.repeat(np.arange(len(datasets)), sizes)
-        probe_loglik = block.loglik(probe_ds, all_probes)[0]
+    effects = np.stack([dataset.effects for dataset in datasets])  # a row per dataset
+    ladder, probes, last = _tau_ladders(effects, block.consts[3], block.c.tolist())
+    # a proper-uniform family ends at its support, and the others are scanned
+    ends = [f.hi if f.kind == "proper-uniform" else math.nan for f in families]
+    tau_max = np.repeat([ends], len(datasets), axis=0).T  # family f on dataset i
+    scanned = np.isnan(ends).nonzero()[0]
+    if len(scanned):
+        # every dataset's scan probes, dataset after dataset
+        live = np.arange(probes.shape[1] - 1) <= last[:, None]
+        probe_ds, tau = live.nonzero()[0], probes[:, :-1][live][:, None]
         consts = block.constants(probe_ds)
-        log_h = np.stack([_log_kernel(families[f], all_probes, *consts) for f in scanned])
-        log_h = (log_h + probe_loglik)[:, :, 0]  # (families, probes)
-        for i, (end, size) in enumerate(zip(np.cumsum(sizes).tolist(), sizes)):
-            tau_max[scanned, i] = _scan_tau_max(log_h[:, end - size : end], probes[i])
+        log_h = np.full((len(scanned), *live.shape), math.nan)
+        log_h[:, live] = block.loglik(probe_ds, tau)[0][:, 0] + np.stack(
+            [_log_kernel(families[f], tau, *consts)[:, 0] for f in scanned]
+        )
+        tau_max[scanned] = _scan_tau_max(log_h, probes, last)
 
     row_family, owner_ds = np.nonzero(~np.isnan(tau_max))  # family after family
     # row r's panels start at 0 and at its dataset's ladder points below its
-    # tau_max: a run of that ladder with a 0 in front
-    padded = [np.concatenate(([0.0], ladder)) for ladder, _ in ladders]
-    panels = np.array([np.searchsorted(p, t) for p, t in zip(padded, tau_max.T)])
-    panels = panels[owner_ds, row_family]
-    lo = np.concatenate([np.empty(0)] + [padded[i][:k] for i, k in zip(owner_ds, panels)])
-    t, tol = tau_max[row_family, owner_ds], _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
+    # tau_max: a run of that dataset's row of ladder
+    t = tau_max[row_family, owner_ds]
+    panels = (ladder[owner_ds] < t[:, None]).sum(axis=1)
+    lo = ladder.ravel()[_segments(owner_ds * ladder.shape[1], panels)]
+    tol = _QUAD_TOLERANCE_SHARE * config.cdf_tolerance
     grids, failures = _refine_panels(block, owner_ds, row_family, families, lo, panels, t, tol)
     row_of = np.full(tau_max.shape, -1)  # family f on dataset i: its row, or -1
     row_of[row_family, owner_ds] = np.arange(len(row_family))
@@ -721,8 +713,8 @@ def build_posterior_grid(
 
 
 def _mixtures(grids, requests):
-    """Flat (means, sds, weights, lengths, mean, sd) of several posterior
-    mixtures sum_k w_k N(m_k, s_k^2), and each one's own mean and SD.
+    """Flat (means, sds, weights, lengths) of several posterior mixtures
+    sum_k w_k N(m_k, s_k^2).
 
     requests holds (row, predictive) pairs of the _Grids layout grids: the
     theta_new mixture of that row's grid when predictive, else the mu
@@ -744,17 +736,22 @@ def _mixtures(grids, requests):
     sds = np.sqrt(var + np.where(np.repeat(predictive, counts)[keep], tau**2, 0.0))
     lengths = np.add.reduceat(keep, starts, dtype=np.intp)
     w = pi[keep]
+    weights = w / np.repeat(np.add.reduceat(w, lengths.cumsum() - lengths), lengths)
+    return means, sds, weights, lengths
+
+
+def _mixture_moments(means, sds, weights, lengths):
+    """Each mixture's own mean and SD, of _mixtures' flat layout."""
     starts = lengths.cumsum() - lengths
-    weights = w / np.repeat(np.add.reduceat(w, starts), lengths)
     mean = np.add.reduceat(weights * means, starts)
     # the central second moment: E[x^2] - E[x]^2 cancels when |mean| >> sd
     var = np.add.reduceat(weights * (sds * sds + (means - np.repeat(mean, lengths)) ** 2), starts)
-    return means, sds, weights, lengths, mean, np.sqrt(np.maximum(var, 1e-300))
+    return mean, np.sqrt(np.maximum(var, 1e-300))
 
 
 def predictive_cdf(grid: PosteriorGrid, x: float) -> float:
     """CDF of the new-study effect under the discretized posterior mixture."""
-    m, s, w, *_ = _mixtures(_Grids.of(grid), [(0, True)])
+    m, s, w, _ = _mixtures(_Grids.of(grid), [(0, True)])
     return float(np.sum(w * ndtr((x - m) / s)))
 
 
@@ -858,7 +855,8 @@ def _mixture_intervals(grids, requests, level, cdf_tolerance):
     live = [k for k, row in enumerate(out) if not isinstance(row, Exception)]
     if not live:
         return out
-    m, s, w, lengths, center, sd = _mixtures(grids, [requests[k] for k in live])
+    m, s, w, lengths = _mixtures(grids, [requests[k] for k in live])
+    center, sd = _mixture_moments(m, s, w, lengths)
     both = np.arange(len(live)).repeat(2)  # every mixture's lower, then upper endpoint
     take = _segments((lengths.cumsum() - lengths)[both], lengths[both])
     alpha = 1.0 - level
@@ -898,6 +896,7 @@ def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
     invert, so the identity Var(theta_new) = Var(mu) + E[tau^2] holds up to
     rounding and the < 1e-13 of mass the mixture reader drops.
     """
-    sd_mu, sd_new = _mixtures(_Grids.of(grid), [(0, False), (0, True)])[-1].tolist()
+    _, sds = _mixture_moments(*_mixtures(_Grids.of(grid), [(0, False), (0, True)]))
+    sd_mu, sd_new = sds.tolist()
     mean_tau2 = float(np.sum(grid.posterior_weights() * grid.nodes**2))
     return mean_tau2, sd_mu**2, sd_new**2

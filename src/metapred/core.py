@@ -152,8 +152,8 @@ def cochran_q(dataset: MetaDataset) -> float:
 
 def _cochran_q(y: np.ndarray, w: np.ndarray) -> list[float]:
     """Cochran's Q of each row of the (rows, n) effects y and weights w."""
-    ybar = (w * y).sum(axis=1) / w.sum(axis=1)
-    with np.errstate(over="ignore"):  # an infinite Q fails the DL estimate
+    with np.errstate(over="ignore", invalid="ignore"):  # a Q that is not finite fails DL
+        ybar = (w * y).sum(axis=1) / w.sum(axis=1)
         return (w * (y - ybar[:, None]) ** 2).sum(axis=1).tolist()
 
 

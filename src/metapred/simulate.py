@@ -5,19 +5,22 @@ mean fixed at 0: within-study variances are 0.25 x chi^2(1) draws
 rejection-resampled into [0.009, 0.6], true study effects and the held-out
 new-study effect are N(0, tau^2). Every replication gets its own
 counter-based random stream keyed by (master_seed, scenario, replication).
-The study runs in blocks of one scenario's replications. A block draws
-its datasets in one pass: it re-keys one Philox generator to each
-replication's stream, reads a fixed prefix of uniforms from each into one
-array, and turns them into datasets with one normal transform and one
-rejection loop for the whole block (_draw_rows, of which the public
-simulate_dataset and draw_within_variances are blocks of one). The
-block's datasets then go through the methods together, one grid batch
-and one inversion batch for all of them, and one pass for the plug-in t
-and Wald tags (one DL fit and one REML scoring loop over all of them).
-Each scenario is cut into the fewest near-equal blocks, a multiple of
-the worker count in number, that fit a bound on studies per block: a
-small one when a tag is Bayesian, which bounds the engine's arrays, and
-a large one otherwise, since every block runs REML passes until its
+The study runs in blocks of replications of scenarios that share their
+number of studies n and their level, so a block may hold the
+replications of several scenarios that differ only in tau^2 (or mu). A
+block draws each scenario's part of its datasets in one pass: it re-keys
+one Philox generator to each replication's stream, reads a fixed prefix
+of uniforms from each into one array, and turns them into datasets with
+one normal transform and one rejection loop (_draw_rows, of which the
+public simulate_dataset and draw_within_variances are blocks of one).
+The block's datasets then go through the methods together, one grid
+batch and one inversion batch for all of them, and one pass for the
+plug-in t and Wald tags (one DL fit and one REML scoring loop over all of
+them). The replications of each group of scenarios that share n and
+level are cut into the fewest near-equal blocks, a multiple of the
+worker count in number, that fit a bound on studies per block: a small
+one when a tag is Bayesian, which bounds the engine's arrays, and a
+large one otherwise, since every block runs REML passes until its
 slowest row converges. On more than one CPU the blocks run on a pool of
 worker processes that is forked at a process's first parallel study and
 kept for later ones. A replication's result does not depend on its
@@ -70,7 +73,9 @@ SIGMA_SQ_HIGH = 0.6
 # engine's (studies x nodes) arrays to a few MB each at the first
 # refinement pass. Speed does not set it: per replication, blocks of 12 to
 # 36 cost the same within noise at n = 7 and 15, and larger blocks keep
-# paying at n = 30 (BENCH_14.json)
+# paying at n = 30 (BENCH_14.json). Blocks of 3 cost more per dataset than
+# blocks of 6 (BENCH_24.json), which is why a block takes the replications
+# of every scenario that shares its n and level, not of one scenario alone
 _BLOCK_STUDIES = 256
 
 # studies per block that runs only plug-in t and Wald tags, whose arrays
@@ -372,49 +377,59 @@ def run_replication(
     mean. A method that raises NumericFailure is recorded as failed with no
     coverage/width contribution; any other error is raised (a Scenario's n
     and level are valid, so a ValueError here is a bug, not a failure).
-    It runs as a block of one replication (see run_study).
+    It runs as a block of one part of one replication (see run_study).
     """
     master_seed, rep_index = rep_seed
-    (out,) = _run_block(scenario, methods, master_seed, (rep_index,))
+    ((out,),) = _run_block(((scenario, (rep_index,)),), methods, master_seed)
     return out
 
 
 def _run_block(
-    scenario: Scenario, methods: Sequence[str], master_seed: int, reps: Sequence[int]
-) -> list[dict[str, tuple[bool, float, bool]]]:
-    """run_replication for each replication index in reps, as one block.
+    parts: Sequence[tuple[Scenario, Sequence[int]]], methods: Sequence[str], master_seed: int
+) -> list[list[dict[str, tuple[bool, float, bool]]]]:
+    """run_replication for each replication of a block, a list per part.
 
-    The block hashes its scenario once and draws all its datasets in one
-    pass (_simulate_rows): each replication reads its own stream, the one
-    replication_stream(master_seed, scenario, rep) replays, so its dataset
-    is the one simulate_dataset draws from that stream alone. The datasets
-    then go through the methods together (one grid batch and one inversion
-    batch for the Bayesian tags of the whole block, one DL fit and one
-    REML scoring loop for its plug-in t and Wald tags), so each
-    replication's row equals its run_replication row bit for bit.
+    A part is a scenario and some of its replication indices, and the
+    parts' scenarios share n and level. Each part hashes its scenario once
+    and draws its datasets in one pass (_simulate_rows): each replication
+    reads its own stream, the one replication_stream(master_seed, scenario,
+    rep) replays, so its dataset is the one simulate_dataset draws from
+    that stream alone. The datasets of all the parts then go through the
+    methods together (one grid batch and one inversion batch for the
+    Bayesian tags of the whole block, one DL fit and one REML scoring loop
+    for its plug-in t and Wald tags), and each row is scored and logged
+    against its own scenario, so each replication's row equals its
+    run_replication row bit for bit.
     """
-    datasets, theta_news = _simulate_rows(
-        _block_prefixes(master_seed, scenario, reps), len(reps), scenario
-    )
-    results = _evaluate_block(methods, datasets, scenario.level)
-    rows = []
-    for rep, theta_new, intervals in zip(reps, theta_news, results):
-        out: dict[str, tuple[bool, float, bool]] = {}
-        for method, interval in zip(methods, intervals):
-            if isinstance(interval, NumericFailure):
-                # keep the seed in the record so the replication can be replayed
-                logger.warning(
-                    "method %s failed on scenario %s, rep_seed=%s: %s",
-                    method, scenario, (master_seed, rep), interval,
-                )
-                out[method] = (False, math.nan, True)
-                continue
-            if isinstance(interval, Exception):
-                raise interval
-            target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
-            out[method] = (interval.contains(target), interval.width, False)
-        rows.append(out)
-    return rows
+    datasets, news = [], []
+    for scenario, reps in parts:
+        drawn, theta_news = _simulate_rows(
+            _block_prefixes(master_seed, scenario, reps), len(reps), scenario
+        )
+        datasets += drawn
+        news.append(theta_news)
+    results = iter(_evaluate_block(methods, datasets, parts[0][0].level))
+    blocks = []
+    for (scenario, reps), theta_news in zip(parts, news):
+        rows = []
+        for rep, theta_new, intervals in zip(reps, theta_news, results):
+            out: dict[str, tuple[bool, float, bool]] = {}
+            for method, interval in zip(methods, intervals):
+                if isinstance(interval, NumericFailure):
+                    # keep the seed in the record so the replication can be replayed
+                    logger.warning(
+                        "method %s failed on scenario %s, rep_seed=%s: %s",
+                        method, scenario, (master_seed, rep), interval,
+                    )
+                    out[method] = (False, math.nan, True)
+                    continue
+                if isinstance(interval, Exception):
+                    raise interval
+                target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
+                out[method] = (interval.contains(target), interval.width, False)
+            rows.append(out)
+        blocks.append(rows)
+    return blocks
 
 
 def _usable_cpus() -> int:
@@ -458,39 +473,55 @@ def _drop_pool() -> None:
         _pool = _pool_key = None
 
 
-def _blocks(config: SimConfig, workers: int) -> list[tuple[Scenario, tuple[int, ...]]]:
-    """run_study's units of work, in order: each scenario's replication
-    indices cut into the fewest near-equal blocks, a multiple of workers
-    in number, that each hold at most studies // n replications (at least
-    1), or into one block per replication when reps is smaller than that
-    number. studies is _BLOCK_STUDIES when a tag is Bayesian, else
-    _PLUGIN_STUDIES."""
+def _blocks(
+    config: SimConfig, workers: int
+) -> list[tuple[tuple[Scenario, tuple[int, ...]], ...]]:
+    """run_study's units of work, in order. The scenarios that share n and
+    level form a group, the groups in the order of their first scenario in
+    the config, and a group's (scenario, replication) pairs, scenario
+    after scenario, are cut into the fewest near-equal blocks, a multiple
+    of workers in number, that each hold at most studies // n replications
+    (at least 1), or into one block per pair when there are fewer pairs
+    than that number. studies is _BLOCK_STUDIES when a tag is Bayesian,
+    else _PLUGIN_STUDIES. A unit is a block as its parts: (scenario,
+    replication indices) for each scenario that it holds, in order."""
     bayes = any(METHODS[m].prior is not None for m in config.methods)
     studies = _BLOCK_STUDIES if bayes else _PLUGIN_STUDIES
     reps = config.reps
-    blocks = []
+    groups: dict[tuple[int, float], list[Scenario]] = {}
     for sc in config.scenarios:
-        size = max(1, studies // sc.n)
-        count = min(reps, workers * -(-reps // (size * workers)))
-        stops = [reps * (i + 1) // count for i in range(count)]
-        blocks += [(sc, tuple(range(a, b))) for a, b in zip([0] + stops, stops)]
-    return blocks
+        groups.setdefault((sc.n, sc.level), []).append(sc)
+    units = []
+    for (n, _), scenarios in groups.items():
+        pairs = reps * len(scenarios)
+        count = min(pairs, workers * -(-pairs // (max(1, studies // n) * workers)))
+        stops = [pairs * (i + 1) // count for i in range(count)]
+        for a, b in zip([0] + stops, stops):
+            # the part of scenario k holds the block's pairs in [k reps, (k + 1) reps)
+            units.append(tuple(
+                (sc, tuple(range(max(a - k * reps, 0), min(b - k * reps, reps))))
+                for k, sc in enumerate(scenarios)
+                if k * reps < b and a < (k + 1) * reps
+            ))
+    return units
 
 
 def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
-    The unit of work is a block of one scenario's replications, which
-    _run_block evaluates together. Each scenario is cut into the fewest
-    near-equal blocks whose number is a multiple of the worker count, so
-    that every worker gets an equal share of it, and that each hold at
-    most _BLOCK_STUDIES studies when a tag is Bayesian (this bounds the
-    engine's arrays) or _PLUGIN_STUDIES when every tag is a plug-in t or
-    Wald tag (a larger block shares its REML scoring passes among more
-    replications); a block holds one replication when n alone exceeds
-    the bound. The blocks run as one ordered map, so each scenario's rows
-    are one contiguous slice, on a pool of min(parallelism, usable CPUs)
-    worker processes, or in process when that is 1. The pool is forked
+    The unit of work is a block of replications, which _run_block
+    evaluates together: the scenarios that share n and level are one
+    group, and each group's replications, scenario after scenario, are
+    cut into the fewest near-equal blocks whose number is a multiple of
+    the worker count, so that every worker gets an equal share of it, and
+    that each hold at most _BLOCK_STUDIES studies when a tag is Bayesian
+    (this bounds the engine's arrays) or _PLUGIN_STUDIES when every tag is
+    a plug-in t or Wald tag (a larger block shares its REML scoring passes
+    among more replications); a block holds one replication when n alone
+    exceeds the bound. A block may hold parts of several scenarios; each
+    part's rows go back to its scenario's cell. The blocks run as one
+    ordered map on a pool of min(parallelism, usable CPUs) worker
+    processes, or in process when that is 1. The pool is forked
     at the first parallel study and kept open for later studies of the
     same size, so its workers run the module state (logging and warning
     filters included) of the moment they were forked. Every replication
@@ -504,8 +535,8 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, _usable_cpus())
     reps = config.reps
-    scenarios, indices = zip(*_blocks(config, workers))
-    args = (scenarios, repeat(config.methods), repeat(config.master_seed), indices)
+    units = _blocks(config, workers)
+    args = (units, repeat(config.methods), repeat(config.master_seed))
     if workers == 1:
         blocks = list(map(_run_block, *args))
     else:
@@ -514,11 +545,14 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
         except BrokenProcessPool:
             _drop_pool()
             raise
-    rows = [row for block in blocks for row in block]
+    cells: dict[Scenario, list] = {sc: [] for sc in config.scenarios}
+    for unit, block in zip(units, blocks):
+        for (sc, _), rows in zip(unit, block):
+            cells[sc] += rows
 
     records = []
-    for si, sc in enumerate(config.scenarios):
-        cell = rows[si * reps : (si + 1) * reps]
+    for sc in config.scenarios:
+        cell = cells[sc]
         for method in config.methods:
             ok = [res[method] for res in cell if not res[method][2]]
             used = len(ok)

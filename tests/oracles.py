@@ -265,6 +265,39 @@ def sequential_draw(stream, n, tau2, mu=0.0, lo=0.009, hi=0.6):
     return effects, std_errs, mu + tau * float(normals(1)[0])
 
 
+def dataset_scan(log_h, ladder, cut=1e-10):
+    """The tail scan of one dataset, as the engine ran it dataset by dataset:
+    log_h[p, j] is prior p's log posterior density at ladder[j], the
+    dataset's probes from its scan start to its cap. A row's tau_max is its
+    first probe where the density is under cut x the running peak and the
+    tail mass estimated from the local decay power is under cut x the
+    running mass; else the cap when the density has decayed anywhere or
+    the tail is heavy but integrable at the cap; else NaN."""
+    log_cut = math.log(cut)
+    running_peak = np.maximum.accumulate(log_h, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decayed = log_h - running_peak <= log_cut
+        power = np.zeros(log_h.shape)
+        power[:, 1:] = -(log_h[:, 1:] - log_h[:, :-1]) / np.diff(np.log(ladder))
+        gaps = np.diff(ladder, append=2.0 * ladder[-1] - ladder[-2])
+        log_mass = np.logaddexp(
+            np.logaddexp.accumulate(log_h + np.log(gaps), axis=1),
+            (log_h[:, 0] + math.log(ladder[0]))[:, None],
+        )
+        log_tail = np.where(
+            power > 1.05,
+            log_h + np.log(ladder) - np.log(np.maximum(power - 1.0, 1e-12)),
+            np.inf,
+        )
+        ok = decayed & (log_tail <= log_mass + log_cut)
+        heavy = (log_h[:, -1] - running_peak[:, -1] <= 0.5 * log_cut) & (power[:, -1] > 1.05)
+    return np.where(
+        ok.any(axis=1),
+        ladder[ok.argmax(axis=1)],
+        np.where(decayed.any(axis=1) | heavy, ladder[-1], np.nan),
+    )
+
+
 def random_walk_sampler(
     dataset, family, draws=50_000, burn=5_000, seed=0
 ):

@@ -37,6 +37,7 @@ from metapred import (
 from metapred.methods import METHODS
 from metapred.priors import log_prior_kernel
 from oracles import (
+    dataset_scan,
     interval_from_mixture,
     loglik_by_mu_integration,
     oracle_mixture,
@@ -81,9 +82,15 @@ def built_rows(rows):
 
 
 def ladder_for(dataset):
-    """The dataset's octave ladder and scan start (every prior shares s0)."""
+    """The dataset's octave ladder and the index of its scan start (every
+    prior shares s0): its row of a block's ladders, without the 0 in front
+    and the padding, whose run from the scan start is its scan probes."""
     s0 = math.sqrt(bind_prior(named_prior("uniform"), dataset).s0_sq)
-    return bayes._tau_ladder(dataset.effects, dataset.variances, s0)
+    ladders, probes, last = bayes._tau_ladders(dataset.effects[None], dataset.variances[None], [s0])
+    ladder = ladders[0, 1:][np.isfinite(ladders[0, 1:])]
+    start = len(ladder) - 1 - int(last[0])
+    np.testing.assert_array_equal(probes[0, : last[0] + 1], ladder[start:])
+    return ladder, start
 
 
 _GL16 = roots_legendre(16)
@@ -622,6 +629,52 @@ class TestAdaptivePanels:
         assert ladder[-1] == 1e6 * s0 and ladder[-2] < ladder[-1] <= 2.0 * ladder[-2]
         np.testing.assert_array_equal(ladder[1:-1] / ladder[:-2], 2.0)
 
+    def test_ragged_scan_equals_the_scan_of_each_dataset(self):
+        # one _scan_tau_max call over ladders of 12, 31 and 20 probes, padded
+        # as _posterior_grids pads them, equals the scan of each dataset
+        # alone (oracles.dataset_scan) bit for bit, on five curves: one
+        # that decays early, one that rises to the cap (never decays: NaN),
+        # one of -inf (an overflowing likelihood: NaN), a log-normal bump,
+        # and a tail ~ tau^-1.2, too heavy for the tail test, which on the
+        # 20-probe ladder falls 15.8 nats by the cap: past half the cut, but
+        # not the full cut, so it takes the cap as a heavy integrable tail
+        ladders = []
+        for start, size in ((0.3, 12), (1e-3, 31), (5.0, 20)):
+            ladder = start * 2.0 ** np.arange(size)
+            ladder[-1] *= 0.75  # the cap clips the last point
+            ladders.append(ladder)
+
+        def curves(tau):
+            x = tau / tau[0]
+            return np.stack(
+                [
+                    -0.5 * (x / 4.0) ** 2,
+                    2.0 * np.log(x),
+                    np.full(len(x), -np.inf),
+                    -2.0 * np.log(x / 16.0) ** 2,
+                    -1.2 * np.log(x),
+                ]
+            )
+
+        width = max(map(len, ladders))
+        probes = np.array(
+            [np.concatenate((t, np.full(width + 1 - len(t), 2.0 * t[-1] - t[-2]))) for t in ladders]
+        )
+        log_h = np.full((5, len(ladders), width), np.nan)
+        for i, ladder in enumerate(ladders):
+            log_h[:, i, : len(ladder)] = curves(ladder)
+        last = np.array([len(ladder) - 1 for ladder in ladders])
+        ragged = bayes._scan_tau_max(log_h, probes, last)
+        for i, ladder in enumerate(ladders):
+            alone = dataset_scan(curves(ladder), ladder)
+            assert ragged[:, i].tobytes() == alone.tobytes()
+        caps = np.array([ladder[-1] for ladder in ladders])
+        assert np.all(ragged[[0, 3]] < caps)  # decayed inside the ladder
+        assert np.isnan(ragged[[1, 2]]).all()
+        heavy = curves(ladders[2])[4]
+        assert math.log(1e-10) < heavy[-1] - heavy.max() <= 0.5 * math.log(1e-10)
+        assert ragged[4, 2] == caps[2]
+
 
 class TestConvergenceProperties:
     def test_grid_refinement_stability(self):
@@ -1026,9 +1079,7 @@ class TestBatch:
         # past the scan, a first refinement pass with no finite mass fails
         # that prior with the normalisation message, and the other prior's
         # panels refine as they would alone
-        y, sigma_sq = README_DATA.effects, README_DATA.variances
-        c = math.sqrt(priors[0].s0_sq)
-        ladder, _ = bayes._tau_ladder(y, sigma_sq, c)
+        ladder, _ = ladder_for(README_DATA)
         breaks = [np.concatenate([[0.0], ladder[ladder < t], [t]]) for t in (ladder[-1], 10.0)]
         config = EngineConfig()
         tol = bayes._QUAD_TOLERANCE_SHARE * config.cdf_tolerance

@@ -331,8 +331,8 @@ class TestRunStudy:
 
         pattern = {0: (True, 2.0), 1: (True, 2.0), 2: (False, 4.0), 3: (True, 2.0)}
 
-        def fake_block(scenario, methods, master_seed, reps):
-            return [{m: (*pattern[rep], False) for m in methods} for rep in reps]
+        def fake_block(parts, methods, master_seed):
+            return [[{m: (*pattern[rep], False) for m in methods} for rep in reps] for _, reps in parts]
 
         monkeypatch.setattr(sim, "_run_block", fake_block)
         config = SimConfig(
@@ -357,8 +357,11 @@ class TestRunStudy:
             4: (True, 3.0, False),
         }
 
-        def fake_block(scenario, methods, master_seed, reps):
-            return [{"hts": pattern[rep], "jeffreys": (False, math.nan, True)} for rep in reps]
+        def fake_block(parts, methods, master_seed):
+            return [
+                [{"hts": pattern[rep], "jeffreys": (False, math.nan, True)} for rep in reps]
+                for _, reps in parts
+            ]
 
         monkeypatch.setattr(sim, "_run_block", fake_block)
         config = SimConfig(
@@ -406,62 +409,83 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_block_size_does_not_change_records(self, monkeypatch, parallelism):
-        # run_study cuts each scenario into the fewest near-equal blocks, a
-        # multiple of the workers in number, of at most studies // n
-        # replications (studies is _BLOCK_STUDIES with a Bayesian tag, else
-        # _PLUGIN_STUDIES); blocks of 1, of 2 and of the default size give
-        # the same records
+        # run_study cuts the replications of the scenarios that share n and
+        # level into the fewest near-equal blocks, a multiple of the workers
+        # in number, of at most studies // n replications (studies is
+        # _BLOCK_STUDIES with a Bayesian tag, else _PLUGIN_STUDIES); blocks
+        # of 1, of 2 and of the default size give the same records
         import metapred.simulate as sim
 
         plugin = ("hts", "hts-hk", "hts-sj", "dl")
         bayes = ("hts", "jeffreys", "cred:shrinkage", "proper1", "hts-hk", "hts-sj", "dl")
-        sizes = []
+        sizes, straddles = [], []
         real_blocks = sim._blocks
 
         def recorded(config, workers):
-            blocks = real_blocks(config, workers)
-            sizes.extend(len(reps) for _, reps in blocks)
-            return blocks
+            units = real_blocks(config, workers)
+            sizes.extend(sum(len(reps) for _, reps in unit) for unit in units)
+            straddles.extend(len(unit) > 1 for unit in units)
+            return units
 
         monkeypatch.setattr(sim, "_blocks", recorded)
         workers = min(parallelism, sim._usable_cpus())
         for methods, bound in ((bayes, "_BLOCK_STUDIES"), (plugin, "_PLUGIN_STUDIES")):
             config = SimConfig(
-                scenarios=(Scenario(4, 0.1), Scenario(5, 0.02)),
+                scenarios=(Scenario(4, 0.1), Scenario(5, 0.02), Scenario(4, 0.3), Scenario(4, 0.0)),
                 methods=methods,
                 reps=19,
                 master_seed=17,
             )
             expected = run_study(config, parallelism=1)
-            # at the default bound each scenario is one block per worker
-            default = (getattr(sim, bound), -(-19 // workers))
+            # at the default bound the three n = 4 scenarios are one block
+            # per worker, and a block holds replications of two or three
+            default = (getattr(sim, bound), -(-3 * 19 // workers))
             for studies, largest in ((4, 1), (10, 2), default):
                 monkeypatch.setattr(sim, bound, studies)
                 sizes.clear()
+                straddles.clear()
                 assert run_study(config, parallelism=parallelism) == expected
-                assert max(sizes) == largest and sum(sizes) == 2 * 19
+                assert max(sizes) == largest and sum(sizes) == 4 * 19
+            assert straddles == [True] * workers + [False] * workers
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_are_the_fewest_balanced_pieces_that_fit(self, workers):
         # _blocks alone: nothing runs and no process starts
         import metapred.simulate as sim
 
-        scenarios = (Scenario(3, 0.0), Scenario(7, 0.1), Scenario(30, 0.1), Scenario(300, 0.0))
+        scenarios = (
+            Scenario(3, 0.0),
+            Scenario(7, 0.1),
+            Scenario(30, 0.1),
+            Scenario(7, 0.0),
+            Scenario(300, 0.0),
+            Scenario(7, 0.1, level=0.9),
+            Scenario(30, 0.2),
+        )
+        # the groups of scenarios that share n and level, in config order
+        groups = {}
+        for sc in scenarios:
+            groups.setdefault((sc.n, sc.level), []).append(sc)
         for methods, studies in (
             (("hts", "hts-hk", "dl"), sim._PLUGIN_STUDIES),
             (("hts", "cred:jeffreys"), sim._BLOCK_STUDIES),
         ):
             for reps in (1, 2, 5, 100, 1000, 7919):
                 config = SimConfig(scenarios=scenarios, methods=methods, reps=reps)
-                blocks = sim._blocks(config, workers)
-                assert [sc for sc, _ in blocks] == sorted(
-                    (sc for sc, _ in blocks), key=scenarios.index
-                )
-                for sc in scenarios:
-                    cut = [reps_of for block_sc, reps_of in blocks if block_sc == sc]
-                    sizes = [len(reps_of) for reps_of in cut]
-                    bound = max(1, studies // sc.n)
-                    assert [i for reps_of in cut for i in reps_of] == list(range(reps))
+                units = sim._blocks(config, workers)
+                keys = [{(sc.n, sc.level) for sc, _ in unit} for unit in units]
+                assert all(len(key) == 1 for key in keys)  # a unit holds one group
+                keys = [key.pop() for key in keys]
+                # each group's units are one run, the runs in config order
+                assert [k for i, k in enumerate(keys) if keys.index(k) == i] == list(groups)
+                assert keys == sorted(keys, key=list(groups).index)
+                for key, group in groups.items():
+                    cut = [unit for unit, k in zip(units, keys) if k == key]
+                    assert all(reps_of for unit in cut for _, reps_of in unit)
+                    pairs = [(sc, i) for unit in cut for sc, reps_of in unit for i in reps_of]
+                    assert pairs == [(sc, i) for sc in group for i in range(reps)]
+                    sizes = [sum(len(reps_of) for _, reps_of in unit) for unit in cut]
+                    bound = max(1, studies // key[0])
                     assert max(sizes) <= bound
                     assert max(sizes) - min(sizes) <= 1
                     # a multiple of the workers, unless every block is one
@@ -469,20 +493,52 @@ class TestRunStudy:
                     assert len(cut) % workers == 0 or max(sizes) == 1
                     # the fewest: one block fewer per worker would not fit
                     if len(cut) > workers:
-                        assert -(-reps // (len(cut) - workers)) > bound
+                        assert -(-len(pairs) // (len(cut) - workers)) > bound
         # only a Bayesian tag keeps blocks at _BLOCK_STUDIES // n
         for methods, larger in ((("hts", "dl"), True), (("hts", "uniform"), False)):
             config = SimConfig(scenarios=(Scenario(7, 0.1),), methods=methods, reps=1000)
-            largest = max(len(reps_of) for _, reps_of in sim._blocks(config, workers))
+            units = sim._blocks(config, workers)
+            largest = max(sum(len(reps_of) for _, reps_of in unit) for unit in units)
             assert (largest > sim._BLOCK_STUDIES // 7) == larger
-        # a frequentist study of four scenarios of 100 replications: one
-        # block per scenario and worker
+        # a frequentist study of four scenarios of 100 replications, two per
+        # n: one block per n and worker
         config = SimConfig(
             scenarios=tuple(Scenario(n, t) for n in (5, 30) for t in (0.0, 0.1)),
             methods=("hts", "hts-hk", "hts-sj", "dl"),
             reps=100,
         )
-        assert len(sim._blocks(config, workers)) == 4 * workers
+        assert len(sim._blocks(config, workers)) == 2 * workers
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_blocks_across_scenarios_give_each_scenario_its_own_records(self, parallelism):
+        # three (tau2, mu) pairs at two levels share n = 4, and one scenario
+        # has n = 5: blocks hold replications of several scenarios, yet
+        # every cell equals its scenario run as a study of its own (each row
+        # scored against its own scenario's mu), and a row of such a block
+        # equals run_replication
+        import metapred.simulate as sim
+
+        methods = ("hts", "jeffreys", "cred:shrinkage", "proper1", "dl", "hts-hk")
+        scenarios = tuple(
+            Scenario(4, tau2, mu=mu, level=level)
+            for level in (0.95, 0.8)
+            for tau2, mu in ((0.0, 0.0), (0.05, 1.0), (0.2, -0.5))
+        ) + (Scenario(5, 0.1),)
+        config = SimConfig(scenarios=scenarios, methods=methods, reps=7, master_seed=29)
+        records = run_study(config, parallelism=parallelism)
+        alone = [
+            record
+            for sc in scenarios
+            for record in run_study(SimConfig((sc,), methods, reps=7, master_seed=29))
+        ]
+        assert records == alone
+        # one block per group at one worker: the second holds the 0.8 level
+        units = sim._blocks(config, 1)
+        assert [len(unit) for unit in units] == [3, 3, 1]
+        unit = units[1]
+        assert [sc for sc, _ in unit] == list(scenarios[3:6])
+        rows = sim._run_block(unit, methods, 29)
+        assert rows[1][6] == run_replication(unit[1][0], methods, (29, 6))
 
     @pytest.mark.parametrize("parallelism", [1, 2, 3])
     def test_frequentist_table_is_pinned(self, parallelism):
