@@ -23,7 +23,6 @@ from .bayes import (
     PosteriorGrid,
     build_posterior_grid,
     credible_interval_mu,
-    marginal_loglik,
     posterior_tau_moments,
     prediction_interval,
     predictive_cdf,
@@ -72,11 +71,9 @@ from .simulate import (
     CoverageRecord,
     Scenario,
     SimConfig,
-    draw_within_variances,
     replication_stream,
     run_replication,
     run_study,
-    scenario_key,
     simulate_dataset,
 )
 
@@ -110,7 +107,6 @@ __all__ = [
     # bayes
     "EngineConfig",
     "PosteriorGrid",
-    "marginal_loglik",
     "build_posterior_grid",
     "predictive_cdf",
     "prediction_interval",
@@ -122,8 +118,6 @@ __all__ = [
     "CoverageRecord",
     "DEFAULT_METHODS",
     "replication_stream",
-    "scenario_key",
-    "draw_within_variances",
     "simulate_dataset",
     "run_replication",
     "run_study",

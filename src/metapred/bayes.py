@@ -48,13 +48,14 @@ one ragged pass and cuts each row's panels from its dataset's ladder.
 _refine_panels refines all rows' panels together into one _Grids layout
 (every row's nodes end to end), from which _mixture_intervals reads each
 mixture once and inverts every (mixture, endpoint) row in one masked
-Newton loop; a PosteriorGrid, a view of one row, is built only on
-request. Reductions run over a node's studies in sequence (C-ordered
-(studies, ...) arrays), along a row (the scan, row sums, np.add.reduceat
-over flat segments) or over one row's panels in order (np.add.at into
-zeroed per-row sums), never across rows, so a row's grid and endpoints
-equal its batch-of-one result - the public single-prior functions - bit
-for bit.
+Newton loop. A PosteriorGrid is one row of that layout, read in place
+(the layout's arrays are read-only), so the public single-prior functions
+read the arrays the batch inverts. Reductions run over a node's studies
+in sequence (C-ordered (studies, ...) arrays), along a row (the scan, row
+sums, np.add.reduceat over flat segments) or over one row's panels in
+order (np.add.at into zeroed per-row sums), never across rows, so a row's
+grid and endpoints equal its batch-of-one result - the public
+single-prior functions - bit for bit.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .priors import BoundPrior, _bound_constants, _log_kernel
 __all__ = [
     "EngineConfig",
     "PosteriorGrid",
-    "marginal_loglik",
     "build_posterior_grid",
     "predictive_cdf",
     "prediction_interval",
@@ -102,11 +102,6 @@ def _check_cdf_tolerance(cdf_tolerance):
         raise ValueError(f"cdf_tolerance must lie in (0, 1e-2), got {cdf_tolerance!r}")
 
 
-def _check_mu_prior_var(mu_prior_var):
-    if not (math.isfinite(mu_prior_var) and mu_prior_var > 0):
-        raise ValueError("mu_prior_var must be positive and finite")
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs for posterior-grid construction and quantile inversion.
@@ -124,13 +119,15 @@ class EngineConfig:
     cdf_tolerance: float = 1e-8
 
     def __post_init__(self):
-        _check_mu_prior_var(self.mu_prior_var)
+        if not (math.isfinite(self.mu_prior_var) and self.mu_prior_var > 0):
+            raise ValueError("mu_prior_var must be positive and finite")
         _check_cdf_tolerance(self.cdf_tolerance)
 
 
-@dataclass(frozen=True)
 class PosteriorGrid:
-    """Quadrature view of the marginal posterior of tau.
+    """Quadrature view of the marginal posterior of tau: row `row` of the
+    _Grids layout `grids`, read in place. Its arrays are read-only views of
+    the layout's, which the intervals and moments read too.
 
     nodes        increasing tau values (> 0); len(nodes) is the node count
     quad_weights positive quadrature weights in tau space
@@ -155,42 +152,44 @@ class PosteriorGrid:
                  refinement; always finite
     """
 
-    nodes: np.ndarray
-    quad_weights: np.ndarray
-    log_post: np.ndarray
-    cond_mean: np.ndarray
-    cond_var: np.ndarray
-    log_norm: float
-    prior_name: str
-    tau_max: float
-    quad_error: float
+    __slots__ = ("_grids", "_row", "_span")
+
+    def __init__(self, grids: _Grids, row: int):
+        start = int(grids.starts[row])
+        self._grids, self._row = grids, row
+        self._span = slice(start, start + int(grids.counts[row]))
+
+    nodes = property(lambda self: self._grids.nodes[0, self._span])
+    quad_weights = property(lambda self: self._grids.nodes[1, self._span])
+    log_post = property(lambda self: self._grids.nodes[2, self._span])
+    cond_mean = property(lambda self: self._grids.nodes[3, self._span])
+    cond_var = property(lambda self: self._grids.nodes[4, self._span])
+    log_norm = property(lambda self: self._grids.tails[self._row][0])
+    prior_name = property(lambda self: self._grids.tails[self._row][1])
+    tau_max = property(lambda self: self._grids.tails[self._row][2])
+    quad_error = property(lambda self: self._grids.tails[self._row][3])
 
     def posterior_weights(self) -> np.ndarray:
-        """Normalized node masses; they sum to 1 up to rounding."""
-        return self.quad_weights * np.exp(self.log_post - self.log_norm)
+        """Normalized node masses, quad_weights x exp(log_post - log_norm);
+        they sum to 1 up to rounding."""
+        return self._grids.weights[self._span]
 
 
 class _Grids:
     """A block's posterior grids as one flat layout, a row per grid: nodes
-    holds PosteriorGrid's five arrays as rows, grid r's counts[r] nodes
-    from starts[r]; weights each node's normalised posterior weight; tails
-    each grid's (log_norm, prior_name, tau_max, quad_error)."""
+    holds the five arrays of a PosteriorGrid as rows, grid r's counts[r]
+    nodes from starts[r]; weights each node's normalised posterior weight;
+    tails each grid's (log_norm, prior_name, tau_max, quad_error). nodes and
+    weights are read-only, so a grid cannot drift from its mixture."""
 
     def __init__(self, nodes, weights, counts, tails):
+        nodes.flags.writeable = weights.flags.writeable = False
         self.nodes, self.weights, self.tails = nodes, weights, tails
         self.counts, self.starts = counts, counts.cumsum() - counts
 
-    def grid(self, r) -> PosteriorGrid:
-        """Row r as a PosteriorGrid, whose arrays are views of the layout's."""
-        start, count = int(self.starts[r]), int(self.counts[r])
-        return PosteriorGrid(*self.nodes[:, start : start + count], *self.tails[r])
-
-    @classmethod
-    def of(cls, grid: PosteriorGrid) -> "_Grids":
-        """A PosteriorGrid as a layout of one row."""
-        arrays = [grid.nodes, grid.quad_weights, grid.log_post, grid.cond_mean, grid.cond_var]
-        tail = (grid.log_norm, grid.prior_name, grid.tau_max, grid.quad_error)
-        return cls(np.array(arrays), grid.posterior_weights(), np.array([len(grid.nodes)]), [tail])
+    def __reduce__(self):
+        # unpickled arrays are writeable: rebuilding makes them read-only
+        return _Grids, (self.nodes, self.weights, self.counts, self.tails)
 
 
 def _segments(starts, counts):
@@ -207,12 +206,10 @@ def _weighted_mean(y, sigma_sq):
 def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
     """Closed-form marginal log likelihood pieces for an array of tau.
 
-    c is the 1/sigma^2-weighted mean of the effects and d = y - c their
-    deviations from it; d and sigma_sq lay the studies along axis 0 and
-    broadcast against tau along the other axes: (studies, 1) columns of one
-    dataset against a 1-d tau, or (studies, rows, 1) arrays that hold each
-    row's own dataset against a (rows, nodes) tau, with c then a (rows, 1)
-    column. The quadratic form sum(y^2/v) - (sum(y/v))^2/prec is computed
+    c is the 1/sigma^2-weighted mean of the effects, a (rows, 1) column,
+    and d = y - c their deviations from it; d and sigma_sq are (studies,
+    rows, 1) arrays that hold each row's own dataset against a (rows,
+    nodes) tau. The quadratic form sum(y^2/v) - (sum(y/v))^2/prec is computed
     about c, as sum(d^2/v) - D^2/prec + (2cD + c^2 A)/(S prec) with D =
     sum(d/v), A = sum(1/v): the raw form cancels catastrophically when |y|
     is large against the spread of the effects.
@@ -245,30 +242,6 @@ def _loglik_terms(d, sigma_sq, c, tau, mu_prior_var):
         - 0.5 * quad_form
     )
     return loglik, cond_mean, cond_var
-
-
-def marginal_loglik(
-    dataset: MetaDataset, tau, mu_prior_var: float = EngineConfig.mu_prior_var
-) -> float | np.ndarray:
-    """Log of the likelihood with the mean integrated out against N(0, S).
-
-    Equals log integral prod_i N(y_i; mu, sigma_i^2 + tau^2) N(mu; 0, S) dmu,
-    evaluated in closed form. Accepts a scalar or array tau >= 0.
-    """
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
-        raise ValueError("tau must be finite and >= 0")
-    _check_mu_prior_var(mu_prior_var)
-    t = np.atleast_1d(arr)
-    column = (-1,) + (1,) * t.ndim
-    y, sigma_sq = dataset.effects, dataset.variances
-    c = _weighted_mean(y, sigma_sq)
-    loglik, _, _ = _loglik_terms(
-        (y - c).reshape(column), sigma_sq.reshape(column), c, t, mu_prior_var
-    )
-    if arr.ndim == 0:
-        return float(loglik[0])
-    return loglik
 
 
 def _tau_ladders(y, sigma_sq, s0):
@@ -709,7 +682,7 @@ def build_posterior_grid(
     if not np.array_equal(prior.sigma_sq, dataset.variances):
         raise ValueError(f"prior '{prior.name}' was bound to other within-study variances")
     grids, ((row,),) = _posterior_grids([dataset], [prior.family], config)
-    return grids.grid(_unwrap(row))
+    return PosteriorGrid(grids, _unwrap(row))
 
 
 def _mixtures(grids, requests):
@@ -751,7 +724,7 @@ def _mixture_moments(means, sds, weights, lengths):
 
 def predictive_cdf(grid: PosteriorGrid, x: float) -> float:
     """CDF of the new-study effect under the discretized posterior mixture."""
-    m, s, w, _ = _mixtures(_Grids.of(grid), [(0, True)])
+    m, s, w, _ = _mixtures(grid._grids, [(grid._row, True)])
     return float(np.sum(w * ndtr((x - m) / s)))
 
 
@@ -879,14 +852,14 @@ def prediction_interval(
     cdf_tolerance is the relative endpoint error of EngineConfig and must
     lie in (0, 1e-2); anything else raises ValueError.
     """
-    return _unwrap(_mixture_intervals(_Grids.of(grid), [(0, True)], level, cdf_tolerance)[0])
+    return _unwrap(_mixture_intervals(grid._grids, [(grid._row, True)], level, cdf_tolerance)[0])
 
 
 def credible_interval_mu(
     grid: PosteriorGrid, level: float = 0.95, cdf_tolerance: float = 1e-8
 ) -> IntervalEstimate:
     """Equal-tail credible interval for the grand mean (cdf_tolerance as above)."""
-    return _unwrap(_mixture_intervals(_Grids.of(grid), [(0, False)], level, cdf_tolerance)[0])
+    return _unwrap(_mixture_intervals(grid._grids, [(grid._row, False)], level, cdf_tolerance)[0])
 
 
 def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
@@ -896,7 +869,7 @@ def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:
     invert, so the identity Var(theta_new) = Var(mu) + E[tau^2] holds up to
     rounding and the < 1e-13 of mass the mixture reader drops.
     """
-    _, sds = _mixture_moments(*_mixtures(_Grids.of(grid), [(0, False), (0, True)]))
+    _, sds = _mixture_moments(*_mixtures(grid._grids, [(grid._row, False), (grid._row, True)]))
     sd_mu, sd_new = sds.tolist()
     mean_tau2 = float(np.sum(grid.posterior_weights() * grid.nodes**2))
     return mean_tau2, sd_mu**2, sd_new**2

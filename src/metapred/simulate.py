@@ -8,11 +8,11 @@ counter-based random stream keyed by (master_seed, scenario, replication).
 The study runs in blocks of replications of scenarios that share their
 number of studies n and their level, so a block may hold the
 replications of several scenarios that differ only in tau^2 (or mu). A
-block draws each scenario's part of its datasets in one pass: it re-keys
-one Philox generator to each replication's stream, reads a fixed prefix
-of uniforms from each into one array, and turns them into datasets with
-one normal transform and one rejection loop (_draw_rows, of which the
-public simulate_dataset and draw_within_variances are blocks of one).
+block draws all of its datasets in one pass: it re-keys one Philox
+generator to each replication's stream, reads a fixed prefix of uniforms
+from each into one array, and turns them into datasets with one normal
+transform and one rejection loop (_draw_rows, of which the public
+simulate_dataset is a block of one), each row under its own scenario.
 The block's datasets then go through the methods together, one grid
 batch and one inversion batch for all of them, and one pass for the
 plug-in t and Wald tags (one DL fit and one REML scoring loop over all of
@@ -58,7 +58,6 @@ __all__ = [
     "CoverageRecord",
     "DEFAULT_METHODS",
     "replication_stream",
-    "draw_within_variances",
     "simulate_dataset",
     "run_replication",
     "run_study",
@@ -115,6 +114,10 @@ class Scenario:
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         _check_level(self.level)
+        # -0.0 equals 0.0, but its float.hex() would key other streams
+        for name in ("tau2", "mu"):
+            if getattr(self, name) == 0:
+                object.__setattr__(self, name, abs(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,11 @@ class SimConfig:
         # distinct scenarios with one 32-bit key would share their streams
         keys: dict[int, Scenario] = {}
         for sc in self.scenarios:
-            other = keys.setdefault(scenario_key(sc), sc)
+            other = keys.setdefault(_scenario_key(sc), sc)
             if other is not sc:
                 raise ValueError(
                     f"scenarios {other} and {sc} share stream key "
-                    f"{scenario_key(sc):#x}; change one of them"
+                    f"{_scenario_key(sc):#x}; change one of them"
                 )
 
 
@@ -175,7 +178,7 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
-def scenario_key(scenario: Scenario) -> int:
+def _scenario_key(scenario: Scenario) -> int:
     """Stable 32-bit fingerprint of a scenario's content.
 
     Keying streams by content (not list position) makes every coverage
@@ -192,28 +195,20 @@ def scenario_key(scenario: Scenario) -> int:
     return zlib.crc32(text.encode())
 
 
-def _stream_key(master_seed: int, scenario_key: int, rep_index: int) -> np.ndarray:
-    # the Philox key of one replication's stream
-    return np.array(
-        [master_seed & _MASK64, (scenario_key << 32) | (rep_index & _MASK32)],
-        dtype=np.uint64,
-    )
-
-
 def replication_stream(
     master_seed: int, scenario: Scenario, rep_index: int
 ) -> np.random.Generator:
     """Counter-based stream for one replication.
 
-    The Philox key is (master_seed, scenario_key << 32 | rep_index), so
+    The Philox key is (master_seed, _scenario_key << 32 | rep_index), so
     streams are independent, splittable, and identical no matter how work
     is scheduled across processes. A block of replications re-keys one
     generator to each of these streams in turn (_block_prefixes); this
     builds one alone, to replay a replication.
     """
-    return np.random.Generator(
-        np.random.Philox(key=_stream_key(master_seed, scenario_key(scenario), rep_index))
-    )
+    word = (_scenario_key(scenario) << 32) | (rep_index & _MASK32)
+    key = np.array([master_seed & _MASK64, word], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # uniforms a replication draws before it uses any: its 3n + 1 (n
@@ -293,13 +288,13 @@ def _stream_prefixes(stream: np.random.Generator) -> Callable[[np.ndarray, int],
 
 
 def _block_prefixes(
-    master_seed: int, scenario: Scenario, reps: Sequence[int]
+    master_seed: int, keys: Sequence[int]
 ) -> Callable[[np.ndarray, int], np.ndarray]:
     # prefixes of a block's rows: one Philox, re-keyed through its state
     # setter to row i's replication stream (counter 0, empty buffer), gives
-    # the uniforms replication_stream(master_seed, scenario, reps[i]) gives
-    high = scenario_key(scenario) << 32
-    bitgen = np.random.Philox(key=_stream_key(master_seed, 0, 0))
+    # the uniforms of the replication_stream whose key's second word,
+    # _scenario_key << 32 | rep_index, is keys[i]
+    bitgen = np.random.Philox(key=np.array([master_seed & _MASK64, 0], dtype=np.uint64))
     generator = np.random.Generator(bitgen)
     fresh = bitgen.state
     key = fresh["state"]["key"]
@@ -307,7 +302,7 @@ def _block_prefixes(
     def prefixes(pending: np.ndarray, k: int) -> np.ndarray:
         uniforms = np.empty((len(pending), k))
         for out, i in zip(uniforms, pending.tolist()):
-            key[1] = high | (reps[i] & _MASK32)
+            key[1] = keys[i]
             bitgen.state = fresh
             generator.random(out=out)
         return uniforms
@@ -315,34 +310,19 @@ def _block_prefixes(
     return prefixes
 
 
-def draw_within_variances(stream: np.random.Generator, n: int) -> np.ndarray:
-    """Within-study variances: 0.25 x chi^2(1), truncated to [0.009, 0.6].
-
-    Truncation is by per-value rejection resampling, so accepted values
-    follow the conditional distribution (no point mass at the edges).
-    This is a row of the block transform: it reads a prefix of 2n + 7
-    uniforms from the stream (more if the rejections need them), so the
-    stream ends past the uniforms it used.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    variances, _ = _draw_rows(_stream_prefixes(stream), 1, n, 0)
-    return variances[0]
-
-
 def _simulate_rows(
-    prefixes: Callable[[np.ndarray, int], np.ndarray], rows: int, scenario: Scenario
+    prefixes: Callable[[np.ndarray, int], np.ndarray], n: int, scenarios: Sequence[Scenario]
 ) -> tuple[list[MetaDataset], list[float]]:
-    # datasets and new-study effects of `rows` streams, in the draw order
-    # of simulate_dataset
-    n = scenario.n
-    tau = math.sqrt(scenario.tau2)
-    sigma_sq, z = _draw_rows(prefixes, rows, n, 2 * n + 1)
-    theta = scenario.mu + tau * z[:, :n]
+    # datasets of n studies and new-study effects of one stream per row,
+    # row i drawn under scenarios[i], in the draw order of simulate_dataset
+    tau = np.array([math.sqrt(sc.tau2) for sc in scenarios])
+    mu = np.array([sc.mu for sc in scenarios])
+    sigma_sq, z = _draw_rows(prefixes, len(scenarios), n, 2 * n + 1)
+    theta = mu[:, None] + tau[:, None] * z[:, :n]
     std_errs = np.sqrt(sigma_sq)
     effects = theta + std_errs * z[:, n : 2 * n]
     variances = std_errs**2
-    theta_new = scenario.mu + tau * z[:, 2 * n]
+    theta_new = mu + tau * z[:, 2 * n]
     for arr in (effects, std_errs, variances):
         arr.flags.writeable = False
     datasets = list(map(MetaDataset._trusted, effects, std_errs, variances))
@@ -360,7 +340,7 @@ def simulate_dataset(
     prefix of 4n + 8 uniforms from the stream (more if the variances'
     rejections need them), so the stream ends past the uniforms it used.
     """
-    (dataset,), (theta_new,) = _simulate_rows(_stream_prefixes(stream), 1, scenario)
+    (dataset,), (theta_new,) = _simulate_rows(_stream_prefixes(stream), scenario.n, [scenario])
     return dataset, theta_new
 
 
@@ -390,29 +370,29 @@ def _run_block(
     """run_replication for each replication of a block, a list per part.
 
     A part is a scenario and some of its replication indices, and the
-    parts' scenarios share n and level. Each part hashes its scenario once
-    and draws its datasets in one pass (_simulate_rows): each replication
-    reads its own stream, the one replication_stream(master_seed, scenario,
-    rep) replays, so its dataset is the one simulate_dataset draws from
-    that stream alone. The datasets of all the parts then go through the
-    methods together (one grid batch and one inversion batch for the
-    Bayesian tags of the whole block, one DL fit and one REML scoring loop
-    for its plug-in t and Wald tags), and each row is scored and logged
-    against its own scenario, so each replication's row equals its
-    run_replication row bit for bit.
+    parts' scenarios share n and level. The block draws the datasets of
+    all its parts in one pass (_simulate_rows), each part's scenario hashed
+    once: each replication reads its own stream, the one
+    replication_stream(master_seed, scenario, rep) replays, so its dataset
+    is the one simulate_dataset draws from that stream alone. The datasets
+    then go through the methods together (one grid batch and one inversion
+    batch for the Bayesian tags of the whole block, one DL fit and one REML
+    scoring loop for its plug-in t and Wald tags), and each row is scored
+    and logged against its own scenario, so each replication's row equals
+    its run_replication row bit for bit.
     """
-    datasets, news = [], []
+    scenarios, keys = [], []
     for scenario, reps in parts:
-        drawn, theta_news = _simulate_rows(
-            _block_prefixes(master_seed, scenario, reps), len(reps), scenario
-        )
-        datasets += drawn
-        news.append(theta_news)
-    results = iter(_evaluate_block(methods, datasets, parts[0][0].level))
+        high = _scenario_key(scenario) << 32
+        scenarios += [scenario] * len(reps)
+        keys += [high | (rep & _MASK32) for rep in reps]
+    first = parts[0][0]
+    datasets, news = _simulate_rows(_block_prefixes(master_seed, keys), first.n, scenarios)
+    results = zip(news, _evaluate_block(methods, datasets, first.level))
     blocks = []
-    for (scenario, reps), theta_news in zip(parts, news):
+    for scenario, reps in parts:
         rows = []
-        for rep, theta_new, intervals in zip(reps, theta_news, results):
+        for rep, (theta_new, intervals) in zip(reps, results):
             out: dict[str, tuple[bool, float, bool]] = {}
             for method, interval in zip(methods, intervals):
                 if isinstance(interval, NumericFailure):

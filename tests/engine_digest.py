@@ -17,8 +17,8 @@ inputs:
 
 Every block runs the eleven named priors and power(1e308), whose tail never
 decays, through one bayes._posterior_grids batch, reads each grid it built
-through the layout's accessor, and inverts each grid's prediction and
-credible intervals in one bayes._mixture_intervals batch; at
+as a PosteriorGrid row of the batch's layout, and inverts each grid's
+prediction and credible intervals in one bayes._mixture_intervals batch; at
 the default EngineConfig it also runs every method tag through
 methods._evaluate_block. A grid line holds a SHA-256 of the grid's arrays
 and its log_norm, tau_max and quad_error; an interval line its endpoints;
@@ -69,7 +69,7 @@ def block_lines(label, datasets, config=EngineConfig()):
             if isinstance(row, Exception):
                 lines.append(f"{key} {outcome_text(row)}")
             else:
-                lines.append(f"{key} {outcome_text(grids.grid(row))}")
+                lines.append(f"{key} {outcome_text(PosteriorGrid(grids, row))}")
                 requests += [(key, (row, pred)) for pred in (True, False)]
     if requests:
         intervals = _mixture_intervals(grids, [request for _, request in requests], 0.95, 1e-8)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -28,7 +29,6 @@ from metapred import (
     build_posterior_grid,
     credible_interval_mu,
     hts_interval,
-    marginal_loglik,
     named_prior,
     posterior_tau_moments,
     prediction_interval,
@@ -71,9 +71,8 @@ def dataset_batch(dataset, priors, config):
 
 
 def grid_views(grids, rows):
-    """Each row's PosteriorGrid, read through the layout's one accessor, or
-    the row's failure."""
-    return [row if isinstance(row, Exception) else grids.grid(row) for row in rows]
+    """Each row's PosteriorGrid, a row of the layout, or the row's failure."""
+    return [row if isinstance(row, Exception) else PosteriorGrid(grids, row) for row in rows]
 
 
 def built_rows(rows):
@@ -102,7 +101,8 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     The panel ends are Chebyshev-spaced, w_max (1 - cos(pi k / 1024)) / 2,
     so they crowd both ends of the range the way the nodes of one
     16384-point rule do: at SE ratios down to 1e-4 the mass sits within
-    1e-4 of w = 1, where equal panels in w would miss it."""
+    1e-4 of w = 1, where equal panels in w would miss it. It is a layout
+    of one row, normalised as the engine normalises its grids."""
     prior = bind_prior(named_prior(name), dataset)
     c = math.sqrt(prior.s0_sq)
     w_max = math.sqrt(tau_max / (c + tau_max))
@@ -119,9 +119,10 @@ def fixed_grid(dataset, name, tau_max, panels=1024):
     log_mass = log_post + np.log(quad_weights)
     log_norm = float(log_mass.max())
     log_norm += math.log(float(np.exp(log_mass - log_norm).sum()))
-    return PosteriorGrid(
-        tau, quad_weights, log_post, cond_mean, cond_var, log_norm, name, tau_max, 0.0
-    )
+    weights = quad_weights * np.exp(log_post - log_norm)
+    arrays = np.array([tau, quad_weights, log_post, cond_mean, cond_var])
+    tails = [(log_norm, name, tau_max, 0.0)]
+    return PosteriorGrid(bayes._Grids(arrays, weights, np.array([len(tau)]), tails), 0)
 
 
 def max_endpoint_diff(grid, reference):
@@ -146,6 +147,25 @@ class TestEngineConfig:
         for tol in (0.5, float("nan")):
             with pytest.raises(ValueError):
                 EngineConfig(cdf_tolerance=tol)
+        # an infinite S gives -inf at every tau: S must be positive and finite
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                EngineConfig(mu_prior_var=bad)
+
+
+def engine_loglik(dataset, tau):
+    """The engine's marginal log likelihood of the dataset at a scalar or
+    1-d tau: bayes._loglik_terms on the arrays and shapes that
+    _Block.loglik passes it for one row on the dataset. _Block itself binds
+    prior constants, which one-study datasets do not have."""
+    y, sigma_sq = dataset.effects, dataset.variances
+    c = bayes._weighted_mean(y, sigma_sq)
+    t = np.atleast_1d(np.asarray(tau, dtype=float))[None]
+    column = (-1, 1, 1)
+    loglik, _, _ = bayes._loglik_terms(
+        (y - c).reshape(column), sigma_sq.reshape(column), np.array([[c]]), t, 10_000.0
+    )
+    return float(loglik[0, 0]) if np.ndim(tau) == 0 else loglik[0]
 
 
 class TestMarginalLoglik:
@@ -153,11 +173,11 @@ class TestMarginalLoglik:
         # integrating the mean out of one N(y; mu, v) against N(mu; 0, S)
         # must give N(y; 0, v + S)
         ds = MetaDataset.from_arrays([0.0], [1.0])
-        assert marginal_loglik(ds, 0.0) == pytest.approx(
+        assert engine_loglik(ds, 0.0) == pytest.approx(
             stats.norm.logpdf(0.0, 0.0, math.sqrt(10001.0)), rel=1e-12
         )
         ds2 = MetaDataset.from_arrays([1.7], [0.4])
-        assert marginal_loglik(ds2, 0.8) == pytest.approx(
+        assert engine_loglik(ds2, 0.8) == pytest.approx(
             stats.norm.logpdf(1.7, 0.0, math.sqrt(0.16 + 0.64 + 10_000.0)), rel=1e-12
         )
 
@@ -166,30 +186,19 @@ class TestMarginalLoglik:
         y = rng.normal(0, 1, 6)
         s = rng.uniform(0.2, 1.0, 6)
         perm = rng.permutation(6)
-        a = marginal_loglik(MetaDataset.from_arrays(y, s), 0.7)
-        b = marginal_loglik(MetaDataset.from_arrays(y[perm], s[perm]), 0.7)
+        a = engine_loglik(MetaDataset.from_arrays(y, s), 0.7)
+        b = engine_loglik(MetaDataset.from_arrays(y[perm], s[perm]), 0.7)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_against_numeric_mu_integration(self):
         ds = MetaDataset.from_arrays([0.0, 0.0], [1.0, 1.0])
-        assert marginal_loglik(ds, 1.0) == pytest.approx(
+        assert engine_loglik(ds, 1.0) == pytest.approx(
             loglik_by_mu_integration(ds, 1.0), abs=1e-8
         )
         ds2 = MetaDataset.from_arrays([0.4, -0.3, 1.2], [0.5, 0.9, 0.3])
-        assert marginal_loglik(ds2, 0.35) == pytest.approx(
+        assert engine_loglik(ds2, 0.35) == pytest.approx(
             loglik_by_mu_integration(ds2, 0.35), abs=1e-8
         )
-
-    def test_rejects_negative_tau(self):
-        with pytest.raises(ValueError):
-            marginal_loglik(SPREAD, -1.0)
-
-    def test_rejects_what_engine_config_rejects(self):
-        # an infinite S gave -inf at every tau; S must be positive and
-        # finite, as EngineConfig requires
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="positive and finite"):
-                marginal_loglik(SPREAD, 0.5, bad)
 
     def test_large_offset_matches_exact_arithmetic(self):
         # effects near 1000 with SEs of 1e-5: the uncentred quadratic form
@@ -224,10 +233,10 @@ class TestMarginalLoglik:
 
     def test_vectorized(self):
         taus = np.array([0.0, 0.5, 2.0])
-        vec = marginal_loglik(SPREAD, taus)
+        vec = engine_loglik(SPREAD, taus)
         assert vec.shape == (3,)
         for t, v in zip(taus, vec):
-            assert v == pytest.approx(marginal_loglik(SPREAD, float(t)), rel=1e-14)
+            assert v == pytest.approx(engine_loglik(SPREAD, float(t)), rel=1e-14)
 
 
 class TestPosteriorGrid:
@@ -235,6 +244,25 @@ class TestPosteriorGrid:
         for name in ("uniform", "sqrt", "jeffreys", "proper2"):
             grid = grid_for(SPREAD, name)
             assert abs(grid.posterior_weights().sum() - 1.0) < 1e-10
+
+    def test_a_grid_is_a_read_only_row_of_its_layout(self):
+        # the arrays are views of the layout that the intervals read: a
+        # write would leave the grid out of step with its mixtures
+        grid = grid_for(README_DATA, "jeffreys")
+        unpickled = pickle.loads(pickle.dumps(grid))  # and so is a copy
+        assert prediction_interval(unpickled) == prediction_interval(grid)
+        for g in (grid, unpickled):
+            for array in (g.nodes, g.cond_var, g.posterior_weights()):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+            with pytest.raises(AttributeError):
+                g.nodes = g.nodes.copy()
+
+    def test_posterior_weights_are_the_normalised_masses(self):
+        for name in NAMED_PRIORS:
+            grid = grid_for(README_DATA, name)
+            want = grid.quad_weights * np.exp(grid.log_post - grid.log_norm)
+            assert grid.posterior_weights().tobytes() == want.tobytes(), name
 
     def test_conditional_variance_bounded_by_mu_prior(self):
         grid = grid_for(SPREAD, "uniform")
@@ -710,7 +738,7 @@ class TestConvergenceProperties:
             priors = [bind_prior(family, d) for family in NAMED_PRIORS.values()]
             grids, rows = dataset_batch(d, priors, EngineConfig(mu_prior_var=1e12))
             rows = built_rows(rows)
-            names.append([grids.grid(row).prior_name for row in rows])
+            names.append([PosteriorGrid(grids, row).prior_name for row in rows])
             requests = [(row, predictive) for row in rows for predictive in (True, False)]
             intervals.append(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
         assert names[0] == names[1]
@@ -1017,10 +1045,14 @@ class TestBatch:
                 assert (single.log_norm, single.tau_max, single.quad_error) == (
                     together.log_norm, together.tau_max, together.quad_error,
                 )
-                for pred in (True, False):
-                    one = bayes._Grids.of(single)  # the grid alone, as a layout of one row
-                    (want,) = bayes._mixture_intervals(one, [(0, pred)], 0.95, 1e-8)
-                    assert next(intervals) == want, (size, prior.name, pred)
+                # the block's endpoints, and each public call on the row of
+                # the block, equal the public calls on the grid built alone
+                for call in (prediction_interval, credible_interval_mu):
+                    want = call(single)
+                    assert next(intervals) == want == call(together), (size, prior.name)
+                assert posterior_tau_moments(together) == posterior_tau_moments(single)
+                for x in (-1.0, 0.0, 0.7):
+                    assert predictive_cdf(together, x) == predictive_cdf(single, x)
 
     def test_block_datasets_must_share_n(self):
         with pytest.raises(ValueError, match="same number of studies"):
@@ -1094,7 +1126,7 @@ class TestBatch:
                 block, owner_ds, row_family, families, lo, panels, tau_max, tol
             )
         assert list(failures) == [0]
-        bad, good = failures[0], grids.grid(1)
+        bad, good = failures[0], PosteriorGrid(grids, 1)
         assert isinstance(bad, DivergedPosteriorError)
         assert str(bad) == "posterior normalization for prior 'power(1e+308)' is not finite"
         assert all(np.array_equal(getattr(good, f), getattr(alone, f)) for f in GRID_ARRAYS)

@@ -128,7 +128,7 @@ class TestParseSimConfig:
             b"n = [7, 7]\ntau2 = [0.1]\n",
             b"n = [7]\ntau2 = [0.1]\nseed = -5\n",
             b"n = [7]\ntau2 = [0.1]\nseed = 18446744073709551616\n",
-            b"n = [89, 900]\ntau2 = [0.716, 0.907]\n",  # scenario_key collision
+            b"n = [89, 900]\ntau2 = [0.716, 0.907]\n",  # _scenario_key collision
         )
         for text in bad_values:
             with pytest.raises(ConfigError):

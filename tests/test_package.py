@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     # bayes
     "EngineConfig",
     "PosteriorGrid",
-    "marginal_loglik",
     "build_posterior_grid",
     "predictive_cdf",
     "prediction_interval",
@@ -48,8 +47,6 @@ PUBLIC_NAMES = [
     "CoverageRecord",
     "DEFAULT_METHODS",
     "replication_stream",
-    "scenario_key",
-    "draw_within_variances",
     "simulate_dataset",
     "run_replication",
     "run_study",
@@ -72,7 +69,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 49
     assert metapred.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(metapred, name), name

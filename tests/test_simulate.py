@@ -12,7 +12,6 @@ from metapred import (
     MetaDataset,
     Scenario,
     SimConfig,
-    draw_within_variances,
     replication_stream,
     run_replication,
     run_study,
@@ -61,7 +60,7 @@ class TestScenarioConfig:
             with pytest.raises(ValueError, match="seed must lie in"):
                 SimConfig(scenarios=sc, master_seed=seed)
         SimConfig(scenarios=sc, master_seed=2**64 - 1)
-        # (89, 0.716) and (900, 0.907) share one 32-bit scenario_key
+        # (89, 0.716) and (900, 0.907) share one 32-bit _scenario_key
         with pytest.raises(ValueError, match="share stream key 0x312f649"):
             SimConfig(scenarios=(Scenario(89, 0.716), Scenario(900, 0.907)))
 
@@ -91,6 +90,21 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=r"repeats scenario Scenario\(n=3,"):
             SimConfig(scenarios=sc + (Scenario(3, 0.0),), methods=("hts",))
 
+    def test_negative_zero_draws_as_zero(self):
+        # -0.0 == 0.0, so both scenarios print the same row; a -0.0 tau2 or
+        # mu used to key other streams (float.hex tells the zeros apart)
+        for minus, plus in (
+            (Scenario(3, -0.0), Scenario(3, 0.0)),
+            (Scenario(3, 0.1, mu=-0.0), Scenario(3, 0.1, mu=0.0)),
+        ):
+            assert math.copysign(1.0, minus.tau2) == math.copysign(1.0, minus.mu) == 1.0
+            a, b = (
+                run_study(SimConfig(scenarios=(sc,), methods=("hts",), reps=5, master_seed=1))
+                for sc in (minus, plus)
+            )
+            assert a == b
+            assert emit_coverage_table(a) == emit_coverage_table(b)
+
     def test_available_methods_include_credible_tags(self):
         tags = METHODS
         assert "cred:jeffreys" in tags
@@ -116,28 +130,37 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
 
+def row_variances(stream, n):
+    # the within-study variances of a row drawn from the stream: the first
+    # draws of _draw_rows, a block of one
+    import metapred.simulate as sim
+
+    variances, _ = sim._draw_rows(sim._stream_prefixes(stream), 1, n, 0)
+    return variances[0]
+
+
 class TestWithinVariances:
     def test_truncation_interval(self):
         stream = replication_stream(0, SC, 0)
-        vals = draw_within_variances(stream, 5000)
+        vals = row_variances(stream, 5000)
         assert vals.min() >= SIGMA_SQ_LOW
         assert vals.max() <= SIGMA_SQ_HIGH
 
     def test_replay_determinism(self):
-        a = draw_within_variances(replication_stream(1, SC, 5), 64)
-        b = draw_within_variances(replication_stream(1, SC, 5), 64)
+        a = row_variances(replication_stream(1, SC, 5), 64)
+        b = row_variances(replication_stream(1, SC, 5), 64)
         np.testing.assert_array_equal(a, b)
 
     def test_equals_value_by_value_draw(self):
         # the variances are the first draws of a replication's stream
         for n in (1, 3, 60, 5000):
-            vals = draw_within_variances(replication_stream(2, SC, n), n)
+            vals = row_variances(replication_stream(2, SC, n), n)
             _, std_errs, _ = sequential_draw(replication_stream(2, SC, n), n, 0.0)
             assert np.sqrt(vals).tobytes() == std_errs.tobytes()
 
     def test_mean_matches_truncated_chi2_oracle(self):
         stream = replication_stream(7, SC, 0)
-        vals = draw_within_variances(stream, 100_000)
+        vals = row_variances(stream, 100_000)
         want = truncated_sigma_sq_mean()
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - want) <= 3.0 * se
@@ -196,8 +219,9 @@ def block_draws(master_seed, scenario, reps):
     # the datasets and new-study effects a run_study block draws
     import metapred.simulate as sim
 
-    prefixes = sim._block_prefixes(master_seed, scenario, reps)
-    return sim._simulate_rows(prefixes, len(reps), scenario)
+    keys = [sim._scenario_key(scenario) << 32 | rep for rep in reps]
+    prefixes = sim._block_prefixes(master_seed, keys)
+    return sim._simulate_rows(prefixes, scenario.n, [scenario] * len(reps))
 
 
 class TestBlockDraws:
@@ -268,8 +292,8 @@ class TestBlockDraws:
         asked = []
         real = sim._block_prefixes
 
-        def recorded(master_seed, scenario, reps):
-            prefixes = real(master_seed, scenario, reps)
+        def recorded(master_seed, keys):
+            prefixes = real(master_seed, keys)
 
             def asking(pending, k):
                 asked.append((len(pending), k))
