@@ -39,18 +39,16 @@ four steps reach the tolerance where plain bisection takes about forty.
 One block is one batch, in one flat layout from refinement to inversion:
 datasets that share their number of studies (one dataset, or the
 replications of a coverage-study block, which may span scenarios) and the
-prior families to run on each. The likelihood does not depend on the
-prior, and a dataset's priors share its bound constants, s0 and so its
-ladder. _posterior_grids holds every dataset's ladder as a row of one
-padded array, evaluates the likelihood once on all the scan probes and
-each scanned family's kernel once, scans every (family, dataset) row in
-one ragged pass and cuts each row's panels from its dataset's ladder.
-_refine_panels refines all rows' panels together into one _Grids layout
-(every row's nodes end to end), from which _mixture_intervals reads each
-mixture once and inverts every (mixture, endpoint) row in one masked
-Newton loop. A PosteriorGrid is one row of that layout, read in place
-(the layout's arrays are read-only), so the public single-prior functions
-read the arrays the batch inverts. Reductions run over a node's studies
+prior families to run on each. A dataset's priors share its likelihood,
+bound constants, s0 and ladder. _posterior_grids evaluates the likelihood
+once on all the datasets' scan probes and each scanned family's kernel
+once, scans every (family, dataset) row in one ragged pass and cuts each
+row's panels from its dataset's ladder; _refine_panels refines all rows
+together into one _Grids layout (every row's nodes end to end). From it
+_mixture_intervals reads each mixture once, inverts every (mixture,
+endpoint) row in one masked Newton loop and returns arrays of endpoints
+and failure indices. A PosteriorGrid is one row of the layout, read in
+place (its arrays are read-only). Reductions run over a node's studies
 in sequence (C-ordered (studies, ...) arrays), along a row (the scan, row
 sums, np.add.reduceat over flat segments) or over one row's panels in
 order (np.add.at into zeroed per-row sums), never across rows, so a row's
@@ -68,7 +66,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .core import MetaDataset, _unwrap
 from .errors import DivergedPosteriorError, NumericFailure
-from .intervals import IntervalEstimate, _check_level
+from .intervals import IntervalEstimate, _check_level, _outcome
 from .priors import BoundPrior, _bound_constants, _log_kernel
 
 __all__ = [
@@ -739,20 +737,18 @@ def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths, center
     density f = sum_k (w_k/s_k) phi((x - m_k)/s_k), start from the normal
     quantile of the mixture's own mean and SD (center and sd, one per row);
     every evaluation shrinks the bracket by the sign of F - prob, and a
-    step that would leave the
-    bracket or not halve the previous step is replaced by the bracket
-    midpoint (as in rtsafe). A row's root is returned once a Newton step is
+    step that would leave the bracket or not halve the previous step is
+    replaced by the bracket midpoint (as in rtsafe). A row's root is returned once a Newton step is
     within tol_width / 2 (whether or not it stays strictly inside the
     bracket) or the bracket is within tol_width - the error bound of plain
     bisection - or once the bracket cannot be split in floating point.
 
     Each row keeps its own bracket, step and stopping test, and each pass
     evaluates the rows still open in one array over their components; a
-    finished row's components leave the arrays. Returns one root per row,
-    or a NumericFailure for a probability outside (0, 1) or a row that has
+    finished row's components leave the arrays. Returns an array of one
+    root per row, NaN for a probability outside (0, 1) or a row that has
     not converged after _MAX_INVERSION_STEPS steps.
     """
-    all_probs = probs
     keep = (probs > 0.0) & (probs < 1.0)  # rows still open, among the last pass's
     rows = np.flatnonzero(keep)
     q = ndtri(np.where(keep, probs, 0.5))
@@ -800,34 +796,32 @@ def _invert_mixture_cdfs(means, sds, weights, lengths, probs, tol_widths, center
             x = x + step
             keep = ~done
             rows = rows[keep]
-    return [
-        float(root)
-        if not math.isnan(root)
-        else NumericFailure(
-            f"mixture quantile did not converge for prob={prob}"
-            if 0.0 < prob < 1.0
-            else f"the mixture has no finite quantile for prob={prob}"
-        )
-        for root, prob in zip(roots, all_probs.tolist())
-    ]
+    return roots
 
 
-def _mixture_intervals(grids, requests, level, cdf_tolerance):
+def _mixture_intervals(grids, requests, level, cdf_tolerance, errors):
     """Equal-tail intervals of the mixtures of requests ((row, predictive)
-    pairs as in _mixtures; a failed row, as _posterior_grids indexes it, is
-    its request's outcome), every endpoint in one _invert_mixture_cdfs
+    pairs as in _mixtures), every endpoint in one _invert_mixture_cdfs
     batch: each mixture is read once and its components repeated for its
     lower and upper endpoint. A request's interval does not depend on the
-    others. Returns one IntervalEstimate or NumericFailure per request (the
-    lower endpoint's failure first); a level outside (0, 1) or a
-    cdf_tolerance outside (0, 1e-2) raises ValueError.
+    others. Returns arrays over requests of lower endpoints, upper
+    endpoints and failure indices: -1, or the position in errors (to which
+    this appends) of the request's failure, whose endpoints are then NaN:
+    its row when that is an exception (a failed grid), else the
+    NumericFailure of its lower, then upper, endpoint. A level outside
+    (0, 1) or a cdf_tolerance outside (0, 1e-2) raises ValueError.
     """
     _check_level(level)
     _check_cdf_tolerance(cdf_tolerance)
-    out = [row for row, _ in requests]
-    live = [k for k, row in enumerate(out) if not isinstance(row, Exception)]
+    lower, upper = np.full((2, len(requests)), math.nan)
+    failed = np.full(len(requests), -1)
+    for k, (row, _) in enumerate(requests):
+        if isinstance(row, Exception):
+            failed[k] = len(errors)
+            errors.append(row)
+    live = (failed < 0).nonzero()[0].tolist()
     if not live:
-        return out
+        return lower, upper, failed
     m, s, w, lengths = _mixtures(grids, [requests[k] for k in live])
     center, sd = _mixture_moments(m, s, w, lengths)
     both = np.arange(len(live)).repeat(2)  # every mixture's lower, then upper endpoint
@@ -836,12 +830,25 @@ def _mixture_intervals(grids, requests, level, cdf_tolerance):
     probs = np.tile([alpha / 2.0, 1.0 - alpha / 2.0], len(live))
     m, s, w, center, sd = m[take], s[take], w[take], center[both], sd[both]
     roots = _invert_mixture_cdfs(m, s, w, lengths[both], probs, cdf_tolerance * sd, center, sd)
-    for k, lower, upper in zip(live, roots[::2], roots[1::2]):
-        row, predictive = requests[k]
-        failure = next((r for r in (lower, upper) if isinstance(r, NumericFailure)), None)
-        kind = "prediction" if predictive else "credible"
-        out[k] = failure or IntervalEstimate(lower, upper, level, grids.tails[row][1], kind)
-    return out
+    lower[live], upper[live] = roots[::2], roots[1::2]
+    for j in np.isnan(roots).nonzero()[0].tolist():
+        k, prob = live[j // 2], float(probs[j])
+        if failed[k] < 0:  # the lower endpoint's failure comes first
+            failed[k] = len(errors)
+            errors.append(NumericFailure(
+                f"mixture quantile did not converge for prob={prob}"
+                if 0.0 < prob < 1.0
+                else f"the mixture has no finite quantile for prob={prob}"
+            ))
+    return lower, upper, failed
+
+
+def _grid_interval(grid, kind, level, cdf_tolerance):
+    # the prediction or credible interval of one grid, or its failure raised
+    errors: list = []
+    request = [(grid._row, kind == "prediction")]
+    outcomes = _mixture_intervals(grid._grids, request, level, cdf_tolerance, errors)
+    return _unwrap(_outcome(outcomes, errors, 0, level, grid.prior_name, kind))
 
 
 def prediction_interval(
@@ -852,14 +859,14 @@ def prediction_interval(
     cdf_tolerance is the relative endpoint error of EngineConfig and must
     lie in (0, 1e-2); anything else raises ValueError.
     """
-    return _unwrap(_mixture_intervals(grid._grids, [(grid._row, True)], level, cdf_tolerance)[0])
+    return _grid_interval(grid, "prediction", level, cdf_tolerance)
 
 
 def credible_interval_mu(
     grid: PosteriorGrid, level: float = 0.95, cdf_tolerance: float = 1e-8
 ) -> IntervalEstimate:
     """Equal-tail credible interval for the grand mean (cdf_tolerance as above)."""
-    return _unwrap(_mixture_intervals(grid._grids, [(grid._row, False)], level, cdf_tolerance)[0])
+    return _grid_interval(grid, "credible", level, cdf_tolerance)
 
 
 def posterior_tau_moments(grid: PosteriorGrid) -> tuple[float, float, float]:

@@ -94,15 +94,19 @@ def _cmd_simulate(args) -> int:
             config = dataclasses.replace(config, master_seed=seed)
         except ValueError as exc:
             raise ConfigError(f"METAPRED_SEED: {exc}") from None
-    # open the output first: an unwritable path fails before the study runs
+    # open the output first, so that an unwritable path fails before the
+    # study runs, but empty it only once the table is ready
     sink = contextlib.nullcontext(sys.stdout.buffer)
     if args.out:
         try:
-            sink = open(args.out, "wb")
+            sink = open(args.out, "ab")
         except OSError as exc:
             raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
     with sink as fh:
-        fh.write(emit_coverage_table(run_study(config, parallelism=args.parallelism)))
+        table = emit_coverage_table(run_study(config, parallelism=args.parallelism))
+        if args.out:
+            fh.truncate(0)
+        fh.write(table)
     return 0
 
 

@@ -11,8 +11,10 @@ robust variance estimator while keeping the t_{n-2} multiplier.
 All of these tags on a block of datasets that share n run as one pass
 (``_plugin_intervals``): one DL fit over the block's rows, one REML
 scoring loop started from those DL values, one pooled-mean and robust
-variance pass per estimator, and one t quantile. ``hts_interval`` and
-``wald_ci_mu`` are blocks of one.
+variance pass per estimator, and one t quantile. The pass gives each
+tag's lower and upper endpoints on every dataset as arrays, with an array
+of failure indices into the block's list of exceptions; ``hts_interval``
+and ``wald_ci_mu`` read the one entry of a block of one.
 """
 
 from __future__ import annotations
@@ -108,12 +110,16 @@ def hts_interval(
     if variant not in HTS_VARIANTS:
         _check_hts(dataset.n, level, variant)
     tag = HTS_VARIANTS[variant]
-    return _unwrap(_plugin_intervals([tag], [dataset], level)[0][tag])
+    errors: list = []
+    outcomes = _plugin_intervals([tag], [dataset], level, errors)
+    return _unwrap(_outcome(outcomes, errors, (0, 0), level, tag, "prediction"))
 
 
 def wald_ci_mu(dataset: MetaDataset, level: float = 0.95) -> IntervalEstimate:
     """Wald confidence interval for the grand mean with DL weights."""
-    return _unwrap(_plugin_intervals(["dl"], [dataset], level)[0]["dl"])
+    errors: list = []
+    outcomes = _plugin_intervals(["dl"], [dataset], level, errors)
+    return _unwrap(_outcome(outcomes, errors, (0, 0), level, "dl", "confidence"))
 
 
 # plug-in t tag -> its hts_interval variant
@@ -128,21 +134,25 @@ def _check_hts(n: int, level: float, variant: str) -> None:
         raise ValueError(f"variant must be one of {tuple(HTS_VARIANTS)}, got {variant!r}")
 
 
-def _interval(mu, multiplier, spread, level, method, kind):
-    """The interval mu +/- multiplier * sqrt(spread). The fits it reads
-    are finite (a non-finite DL or REML tau2 fails its fit first), so a
-    ValueError here is a fault and propagates."""
-    half = multiplier * math.sqrt(spread)
-    return IntervalEstimate(mu - half, mu + half, level, method, kind)
+def _outcome(outcomes, errors, entry, level, method, kind):
+    """Entry `entry` of an engine's (lower, upper, failed) arrays as the
+    public one-dataset functions give it: its IntervalEstimate, or its
+    exception in errors when its failure index is not -1."""
+    lower, upper, failed = (array[entry] for array in outcomes)
+    if failed >= 0:
+        return errors[failed]
+    return IntervalEstimate(float(lower), float(upper), level, method, kind)
 
 
 def _plugin_intervals(
-    tags: Sequence[str], datasets: Sequence[MetaDataset], level: float
-) -> list[dict]:
+    tags: Sequence[str], datasets: Sequence[MetaDataset], level: float, errors: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each plug-in t tag (hts, hts-hk, hts-sj) and Wald tag (dl) in tags on
-    each dataset of a block that shares n: per dataset, a dict from tag to
-    outcome (an IntervalEstimate, or the ValueError or NumericFailure that
-    hts_interval or wald_ci_mu raises on that dataset alone).
+    each dataset of a block that shares n, as (tags, datasets) arrays of
+    lower endpoints, upper endpoints and failure indices: -1, or the
+    position in errors (to which this appends) of the ValueError or
+    NumericFailure that hts_interval or wald_ci_mu raises on that dataset
+    alone, whose endpoints are then NaN.
 
     The checks of n and level hold for the whole block. DL is fitted once
     over the block's rows and starts REML, which runs one scoring loop for
@@ -150,9 +160,10 @@ def _plugin_intervals(
     block one t quantile.
     """
     n = datasets[0].n
-    out = [{} for _ in datasets]
-    by_estimator: dict[str, list[str]] = {"DL": [], "REML": []}
-    for tag in tags:
+    lower, upper = np.full((2, len(tags), len(datasets)), math.nan)
+    failed = np.full((len(tags), len(datasets)), -1)
+    by_estimator: dict[str, list[int]] = {"DL": [], "REML": []}
+    for k, tag in enumerate(tags):
         try:
             if tag == "dl":
                 _check_level(level)
@@ -160,12 +171,12 @@ def _plugin_intervals(
             else:
                 _check_hts(n, level, _VARIANT_OF[tag])
         except ValueError as exc:
-            for outcomes in out:
-                outcomes[tag] = exc
+            failed[k] = len(errors)
+            errors.append(exc)
             continue
-        by_estimator["REML" if tag in ("hts-hk", "hts-sj") else "DL"].append(tag)
+        by_estimator["REML" if tag in ("hts-hk", "hts-sj") else "DL"].append(k)
     if not (by_estimator["DL"] or by_estimator["REML"]):
-        return out
+        return lower, upper, failed
 
     y = np.array([dataset.effects for dataset in datasets])
     v = np.array([dataset.variances for dataset in datasets])
@@ -173,33 +184,28 @@ def _plugin_intervals(
     if by_estimator["REML"]:
         fits["REML"] = _reml_fits(y, v, fits["DL"])
     p = 0.5 + level / 2.0
-    z = float(special.ndtri(p)) if "dl" in by_estimator["DL"] else None
-    hts = by_estimator["REML"] or "hts" in by_estimator["DL"]
-    tq = _t_quantile(p, n - 2) if hts else None
+    tq = _t_quantile(p, n - 2) if n > 2 else None  # no hts tag runs at n <= 2
 
-    for estimator, est_tags in by_estimator.items():
-        if not est_tags:
+    for estimator, ks in by_estimator.items():
+        if not ks:
             continue
         rows = []
         for i, fit in enumerate(fits[estimator]):
             if isinstance(fit, Exception):
-                out[i].update(dict.fromkeys(est_tags, fit))
+                failed[ks, i] = len(errors)
+                errors.append(fit)
             else:
                 rows.append(i)
         if not rows:
             continue
-        tau2 = [fits[estimator][i].tau2 for i in rows]
-        y_rows, v_rows = y[rows], v[rows]
-        w, total, mu = _pooled(y_rows, v_rows, tau2)
+        tau2 = np.array([fits[estimator][i].tau2 for i in rows])
+        w, total, mu = _pooled(y[rows], v[rows], tau2)
+        var_mu = 1.0 / total
+        spread = {"dl": var_mu, "hts": tau2 + var_mu}  # half-width: multiplier x sqrt(spread)
         if estimator == "REML":
-            kinds = [_VARIANT_OF[tag] for tag in est_tags]
-            robust = _robust_variances(y_rows, w, total, mu, kinds)
-        for j, (i, t, mu_j, total_j) in enumerate(zip(rows, tau2, mu.tolist(), total.tolist())):
-            var_mu = 1.0 / total_j
-            for tag in est_tags:
-                if tag == "dl":
-                    out[i][tag] = _interval(mu_j, z, var_mu, level, tag, "confidence")
-                else:
-                    spread = t + (var_mu if tag == "hts" else robust[_VARIANT_OF[tag]][j])
-                    out[i][tag] = _interval(mu_j, tq, spread, level, tag, "prediction")
-    return out
+            robust = _robust_variances(y[rows], w, total, mu, [_VARIANT_OF[tags[k]] for k in ks])
+            spread.update({HTS_VARIANTS[kind]: tau2 + np.array(x) for kind, x in robust.items()})
+        for k in ks:
+            half = (float(special.ndtri(p)) if tags[k] == "dl" else tq) * np.sqrt(spread[tags[k]])
+            lower[k, rows], upper[k, rows] = mu - half, mu + half
+    return lower, upper, failed

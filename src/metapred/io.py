@@ -270,9 +270,7 @@ def run_analysis(
     _check_level(level)
     outcomes = evaluate_methods(methods, dataset, level)
     results = tuple(
-        MethodResult(method=m, error=str(out))
-        if isinstance(out, Exception)
-        else MethodResult(method=m, interval=out)
+        MethodResult(m, error=str(out)) if isinstance(out, Exception) else MethodResult(m, out)
         for m, out in zip(methods, outcomes)
     )
     q = cochran_q(dataset)

@@ -1,33 +1,22 @@
 """Monte-Carlo coverage harness for the interval methods.
 
-Datasets are generated from the two-level Gaussian model with the grand
-mean fixed at 0: within-study variances are 0.25 x chi^2(1) draws
-rejection-resampled into [0.009, 0.6], true study effects and the held-out
-new-study effect are N(0, tau^2). Every replication gets its own
-counter-based random stream keyed by (master_seed, scenario, replication).
-The study runs in blocks of replications of scenarios that share their
-number of studies n and their level, so a block may hold the
-replications of several scenarios that differ only in tau^2 (or mu). A
-block draws all of its datasets in one pass: it re-keys one Philox
-generator to each replication's stream, reads a fixed prefix of uniforms
-from each into one array, and turns them into datasets with one normal
-transform and one rejection loop (_draw_rows, of which the public
-simulate_dataset is a block of one), each row under its own scenario.
-The block's datasets then go through the methods together, one grid
-batch and one inversion batch for all of them, and one pass for the
-plug-in t and Wald tags (one DL fit and one REML scoring loop over all of
-them). The replications of each group of scenarios that share n and
-level are cut into the fewest near-equal blocks, a multiple of the
-worker count in number, that fit a bound on studies per block: a small
-one when a tag is Bayesian, which bounds the engine's arrays, and a
-large one otherwise, since every block runs REML passes until its
-slowest row converges. On more than one CPU the blocks run on a pool of
-worker processes that is forked at a process's first parallel study and
-kept for later ones. A replication's result does not depend on its
-block, so the study is bit-identical for any degree of parallelism and
-any block size.
-"""
+Datasets are drawn from the two-level Gaussian model around the scenario's
+grand mean mu (0 by default): within-study variances are 0.25 x chi^2(1)
+draws rejection-resampled into [0.009, 0.6], and the true study effects and
+the held-out new-study effect are N(mu, tau^2). Every replication reads its
+own counter-based random stream, keyed by (master_seed, scenario,
+replication), so its result does not depend on the block it runs in: the
+study is bit-identical for any degree of parallelism and any block size.
 
+A block holds replications of scenarios that share n and level (_blocks).
+It draws all of its datasets in one pass (_draw_rows, of which the public
+simulate_dataset is a block of one) and runs them through the methods
+together (methods._evaluate_block), which give (methods, replications)
+arrays of interval endpoints and failure indices. _run_block scores those
+arrays against each row's target, and run_study sums each cell's scores.
+On more than one CPU the blocks run on a pool of worker processes that is
+forked at a process's first parallel study and kept for later ones.
+"""
 from __future__ import annotations
 
 import logging
@@ -360,56 +349,53 @@ def run_replication(
     It runs as a block of one part of one replication (see run_study).
     """
     master_seed, rep_index = rep_seed
-    ((out,),) = _run_block(((scenario, (rep_index,)),), methods, master_seed)
-    return out
+    (part,) = _run_block(((scenario, (rep_index,)),), methods, master_seed)
+    return dict(zip(methods, zip(*(array[:, 0].tolist() for array in part))))
 
 
 def _run_block(
     parts: Sequence[tuple[Scenario, Sequence[int]]], methods: Sequence[str], master_seed: int
-) -> list[list[dict[str, tuple[bool, float, bool]]]]:
-    """run_replication for each replication of a block, a list per part.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """run_replication for each replication of a block: per part, its
+    (methods, replications) arrays of covered, width and failed.
 
     A part is a scenario and some of its replication indices, and the
-    parts' scenarios share n and level. The block draws the datasets of
-    all its parts in one pass (_simulate_rows), each part's scenario hashed
-    once: each replication reads its own stream, the one
-    replication_stream(master_seed, scenario, rep) replays, so its dataset
-    is the one simulate_dataset draws from that stream alone. The datasets
-    then go through the methods together (one grid batch and one inversion
-    batch for the Bayesian tags of the whole block, one DL fit and one REML
-    scoring loop for its plug-in t and Wald tags), and each row is scored
-    and logged against its own scenario, so each replication's row equals
-    its run_replication row bit for bit.
+    parts' scenarios share n and level. The block draws its datasets in one
+    pass, each the one simulate_dataset draws from its replication_stream
+    alone, and runs them through _evaluate_block together. Each entry is
+    scored against its row's target (theta_new for a prediction tag, else
+    the row's scenario mu) with the float operations of
+    IntervalEstimate.contains and .width, so each replication's column
+    equals its run_replication row bit for bit. A NumericFailure is logged
+    with the seed that replays it, replication after replication, and
+    scores not covered with NaN width; any other error propagates.
     """
-    scenarios, keys = [], []
-    for scenario, reps in parts:
+    scenarios, reps, keys = [], [], []
+    for scenario, part_reps in parts:
         high = _scenario_key(scenario) << 32
-        scenarios += [scenario] * len(reps)
-        keys += [high | (rep & _MASK32) for rep in reps]
+        scenarios += [scenario] * len(part_reps)
+        reps += part_reps
+        keys += [high | (rep & _MASK32) for rep in part_reps]
     first = parts[0][0]
     datasets, news = _simulate_rows(_block_prefixes(master_seed, keys), first.n, scenarios)
-    results = zip(news, _evaluate_block(methods, datasets, first.level))
-    blocks = []
-    for scenario, reps in parts:
-        rows = []
-        for rep, (theta_new, intervals) in zip(reps, results):
-            out: dict[str, tuple[bool, float, bool]] = {}
-            for method, interval in zip(methods, intervals):
-                if isinstance(interval, NumericFailure):
-                    # keep the seed in the record so the replication can be replayed
-                    logger.warning(
-                        "method %s failed on scenario %s, rep_seed=%s: %s",
-                        method, scenario, (master_seed, rep), interval,
-                    )
-                    out[method] = (False, math.nan, True)
-                    continue
-                if isinstance(interval, Exception):
-                    raise interval
-                target = theta_new if METHODS[method].kind == "prediction" else scenario.mu
-                out[method] = (interval.contains(target), interval.width, False)
-            rows.append(out)
-        blocks.append(rows)
-    return blocks
+    errors: list = []
+    lower, upper, failed = _evaluate_block(methods, datasets, first.level, errors)
+    for i, k in np.argwhere(failed.T >= 0).tolist():
+        error = errors[failed[k, i]]
+        if not isinstance(error, NumericFailure):
+            raise error
+        # keep the seed in the record so the replication can be replayed
+        logger.warning(
+            "method %s failed on scenario %s, rep_seed=%s: %s",
+            methods[k], scenarios[i], (master_seed, reps[i]), error,
+        )
+    prediction = np.reshape([METHODS[m].kind == "prediction" for m in methods], (-1, 1))
+    target = np.where(prediction, news, [sc.mu for sc in scenarios])
+    ok = failed < 0
+    covered = ok & (lower <= target) & (target <= upper)
+    width = np.where(ok, upper - lower, math.nan)
+    stops = np.cumsum([len(part_reps) for _, part_reps in parts])[:-1]
+    return list(zip(*(np.split(a, stops, axis=1) for a in (covered, width, ~ok))))
 
 
 def _usable_cpus() -> int:
@@ -489,26 +475,16 @@ def _blocks(
 def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
     """Run the full study and aggregate one CoverageRecord per cell.
 
-    The unit of work is a block of replications, which _run_block
-    evaluates together: the scenarios that share n and level are one
-    group, and each group's replications, scenario after scenario, are
-    cut into the fewest near-equal blocks whose number is a multiple of
-    the worker count, so that every worker gets an equal share of it, and
-    that each hold at most _BLOCK_STUDIES studies when a tag is Bayesian
-    (this bounds the engine's arrays) or _PLUGIN_STUDIES when every tag is
-    a plug-in t or Wald tag (a larger block shares its REML scoring passes
-    among more replications); a block holds one replication when n alone
-    exceeds the bound. A block may hold parts of several scenarios; each
-    part's rows go back to its scenario's cell. The blocks run as one
-    ordered map on a pool of min(parallelism, usable CPUs) worker
-    processes, or in process when that is 1. The pool is forked
-    at the first parallel study and kept open for later studies of the
-    same size, so its workers run the module state (logging and warning
-    filters included) of the moment they were forked. Every replication
-    draws from its own stream and its row does not depend on the rest of
-    its block; coverage is an integer count and widths are summed exactly
-    (math.fsum), so the output is bit-identical for any parallelism value
-    under the same master seed.
+    The study's blocks (_blocks) run through _run_block as one ordered map
+    on a pool of min(parallelism, usable CPUs) worker processes, or in
+    process when that is 1. The pool is forked at the first parallel study
+    and kept open for later studies of the same size, so its workers run
+    the module state (logging and warning filters included) of the moment
+    they were forked. Each part of a block takes its (methods,
+    replications) arrays of covered, width and failed to its scenario's
+    cell. A cell counts its covered and failed entries in integers and
+    sums its widths exactly (math.fsum), so the output is bit-identical
+    for any parallelism value under the same master seed.
     """
     _check_integer(parallelism, "parallelism")
     if parallelism < 1:
@@ -527,22 +503,19 @@ def run_study(config: SimConfig, parallelism: int = 1) -> list[CoverageRecord]:
             raise
     cells: dict[Scenario, list] = {sc: [] for sc in config.scenarios}
     for unit, block in zip(units, blocks):
-        for (sc, _), rows in zip(unit, block):
-            cells[sc] += rows
+        for (sc, _), part in zip(unit, block):
+            cells[sc].append(part)
 
     records = []
     for sc in config.scenarios:
-        cell = cells[sc]
-        for method in config.methods:
-            ok = [res[method] for res in cell if not res[method][2]]
-            used = len(ok)
+        covered, width, failed = (np.concatenate(a, axis=1) for a in zip(*cells[sc]))
+        for method, hits, widths, ok in zip(config.methods, covered, width, ~failed):
+            used = int(ok.sum())
             if used == 0:
-                records.append(
-                    CoverageRecord(method, sc, math.nan, math.nan, math.nan, 0, reps)
-                )
+                records.append(CoverageRecord(method, sc, math.nan, math.nan, math.nan, 0, reps))
                 continue
-            cov = sum(1 for covered, _, _ in ok if covered) / used
-            mean_w = math.fsum(width for _, width, _ in ok) / used
+            cov = int(hits.sum()) / used
+            mean_w = math.fsum(widths[ok].tolist()) / used
             mc_se = math.sqrt(cov * (1.0 - cov) / used)
             records.append(CoverageRecord(method, sc, cov, mean_w, mc_se, used, reps - used))
     return records

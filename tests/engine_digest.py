@@ -21,8 +21,11 @@ as a PosteriorGrid row of the batch's layout, and inverts each grid's
 prediction and credible intervals in one bayes._mixture_intervals batch; at
 the default EngineConfig it also runs every method tag through
 methods._evaluate_block. A grid line holds a SHA-256 of the grid's arrays
-and its log_norm, tau_max and quad_error; an interval line its endpoints;
-a failure line the error's type and message. Floats are printed with
+and its log_norm, tau_max and quad_error; an interval line its kind and
+endpoints; a failure line the error's type and message. The engines give
+an interval as one entry of their (lower, upper, failed) arrays: a failure
+index of -1 makes it an interval line, and any other index a failure line
+for that exception of the engine's error list. Floats are printed with
 float.hex. The file is a script: pytest does not collect it.
 """
 
@@ -42,16 +45,22 @@ GRID_ARRAYS = ("nodes", "quad_weights", "log_post", "cond_mean", "cond_var")
 
 
 def outcome_text(out):
-    """One outcome as text: a grid, an interval or a failure."""
+    """One grid or failure as text."""
     if isinstance(out, Exception):
         return f"fail {type(out).__name__}: {out}"
-    if isinstance(out, PosteriorGrid):
-        digest = hashlib.sha256()
-        for field in GRID_ARRAYS:
-            digest.update(getattr(out, field).tobytes())
-        floats = (out.log_norm, out.tau_max, out.quad_error)
-        return f"grid {digest.hexdigest()} " + " ".join(x.hex() for x in floats)
-    return f"{out.kind} {out.lower.hex()} {out.upper.hex()}"
+    digest = hashlib.sha256()
+    for field in GRID_ARRAYS:
+        digest.update(getattr(out, field).tobytes())
+    floats = (out.log_norm, out.tau_max, out.quad_error)
+    return f"grid {digest.hexdigest()} " + " ".join(x.hex() for x in floats)
+
+
+def interval_text(kind, lower, upper, failed, errors):
+    """One entry of an engine's outcome arrays as text: its interval, or
+    errors[failed] when failed is not -1."""
+    if failed >= 0:
+        return outcome_text(errors[failed])
+    return f"{kind} {lower.hex()} {upper.hex()}"
 
 
 def block_lines(label, datasets, config=EngineConfig()):
@@ -72,13 +81,19 @@ def block_lines(label, datasets, config=EngineConfig()):
                 lines.append(f"{key} {outcome_text(PosteriorGrid(grids, row))}")
                 requests += [(key, (row, pred)) for pred in (True, False)]
     if requests:
-        intervals = _mixture_intervals(grids, [request for _, request in requests], 0.95, 1e-8)
-        lines += [f"{key} {outcome_text(out)}" for (key, _), out in zip(requests, intervals)]
+        errors = []
+        batch = [request for _, request in requests]
+        outcomes = _mixture_intervals(grids, batch, 0.95, 1e-8, errors)
+        for (key, (_, pred)), *entry in zip(requests, *(a.tolist() for a in outcomes)):
+            kind = "prediction" if pred else "credible"
+            lines.append(f"{key} {interval_text(kind, *entry, errors)}")
     if config == EngineConfig():
-        for i, outcomes in enumerate(_evaluate_block(list(METHODS), datasets, 0.95)):
-            lines += [
-                f"{label} {i} {tag} {outcome_text(out)}" for tag, out in zip(METHODS, outcomes)
-            ]
+        errors = []
+        outcomes = _evaluate_block(list(METHODS), datasets, 0.95, errors)
+        for i in range(len(datasets)):
+            columns = (array[:, i].tolist() for array in outcomes)
+            for (tag, method), *entry in zip(METHODS.items(), *columns):
+                lines.append(f"{label} {i} {tag} {interval_text(method.kind, *entry, errors)}")
     return lines
 
 

@@ -34,6 +34,7 @@ from metapred import (
     prediction_interval,
     predictive_cdf,
 )
+from metapred.intervals import _outcome
 from metapred.methods import METHODS
 from metapred.priors import log_prior_kernel
 from oracles import (
@@ -73,6 +74,22 @@ def dataset_batch(dataset, priors, config):
 def grid_views(grids, rows):
     """Each row's PosteriorGrid, a row of the layout, or the row's failure."""
     return [row if isinstance(row, Exception) else PosteriorGrid(grids, row) for row in rows]
+
+
+def mixture_outcomes(grids, requests, level, cdf_tolerance):
+    """bayes._mixture_intervals as one outcome per request: the
+    IntervalEstimate that prediction_interval or credible_interval_mu gives
+    for its entry of the arrays, or its failure."""
+    errors = []
+    outcomes = bayes._mixture_intervals(grids, requests, level, cdf_tolerance, errors)
+    return [
+        _outcome(
+            outcomes, errors, k, level,
+            None if isinstance(row, Exception) else grids.tails[row][1],
+            "prediction" if predictive else "credible",
+        )
+        for k, (row, predictive) in enumerate(requests)
+    ]
 
 
 def built_rows(rows):
@@ -487,11 +504,11 @@ class TestIntervals:
     def test_empty_batch_gives_no_intervals(self):
         # an empty inversion batch still checks its level and tolerance
         grids, _ = dataset_batch(README_DATA, [], EngineConfig())
-        assert bayes._mixture_intervals(grids, [], 0.95, 1e-8) == []
+        assert mixture_outcomes(grids, [], 0.95, 1e-8) == []
         with pytest.raises(ValueError, match="level"):
-            bayes._mixture_intervals(grids, [], 1.5, 1e-8)
+            bayes._mixture_intervals(grids, [], 1.5, 1e-8, [])
         with pytest.raises(ValueError, match="cdf_tolerance"):
-            bayes._mixture_intervals(grids, [], 0.95, 0.5)
+            bayes._mixture_intervals(grids, [], 0.95, 0.5, [])
 
 
 class TestMoments:
@@ -740,7 +757,7 @@ class TestConvergenceProperties:
             rows = built_rows(rows)
             names.append([PosteriorGrid(grids, row).prior_name for row in rows])
             requests = [(row, predictive) for row in rows for predictive in (True, False)]
-            intervals.append(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
+            intervals.append(mixture_outcomes(grids, requests, 0.95, 1e-8))
         assert names[0] == names[1]
         for a, b in zip(*intervals):
             tol = 1e-4 * (a.upper - a.lower)
@@ -773,7 +790,7 @@ class TestConvergenceProperties:
             priors = [bind_prior(named_prior(name), d) for name in names]
             grids, rows = dataset_batch(d, priors, EngineConfig(mu_prior_var=mu_prior_var))
             requests = [(row, predictive) for row in rows for predictive in (True, False)]
-            intervals.append(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
+            intervals.append(mixture_outcomes(grids, requests, 0.95, 1e-8))
         for a, b in zip(*intervals):
             tol = 1e-8 * (a.upper - a.lower)
             assert abs(b.lower / k - a.lower) <= tol, (a, b)
@@ -811,7 +828,8 @@ def endpoint_tolerance(grid, kind, cdf_tolerance=1e-8):
 
 def invert_one(means, sds, weights, prob, tol_width):
     """One root of the batched Newton inversion, started from the mixture's
-    own mean and SD as the engine sums them; its failure is raised."""
+    own mean and SD as the engine sums them; a row without a root (NaN)
+    is raised as a NumericFailure."""
     segment = np.array([0])
     center = np.add.reduceat(weights * means, segment)
     var = np.add.reduceat(weights * (sds * sds + (means - center) ** 2), segment)
@@ -819,9 +837,9 @@ def invert_one(means, sds, weights, prob, tol_width):
     (root,) = bayes._invert_mixture_cdfs(
         means, sds, weights, np.array([len(means)]), np.array([prob]), np.array([tol_width]),
         center, sd,
-    )
-    if isinstance(root, Exception):
-        raise root
+    ).tolist()
+    if math.isnan(root):  # no root: _mixture_intervals records a NumericFailure
+        raise NumericFailure(f"no root for prob={prob}")
     return root
 
 
@@ -972,7 +990,7 @@ class TestBatch:
             grids, rows = dataset_batch(ds, priors, config)
             batch = grid_views(grids, rows)
             requests = [(row, predictive) for row in rows for predictive in (True, False)]
-            intervals = iter(bayes._mixture_intervals(grids, requests, 0.95, 1e-8))
+            intervals = iter(mixture_outcomes(grids, requests, 0.95, 1e-8))
             for prior, batched in zip(priors, batch):
                 grid = build_posterior_grid(ds, prior, config)
                 for field in GRID_ARRAYS:
@@ -1032,7 +1050,7 @@ class TestBatch:
                 for row in built_rows(rows_of)
                 for pred in (True, False)
             ]
-            intervals = iter(bayes._mixture_intervals(layout, requests, 0.95, 1e-8))
+            intervals = iter(mixture_outcomes(layout, requests, 0.95, 1e-8))
             for (ds, prior), together, single in zip(rows, grids, alone):
                 if isinstance(single, Exception):
                     assert type(together) is type(single), (size, prior.name)
@@ -1072,8 +1090,8 @@ class TestBatch:
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
         for a, b in zip(full, backwards):
             assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in GRID_ARRAYS)
-        forwards = bayes._mixture_intervals(grids, [(r, True) for r in rows], 0.9, 1e-8)
-        reverse = bayes._mixture_intervals(grids, [(r, True) for r in rows[::-1]], 0.9, 1e-8)
+        forwards = mixture_outcomes(grids, [(r, True) for r in rows], 0.9, 1e-8)
+        reverse = mixture_outcomes(grids, [(r, True) for r in rows[::-1]], 0.9, 1e-8)
         assert forwards == reverse[::-1]
 
     def test_failures_stay_in_their_row(self):
@@ -1082,7 +1100,7 @@ class TestBatch:
         priors = [bind_prior(named_prior(name), README_DATA) for name in ("sqrt", "proper1")]
         layout, rows = dataset_batch(README_DATA, priors, EngineConfig())
         level = 1.0 - 2.0**-53
-        out = bayes._mixture_intervals(layout, [(r, True) for r in rows], level, 1e-8)
+        out = mixture_outcomes(layout, [(r, True) for r in rows], level, 1e-8)
         for grid, failure in zip(grid_views(layout, rows), out):
             with pytest.raises(NumericFailure) as err:
                 prediction_interval(grid, level)

@@ -220,6 +220,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == f"metapred: config error: cannot write {out}: No such file or directory\n"
 
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, RuntimeError])
+    def test_failed_study_keeps_the_old_out_file(self, fault, config_file, tmp_path, monkeypatch):
+        # the file is emptied only once the new table is ready
+        out = tmp_path / "table.csv"
+        out.write_bytes(b"the previous table\n")
+
+        def failing_study(*args, **kwargs):
+            raise fault("the study failed")
+
+        monkeypatch.setattr(metapred.cli, "run_study", failing_study)
+        with pytest.raises(fault, match="the study failed"):
+            main(["simulate", "--config", config_file, "--out", str(out)])
+        assert out.read_bytes() == b"the previous table\n"
+        monkeypatch.undo()
+        assert main(["simulate", "--config", config_file, "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"method,n,tau2,level,reps,")
+
     def test_env_seed_override(self, config_file, tmp_path, monkeypatch, capsys):
         assert main(["simulate", "--config", config_file]) == 0
         base = capsys.readouterr().out

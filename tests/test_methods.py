@@ -37,6 +37,7 @@ from metapred import (
     wald_ci_mu,
 )
 from metapred.core import _dl_fits, _reml_fits
+from metapred.intervals import _outcome
 from metapred.methods import METHODS, _evaluate_block, evaluate_methods
 from metapred.priors import NAMED_PRIORS
 
@@ -118,6 +119,21 @@ def public_outcome(tag, dataset, level):
         return exc
 
 
+def block_outcomes(tags, datasets, level):
+    """methods._evaluate_block as each dataset's outcomes, in tag order:
+    the IntervalEstimate that evaluate_methods gives for an entry of the
+    arrays, or its failure."""
+    errors = []
+    outcomes = _evaluate_block(tags, datasets, level, errors)
+    return [
+        [
+            _outcome(outcomes, errors, (k, i), level, METHODS[tag].prior or tag, METHODS[tag].kind)
+            for k, tag in enumerate(tags)
+        ]
+        for i in range(len(datasets))
+    ]
+
+
 def assert_same_outcomes(tags, dataset, level=0.95):
     for tag, got in zip(tags, evaluate_methods(tags, dataset, level)):
         want = public_outcome(tag, dataset, level)
@@ -154,6 +170,8 @@ class TestBatchedEvaluation:
         assert_same_outcomes(["sqrt"], DATASET)
         assert_same_outcomes(["cred:dumouchel"], DATASET)
         assert_same_outcomes(["dl", "proper2", "hts-sj"], DATASET)
+        assert evaluate_methods([], DATASET, 0.95) == []
+        assert run_replication(SCENARIO, (), (SEED, 0)) == {}
 
     def test_random_datasets(self):
         rng = np.random.default_rng(41)
@@ -213,7 +231,7 @@ class TestBatchedEvaluation:
         tags = [tag for tag, m in METHODS.items() if m.prior is not None]
         block = [dataset, MetaDataset.from_arrays([-0.1], [0.5])]
         alone = evaluate_methods(tags, dataset, 0.95)
-        for outcomes in (alone, *_evaluate_block(tags, block, 0.95)):
+        for outcomes in (alone, *block_outcomes(tags, block, 0.95)):
             assert [(type(out), str(out)) for out in outcomes] == [
                 (ValueError, str(err.value))
             ] * len(tags)
@@ -236,7 +254,7 @@ class TestBatchedEvaluation:
         ]
         for datasets in ([DATASET], block):
             calls.clear()
-            _evaluate_block(["hts", "hts-hk", "dl", "hts-sj"], datasets, 0.95)
+            _evaluate_block(["hts", "hts-hk", "dl", "hts-sj"], datasets, 0.95, [])
             assert calls == [("_dl_fits", len(datasets)), ("_reml_fits", len(datasets))]
 
     def test_one_grid_batch_and_one_inversion_batch_per_block(self, monkeypatch):
@@ -252,9 +270,9 @@ class TestBatchedEvaluation:
             calls.append(("grids", list(datasets), list(families)))
             return real_grids(datasets, families, config)
 
-        def intervals(layout, requests, level, cdf_tolerance):
+        def intervals(layout, requests, level, cdf_tolerance, errors):
             calls.append(("intervals", len(requests)))
-            return real_intervals(layout, requests, level, cdf_tolerance)
+            return real_intervals(layout, requests, level, cdf_tolerance, errors)
 
         def counted_init(self, *args, **kwargs):
             built.append(self)
@@ -270,7 +288,7 @@ class TestBatchedEvaluation:
         ]
         for datasets in ([DATASET], block):
             calls.clear()
-            _evaluate_block(ALL_TAGS, datasets, 0.95)
+            _evaluate_block(ALL_TAGS, datasets, 0.95, [])
             assert built == []
             assert [call[0] for call in calls] == ["grids", "intervals"]
             assert len(calls[0][1]) == len(datasets)
@@ -301,14 +319,14 @@ class TestBatchedEvaluation:
             simulate_dataset(replication_stream(3, scenario, rep), scenario)[0]
             for rep in range(302, 309)
         ]
-        for dataset, outcomes in zip(block, _evaluate_block(ALL_TAGS, block, 0.95)):
+        for dataset, outcomes in zip(block, block_outcomes(ALL_TAGS, block, 0.95)):
             alone = evaluate_methods(ALL_TAGS, dataset, 0.95)
             for tag, got, want in zip(ALL_TAGS, outcomes, alone):
                 if isinstance(want, Exception):
                     assert type(got) is type(want) and str(got) == str(want), tag
                 else:
                     assert got == want, tag
-        assert isinstance(_evaluate_block(["hts-hk"], block, 0.95)[4][0], NumericFailure)
+        assert isinstance(block_outcomes(["hts-hk"], block, 0.95)[4][0], NumericFailure)
 
 
 FREQ_TAGS = ["hts", "hts-hk", "hts-sj", "dl"]
@@ -344,7 +362,7 @@ def run_block(tags, block):
     """_evaluate_block's outcomes and the number of warnings it emitted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = _evaluate_block(tags, block, 0.95)
+        outcomes = block_outcomes(tags, block, 0.95)
     return outcomes, len(caught)
 
 

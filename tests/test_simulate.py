@@ -1,4 +1,5 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import ndtri
 
 from metapred import (
     DEFAULT_METHODS,
+    IntervalEstimate,
     MetaDataset,
     Scenario,
     SimConfig,
@@ -20,9 +22,28 @@ from metapred import (
 from metapred import methods as methods_module
 from metapred.errors import NumericFailure
 from metapred.io import emit_coverage_table, parse_sim_config
-from metapred.methods import METHODS
+from metapred.methods import METHODS, evaluate_methods
 from metapred.simulate import SIGMA_SQ_HIGH, SIGMA_SQ_LOW
 from oracles import sequential_draw, truncated_sigma_sq_mean
+
+
+def part_arrays(methods, rows):
+    """A part of a _run_block result from rows[method], that method's
+    (covered, width, failed) per replication: the (methods, replications)
+    arrays of covered, width and failed."""
+    return tuple(np.array([[row[j] for row in rows[m]] for m in methods]) for j in range(3))
+
+
+def failing_engine(error):
+    """A stand-in for an interval engine: every tag fails on every dataset
+    with the one exception `error`."""
+
+    def engine(tags, datasets, level, errors):
+        errors.append(error)
+        shape = (len(tags), len(datasets))
+        return np.full(shape, math.nan), np.full(shape, math.nan), np.full(shape, len(errors) - 1)
+
+    return engine
 
 
 class TestScenarioConfig:
@@ -335,18 +356,99 @@ class TestRunReplication:
     def test_only_numeric_failures_count_as_failed(self, monkeypatch):
         # a Scenario guarantees n >= 3 and a valid level, so a ValueError
         # from a method is a bug and must not show up as lower coverage
-        def stall(tags, datasets, level):
-            return [dict.fromkeys(tags, NumericFailure("stall")) for _ in datasets]
-
-        def bug(tags, datasets, level):
-            return [dict.fromkeys(tags, ValueError("bug")) for _ in datasets]
-
+        stall = failing_engine(NumericFailure("stall"))
         monkeypatch.setattr(methods_module, "_plugin_intervals", stall)
         covered, width, failed = run_replication(SC, ("hts",), (33, 0))["hts"]
         assert (covered, failed) == (False, True) and math.isnan(width)
-        monkeypatch.setattr(methods_module, "_plugin_intervals", bug)
+        monkeypatch.setattr(methods_module, "_plugin_intervals", failing_engine(ValueError("bug")))
         with pytest.raises(ValueError, match="bug"):
             run_replication(SC, ("hts", "dl"), (33, 0))
+
+
+class TestBlockScoring:
+    """_run_block scores a block's outcome arrays in place of one
+    IntervalEstimate per (replication, tag)."""
+
+    def test_rows_equal_the_public_scoring(self):
+        # every entry of a block that straddles two scenarios, one with
+        # mu != 0, equals bit for bit the row built from the replication's
+        # own stream, evaluate_methods and IntervalEstimate.contains /
+        # .width: prediction tags against theta_new, dl and cred: tags
+        # against the scenario's mu. Rep 306 of Scenario(3, 0.0) at seed 3
+        # is REML's known stall (a failed row for hts-hk); on reps 5, 31
+        # and 58 of the second scenario, swapping the targets changes the
+        # score of every tag
+        import metapred.simulate as sim
+
+        tags = ("hts", "hts-hk", "jeffreys", "cred:jeffreys", "dl")
+        parts = (
+            (Scenario(3, 0.0), (305, 306)),
+            (Scenario(3, 1.0, mu=1.5), (5, 9, 23, 31, 58, 65)),
+        )
+        separated, failures = set(), []
+        for (scenario, reps), arrays in zip(parts, sim._run_block(parts, tags, 3)):
+            for j, rep in enumerate(reps):
+                stream = replication_stream(3, scenario, rep)
+                dataset, theta_new = simulate_dataset(stream, scenario)
+                outcomes = evaluate_methods(tags, dataset, scenario.level)
+                for k, (tag, interval) in enumerate(zip(tags, outcomes)):
+                    covered, width, failed = (array[k, j].item() for array in arrays)
+                    if isinstance(interval, NumericFailure):
+                        want = (False, math.nan, True)
+                        failures.append((scenario, rep, tag))
+                    else:
+                        prediction = METHODS[tag].kind == "prediction"
+                        target = theta_new if prediction else scenario.mu
+                        want = (interval.contains(target), interval.width, False)
+                        if interval.contains(theta_new) != interval.contains(scenario.mu):
+                            separated.add(tag)
+                    assert (type(covered), type(width), type(failed)) == (bool, float, bool)
+                    assert (covered, failed) == (want[0], want[2]), (scenario, rep, tag)
+                    assert struct.pack("<d", width) == struct.pack("<d", want[1]), (rep, tag)
+        assert failures == [(Scenario(3, 0.0), 306, "hts-hk")]
+        assert separated == set(tags)
+
+    def test_no_interval_object_per_entry(self, monkeypatch):
+        # a block's outcomes stay arrays from the engines to the scores: no
+        # IntervalEstimate is built, for the Bayesian or the plug-in tags
+        import metapred.simulate as sim
+
+        built = []
+        real_post_init = IntervalEstimate.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(IntervalEstimate, "__post_init__", counted)
+        tags = ("hts", "hts-hk", "jeffreys", "cred:jeffreys", "dl")
+        parts = ((Scenario(4, 0.1), (0, 1, 2)), (Scenario(4, 0.3, mu=1.0), (0, 1)))
+        datasets = [
+            simulate_dataset(replication_stream(7, sc, rep), sc)[0]
+            for sc, reps in parts
+            for rep in reps
+        ]
+        sim._run_block(parts, tags, 7)
+        assert built == []
+        methods_module._evaluate_block(tags, datasets, 0.95, [])
+        assert built == []
+        evaluate_methods(tags, datasets[0], 0.95)
+        assert len(built) == len(tags)
+
+    def test_an_inverted_interval_is_a_fault(self, monkeypatch):
+        # a negative t multiplier puts every plug-in t interval's lower end
+        # above its upper end: a fault, not a failure or a coverage miss
+        import metapred.intervals as intervals_module
+
+        monkeypatch.setattr(intervals_module, "_t_quantile", lambda p, df: -2.0)
+        config = SimConfig(scenarios=(Scenario(4, 0.1),), methods=("dl", "hts"), reps=3)
+        with pytest.raises(ValueError, match="exceeds upper"):
+            run_study(config, parallelism=1)
+        with pytest.raises(ValueError, match="exceeds upper"):
+            run_replication(Scenario(4, 0.1), ("jeffreys", "hts-hk"), (0, 0))
+        dataset, _ = simulate_dataset(replication_stream(0, SC, 0), SC)
+        with pytest.raises(ValueError, match="exceeds upper"):
+            evaluate_methods(("dl", "hts-sj"), dataset, 0.95)
 
 
 class TestRunStudy:
@@ -356,7 +458,11 @@ class TestRunStudy:
         pattern = {0: (True, 2.0), 1: (True, 2.0), 2: (False, 4.0), 3: (True, 2.0)}
 
         def fake_block(parts, methods, master_seed):
-            return [[{m: (*pattern[rep], False) for m in methods} for rep in reps] for _, reps in parts]
+            rows = {rep: (*pattern[rep], False) for rep in pattern}
+            return [
+                part_arrays(methods, {m: [rows[rep] for rep in reps] for m in methods})
+                for _, reps in parts
+            ]
 
         monkeypatch.setattr(sim, "_run_block", fake_block)
         config = SimConfig(
@@ -383,7 +489,10 @@ class TestRunStudy:
 
         def fake_block(parts, methods, master_seed):
             return [
-                [{"hts": pattern[rep], "jeffreys": (False, math.nan, True)} for rep in reps]
+                part_arrays(methods, {
+                    "hts": [pattern[rep] for rep in reps],
+                    "jeffreys": [(False, math.nan, True)] * len(reps),
+                })
                 for _, reps in parts
             ]
 
@@ -561,8 +670,18 @@ class TestRunStudy:
         assert [len(unit) for unit in units] == [3, 3, 1]
         unit = units[1]
         assert [sc for sc, _ in unit] == list(scenarios[3:6])
-        rows = sim._run_block(unit, methods, 29)
-        assert rows[1][6] == run_replication(unit[1][0], methods, (29, 6))
+        covered, width, failed = sim._run_block(unit, methods, 29)[1]
+        row = zip(covered[:, 6].tolist(), width[:, 6].tolist(), failed[:, 6].tolist())
+        assert dict(zip(methods, row)) == run_replication(unit[1][0], methods, (29, 6))
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_credible_table_is_pinned(self, parallelism):
+        # prediction tags beside the credible tags of their priors and dl,
+        # byte for byte: a credible or dl row scored against theta_new, or
+        # a prediction row against mu, changes the table
+        config = parse_sim_config((DATA / "cred_study.cfg").read_bytes())
+        table = emit_coverage_table(run_study(config, parallelism=parallelism))
+        assert table == (DATA / "cred_coverage.csv").read_bytes()
 
     @pytest.mark.parametrize("parallelism", [1, 2, 3])
     def test_frequentist_table_is_pinned(self, parallelism):
