@@ -54,7 +54,7 @@ for x in (-0.5, 0.0, 0.3, 0.6, 1.0):
 
 # The grid bisects a panel until its local error estimate meets
 # cdf_tolerance / 100. A 100x tighter tolerance changes nothing here: the
-# 16 nodes of every octave panel already meet it on this dataset.
+# 8 nodes of every octave panel already meet it on this dataset.
 fine = build_posterior_grid(
     dataset,
     bind_prior(NAMED_PRIORS["jeffreys"], dataset),

@@ -16,18 +16,19 @@ rational map absorbs heavy tails. One octave ladder in tau, from max(s0,
 sd(y)) halving down to a quarter of the smallest within-study SE and
 doubling up to the cap 1e6 x s0, serves twice: the tail scan probes it from
 its start upward, and the w range is cut into panels at its points below
-tau_max. A panel's 16-point Gauss-Legendre rule is checked against the same
+tau_max. A panel's 8-point Gauss-Legendre rule is checked against the same
 rule on its two halves: a panel where they differ, in posterior mass or in
 tau^2-weighted mass, by more than cdf_tolerance / 100 of the total is
 bisected and its halves checked in turn (adaptive panels as in QUADPACK).
 The difference estimates the error of the coarser whole-panel rule, as
 QUADPACK's |K - G| does for the Gauss rule, so an accepted panel keeps that
-rule's 16 nodes; nodes go where the posterior has features - about 150 on
-typical data - up to a 16384-node cap. A grid's normaliser Z is the
-refinement's running total of its kept nodes' mass: the sum that decides
-every bisection also scales quad_error and gives log_norm. A grid certifies
-itself before it is returned: its nodes and weights are finite, and its
-normalised weights sum to 1 within quad_error plus rounding.
+rule's 8 nodes; nodes go where the posterior has features - about 90 on
+typical data, 72-112 on the README data - up to a 16384-node cap. A grid's
+normaliser Z is the refinement's running total of its kept nodes' mass: the
+sum that decides every bisection also scales quad_error and gives log_norm.
+A grid certifies itself before it is returned: its nodes and weights are
+finite, and its normalised weights sum to 1 within quad_error plus
+rounding.
 
 Interval endpoints invert the mixture CDF by safeguarded Newton steps. The
 components' own quantiles bracket each mixture quantile (the weights sum
@@ -82,7 +83,7 @@ __all__ = [
 _TAU_MAX_CAP_FACTOR = 1e6  # expansion cap: tau_max = 1e6 * s0
 _TAIL_MASS_CUT = 1e-10  # relative density and tail-mass cut of the tau scan
 _MAX_INVERSION_STEPS = 200  # bisection alone needs < 130 at cdf_tolerance 1e-8
-_PANEL_ORDER = 16  # Gauss-Legendre points per half panel
+_PANEL_ORDER = 8  # Gauss-Legendre points per half panel
 _GL_NODES, _GL_WEIGHTS = roots_legendre(_PANEL_ORDER)
 _MAX_GRID_NODES = 16384  # refinement stops before the grid would exceed this
 _QUAD_TOLERANCE_SHARE = 1e-2  # panel error tolerance as a share of cdf_tolerance
@@ -298,8 +299,9 @@ def _scan_tau_max(log_h, ladder, last):
     # math.log, not np.log, which can round the last bit differently
     log_first = np.array([math.log(x) for x in ladder[:, 0].tolist()])
     running_peak = np.maximum.accumulate(log_h, axis=-1)
-    # a row of -inf (an overflowing likelihood) gives NaN differences: NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a row of -inf (an overflowing likelihood) gives NaN differences: NaN;
+    # a kernel that grows without bound (power(1e308)) overflows the mass
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         decayed = log_h - running_peak <= log_cut
         # local decay power between ladder points (tail ~ tau^-power)
         power = np.zeros(log_h.shape)
@@ -653,13 +655,13 @@ def build_posterior_grid(
     sigma_hat^2) from the dataset, so the prior must have been bound to this
     dataset's within-study variances. The grid spans (0, tau_max] with
     tau_max found by the geometric tail scan (for the proper-uniform family
-    the support endpoint is used directly). Composite 16-point
+    the support endpoint is used directly). Composite 8-point
     Gauss-Legendre panels in w = sqrt(tau / (s0 + tau)) are bisected until
     each one's local error estimate (its rule against the rules on its two
     halves), in posterior mass and in tau^2-weighted mass, is within
     config.cdf_tolerance / 100 of the total, or until the grid would exceed
     16384 nodes (quad_error then records the shortfall); the grid keeps each
-    accepted panel's 16 nodes. Nodes never touch tau = 0, so integrable
+    accepted panel's 8 nodes. Nodes never touch tau = 0, so integrable
     endpoint singularities are fine.
 
     Raises

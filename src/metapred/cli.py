@@ -95,18 +95,27 @@ def _cmd_simulate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"METAPRED_SEED: {exc}") from None
     # open the output first, so that an unwritable path fails before the
-    # study runs, but empty it only once the table is ready
-    sink = contextlib.nullcontext(sys.stdout.buffer)
+    # study runs, but empty it only once the table is ready, and remove it
+    # if this call created it and the study fails
+    sink, created = contextlib.nullcontext(sys.stdout.buffer), False
     if args.out:
         try:
-            sink = open(args.out, "ab")
+            try:
+                sink, created = open(args.out, "xb"), True
+            except FileExistsError:
+                sink = open(args.out, "ab")
         except OSError as exc:
             raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
-    with sink as fh:
-        table = emit_coverage_table(run_study(config, parallelism=args.parallelism))
-        if args.out:
-            fh.truncate(0)
-        fh.write(table)
+    try:
+        with sink as fh:
+            table = emit_coverage_table(run_study(config, parallelism=args.parallelism))
+            if args.out:
+                fh.truncate(0)
+            fh.write(table)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     return 0
 
 

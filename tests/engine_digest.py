@@ -20,18 +20,19 @@ decays, through one bayes._posterior_grids batch, reads each grid it built
 as a PosteriorGrid row of the batch's layout, and inverts each grid's
 prediction and credible intervals in one bayes._mixture_intervals batch; at
 the default EngineConfig it also runs every method tag through
-methods._evaluate_block. A grid line holds a SHA-256 of the grid's arrays
-and its log_norm, tau_max and quad_error; an interval line its kind and
-endpoints; a failure line the error's type and message. The engines give
-an interval as one entry of their (lower, upper, failed) arrays: a failure
-index of -1 makes it an interval line, and any other index a failure line
-for that exception of the engine's error list. Floats are printed with
-float.hex. The file is a script: pytest does not collect it.
+methods._evaluate_block. A grid line holds a SHA-256 of the grid's
+arrays, its node count, and its log_norm, tau_max and quad_error; an
+interval line its kind and endpoints; a failure line the error's type and
+message. The engines give an interval as one entry of their (lower, upper,
+failed) arrays: a failure index of -1 makes it an interval line, and any
+other index a failure line for that exception of the engine's error list.
+Floats are printed with float.hex. No warning is silenced here, so
+`python -W error` fails on any numeric warning the engine lets through.
+The file is a script: pytest does not collect it.
 """
 
 import hashlib
 import math
-import warnings
 
 import numpy as np
 
@@ -52,7 +53,8 @@ def outcome_text(out):
     for field in GRID_ARRAYS:
         digest.update(getattr(out, field).tobytes())
     floats = (out.log_norm, out.tau_max, out.quad_error)
-    return f"grid {digest.hexdigest()} " + " ".join(x.hex() for x in floats)
+    head = f"grid {digest.hexdigest()} {len(out.nodes)} nodes "
+    return head + " ".join(x.hex() for x in floats)
 
 
 def interval_text(kind, lower, upper, failed, errors):
@@ -138,11 +140,9 @@ def blocks():
 
 
 def main():
-    warnings.simplefilter("ignore")
-    with np.errstate(all="ignore"):
-        for label, datasets, config in blocks():
-            for line in block_lines(label, datasets, config):
-                print(line)
+    for label, datasets, config in blocks():
+        for line in block_lines(label, datasets, config):
+            print(line)
 
 
 if __name__ == "__main__":

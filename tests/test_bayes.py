@@ -25,6 +25,7 @@ from metapred import (
     NumericFailure,
     PosteriorGrid,
     PriorFamily,
+    Scenario,
     bind_prior,
     build_posterior_grid,
     credible_interval_mu,
@@ -37,6 +38,7 @@ from metapred import (
 from metapred.intervals import _outcome
 from metapred.methods import METHODS
 from metapred.priors import log_prior_kernel
+from metapred.simulate import simulate_dataset
 from oracles import (
     dataset_scan,
     interval_from_mixture,
@@ -586,6 +588,35 @@ class TestAdaptivePanels:
             e_tau2, ref_tau2 = posterior_tau_moments(grid)[0], posterior_tau_moments(reference)[0]
             assert abs(e_tau2 - ref_tau2) <= (5.0 * grid.quad_error + 1e-12) * ref_tau2, name
 
+    def test_benchmark_shapes_match_16384_nodes_closely(self):
+        # the coverage-study shape (n 7/15, tau^2 0.01/0.1) and analyze-like
+        # data (n log-uniform on 3..100, effects on two scales), all eleven
+        # priors: endpoints within 1e-7 of the width of the 16384-node
+        # reference (1.3e-9 seen), where the oracle gates allow 1e-4; a
+        # per-panel tolerance 1e4 times looser moves them by 1.5e-7
+        rng = np.random.default_rng(29)
+        datasets = [
+            simulate_dataset(rng, Scenario(n, tau2))[0]
+            for n in (7, 15)
+            for tau2 in (0.01, 0.1)
+            for _ in range(2)
+        ]
+        for scale in (1.0, 10.0, 1.0, 10.0):
+            n = int(round(math.exp(rng.uniform(math.log(3.0), math.log(100.0)))))
+            se = np.sqrt(rng.uniform(0.009, 0.6, n))
+            mu, tau = rng.normal(0.0, 0.5), math.sqrt(rng.uniform(0.0, 0.3))
+            effects = mu + tau * rng.standard_normal(n) + se * rng.standard_normal(n)
+            datasets.append(MetaDataset.from_arrays(scale * effects, scale * se))
+        for ds in datasets:
+            for name in NAMED_PRIORS:
+                grid = grid_for(ds, name)
+                reference = fixed_grid(ds, name, grid.tau_max)
+                for interval in (prediction_interval, credible_interval_mu):
+                    a, b = interval(grid), interval(reference)
+                    tol = 1e-7 * (b.upper - b.lower)
+                    assert abs(a.lower - b.lower) <= tol, (ds.n, name, a.kind)
+                    assert abs(a.upper - b.upper) <= tol, (ds.n, name, a.kind)
+
     def test_inv_gamma_spike_refines_first_panel(self):
         # x10-scale data: proper2's exp(-0.001 / tau^2) factor rises near
         # tau = 0.04, inside the first panel; 32 nodes there missed the
@@ -636,7 +667,7 @@ class TestAdaptivePanels:
         # the cap stops a pass that would at most double the kept nodes
         capped = grid_for(README_DATA, "jeffreys", EngineConfig(cdf_tolerance=1e-300))
         assert len(capped.nodes) > bayes._MAX_GRID_NODES // 2
-        # no panel of this grid is bisected: one 16-point rule per panel
+        # no panel of this grid is bisected: one _PANEL_ORDER-point rule per panel
         grid = grid_for(README_DATA, "jeffreys")
         ladder, _ = ladder_for(README_DATA)
         panels = np.sum(ladder < grid.tau_max) + 1  # cut at 0, the ladder and tau_max
@@ -1165,6 +1196,7 @@ def test_engine_digest_runs_on_one_block():
     assert len(lines) == 2 * (12 + 2 * 11 + len(METHODS))
     grid_lines = [line.split() for line in lines if line.split()[3] == "grid"]
     assert len(grid_lines) == 22 and all(len(fields[4]) == 64 for fields in grid_lines)
+    assert all(fields[6] == "nodes" and int(fields[5]) > 0 for fields in grid_lines)
     assert sum(" fail DivergedPosteriorError: " in line for line in lines) == 2
 
 

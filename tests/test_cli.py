@@ -237,6 +237,20 @@ class TestSimulate:
         assert main(["simulate", "--config", config_file, "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"method,n,tau2,level,reps,")
 
+    @pytest.mark.parametrize("fault", [KeyboardInterrupt, RuntimeError])
+    def test_failed_study_leaves_no_new_out_file(self, fault, config_file, tmp_path, monkeypatch):
+        # a path that did not exist before the call does not exist after a
+        # failed study (an existing file keeps its bytes: the test above)
+        out = tmp_path / "new.csv"
+
+        def failing_study(*args, **kwargs):
+            raise fault("the study failed")
+
+        monkeypatch.setattr(metapred.cli, "run_study", failing_study)
+        with pytest.raises(fault, match="the study failed"):
+            main(["simulate", "--config", config_file, "--out", str(out)])
+        assert not out.exists()
+
     def test_env_seed_override(self, config_file, tmp_path, monkeypatch, capsys):
         assert main(["simulate", "--config", config_file]) == 0
         base = capsys.readouterr().out
