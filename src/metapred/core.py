@@ -13,8 +13,8 @@ mean, the restricted score and information, and the HK/SJ variances.
 Every sum over studies stays within its row, so a row's result does not
 depend on its block; the public functions are blocks of one. REML runs
 one scoring loop for a whole block: each pass sums every open row at
-once, then steps each row on its own (``_RemlRow``), and a row that has
-converged or failed leaves the arrays.
+once, then one Python loop finishes each row's score and takes its step,
+and a row that has converged or failed leaves the arrays.
 """
 
 from __future__ import annotations
@@ -248,66 +248,23 @@ def _pooled(y: np.ndarray, v: np.ndarray, tau2: list[float]):
     return w, total, (w * y).sum(axis=1) / total
 
 
-def _restricted_scores(y: np.ndarray, v: np.ndarray, tau2: list[float]):
-    """Score and expected information of the restricted likelihood in tau2,
-    one pair per row of effects y and variances v at its tau2.
+def _restricted_sums(y: np.ndarray, v: np.ndarray, tau2: list[float]):
+    """Per row of effects y and variances v at its tau2, the sums that the
+    restricted score and expected information in tau2 are finished from:
+    sum w, sum w^2, sum w^3 and sum w^2 (y - mu)^2, as Python floats.
 
-    The sums over studies run once for all rows; each row's score and
-    information are then finished in Python floats, whose ``** 2`` is C
-    pow() (numpy's array ``** 2`` is x * x, which can differ by an ulp).
+    The sums over studies run once for all rows; _reml_fits finishes each
+    row in Python floats, whose ``** 2`` is C pow() (numpy's array ``** 2``
+    is x * x, which can differ by an ulp).
     """
     w, total, mu = _pooled(y, v, tau2)
     w2 = w**2
-    sums = zip(
+    return zip(
         total.tolist(),
         w2.sum(axis=1).tolist(),
         (w**3).sum(axis=1).tolist(),
         (w2 * (y - mu[:, None]) ** 2).sum(axis=1).tolist(),
     )
-    scores, infos = [], []
-    for sw, sw2, sw3, resid in sums:
-        scores.append(0.5 * (resid - sw + sw2 / sw))
-        infos.append(0.5 * (sw2 - 2.0 * sw3 / sw + (sw2 / sw) ** 2))
-    return scores, infos
-
-
-class _RemlRow:
-    """One row's REML iteration: the iterate and the bracket on the
-    stationary point that the score signs have found so far."""
-
-    __slots__ = ("tau2", "below", "above")
-
-    def __init__(self, start: float):
-        self.tau2 = start
-        self.below = self.above = None
-
-    def step(self, score: float, info: float, tol: float):
-        """Take one step from the score and information at self.tau2.
-
-        Returns the estimate once the iteration has converged, else None.
-        Raises NumericFailure when a scoring step meets an information that
-        is not positive.
-        """
-        tau2 = self.tau2
-        if tau2 == 0.0 and score <= 0.0:
-            return 0.0  # boundary optimum
-        if score > 0.0:
-            self.below = tau2
-        else:
-            self.above = tau2
-        if self.below is not None and self.above is not None:
-            tau2_new = 0.5 * (self.below + self.above)
-        elif info > 0.0:
-            tau2_new = max(0.0, tau2 + score / info)
-        else:
-            raise NumericFailure(
-                f"REML expected information is not positive at tau2={tau2!r}",
-                last_value=tau2,
-            )
-        if abs(tau2_new - tau2) <= tol:
-            return tau2_new
-        self.tau2 = tau2_new
-        return None
 
 
 def _reml_fits(
@@ -316,38 +273,61 @@ def _reml_fits(
     """The REML estimate of each row of the (rows, n >= 2) effects y and
     variances v, started from the row's DL outcome in starts.
 
-    Each pass scores every open row at once (_restricted_scores), then
-    steps each row alone (_RemlRow.step); a row that has converged or
-    failed leaves the arrays. A row's outcome is its HeterogeneityEstimate,
-    or the NumericFailure of its scoring, its start or its estimate.
+    Each pass sums every open row at once (_restricted_sums), then one
+    loop finishes each row's score and takes its step (see reml_tau2): the
+    boundary exit, the bracket on the score's sign change, bisection once
+    the bracket has both ends, else a scoring step, for which alone the
+    expected information is finished. A row that has converged or failed
+    leaves the arrays. A row's outcome is its HeterogeneityEstimate, or
+    the NumericFailure of its scoring, its start or its estimate.
     """
     out = list(starts)
     rows = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
-    fits = [_RemlRow(starts[i].tau2) for i in rows]
+    tau2 = [starts[i].tau2 for i in rows]
+    # each row's bracket: the last iterates with a positive and with a
+    # non-positive score
+    below: list = [None] * len(rows)
+    above: list = [None] * len(rows)
     y, v = y[rows], v[rows]
     for _ in range(max_iter):
         if not rows:
             break
         keep = []
-        scores, infos = _restricted_scores(y, v, [fit.tau2 for fit in fits])
-        for j, (fit, score, info) in enumerate(zip(fits, scores, infos)):
-            try:
-                tau2 = fit.step(score, info, tol)
-            except NumericFailure as exc:
-                out[rows[j]] = exc
+        sums = _restricted_sums(y, v, tau2)
+        for j, (t, lo, hi, (sw, sw2, sw3, resid)) in enumerate(zip(tau2, below, above, sums)):
+            score = 0.5 * (resid - sw + sw2 / sw)
+            if t == 0.0 and score <= 0.0:
+                out[rows[j]] = _estimate(0.0, "REML")  # boundary optimum
                 continue
-            if tau2 is None:
-                keep.append(j)
+            if score > 0.0:
+                lo = below[j] = t
             else:
-                out[rows[j]] = _estimate(tau2, "REML")
+                hi = above[j] = t
+            if lo is not None and hi is not None:
+                t_new = 0.5 * (lo + hi)
+            else:
+                info = 0.5 * (sw2 - 2.0 * sw3 / sw + (sw2 / sw) ** 2)
+                if not info > 0.0:
+                    out[rows[j]] = NumericFailure(
+                        f"REML expected information is not positive at tau2={t!r}",
+                        last_value=t,
+                    )
+                    continue
+                t_new = max(0.0, t + score / info)
+            if abs(t_new - t) <= tol:
+                out[rows[j]] = _estimate(t_new, "REML")
+            else:
+                tau2[j] = t_new
+                keep.append(j)
         if len(keep) < len(rows):
-            rows = [rows[j] for j in keep]
-            fits = [fits[j] for j in keep]
+            rows, tau2, below, above = (
+                [column[j] for j in keep] for column in (rows, tau2, below, above)
+            )
             y, v = y[keep], v[keep]
-    for i, fit in zip(rows, fits):
+    for i, t in zip(rows, tau2):
         out[i] = NumericFailure(
             f"REML iteration did not converge within {max_iter} steps",
-            last_value=fit.tau2,
+            last_value=t,
         )
     return out
 
@@ -422,7 +402,7 @@ def _robust_variances(
         out["HK"] = [0.0 if d else x for d, x in zip(degenerate, hk)]
     if "SJ" in kinds:
         # the sum of each row is squared as an np.float64 (C pow(), see
-        # _restricted_scores)
+        # _restricted_sums)
         sj = (w**2 * resid2).sum(axis=1)
         out["SJ"] = [
             0.0 if d else float(a / s**2 * n / (n - 1)) for d, a, s in zip(degenerate, sj, sw)

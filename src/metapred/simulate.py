@@ -8,12 +8,16 @@ own counter-based random stream, keyed by (master_seed, scenario,
 replication), so its result does not depend on the block it runs in: the
 study is bit-identical for any degree of parallelism and any block size.
 
-A block holds replications of scenarios that share n and level (_blocks).
-It draws all of its datasets in one pass (_draw_rows, of which the public
-simulate_dataset is a block of one) and runs them through the methods
-together (methods._evaluate_block), which give (methods, replications)
-arrays of interval endpoints and failure indices. _run_block scores those
-arrays against each row's target, and run_study sums each cell's scores.
+A block holds replications of scenarios that share n and level (_blocks):
+the study's replications are cut into one near-equal share per worker,
+and each share's part of a group into the fewest blocks that fit, so a
+group pays a block's fixed costs (REML's scoring passes) about once per
+share it meets. A block draws all of its datasets in one pass
+(_draw_rows, of which the public simulate_dataset is a block of one) and
+runs them through the methods together (methods._evaluate_block), which
+give (methods, replications) arrays of interval endpoints and failure
+indices. _run_block scores those arrays against each row's target, and
+run_study sums each cell's scores.
 On more than one CPU the blocks run on a pool of worker processes that is
 forked at a process's first parallel study and kept for later ones.
 """
@@ -444,31 +448,43 @@ def _blocks(
 ) -> list[tuple[tuple[Scenario, tuple[int, ...]], ...]]:
     """run_study's units of work, in order. The scenarios that share n and
     level form a group, the groups in the order of their first scenario in
-    the config, and a group's (scenario, replication) pairs, scenario
-    after scenario, are cut into the fewest near-equal blocks, a multiple
-    of workers in number, that each hold at most studies // n replications
-    (at least 1), or into one block per pair when there are fewer pairs
-    than that number. studies is _BLOCK_STUDIES when a tag is Bayesian,
-    else _PLUGIN_STUDIES. A unit is a block as its parts: (scenario,
-    replication indices) for each scenario that it holds, in order."""
+    the config, and the study's (scenario, replication) pairs run group
+    after group, scenario after scenario within a group. That sequence is
+    cut into `workers` shares whose sizes differ by at most 1, each share
+    is split where a group ends, and each piece is cut into the fewest
+    near-equal blocks that hold at most studies // n replications (at
+    least 1). studies is _BLOCK_STUDIES when a tag is Bayesian, else
+    _PLUGIN_STUDIES. So a group pays its per-block costs (a REML block
+    scores until its slowest row converges) about once per share it
+    meets, not once per worker. A unit is a block as its parts:
+    (scenario, replication indices) for each scenario that it holds, in
+    order."""
     bayes = any(METHODS[m].prior is not None for m in config.methods)
     studies = _BLOCK_STUDIES if bayes else _PLUGIN_STUDIES
     reps = config.reps
     groups: dict[tuple[int, float], list[Scenario]] = {}
     for sc in config.scenarios:
         groups.setdefault((sc.n, sc.level), []).append(sc)
+    total = reps * len(config.scenarios)
+    shares = [total * (i + 1) // workers for i in range(workers)]
     units = []
+    start = 0  # the group's first pair in the study's sequence
     for (n, _), scenarios in groups.items():
         pairs = reps * len(scenarios)
-        count = min(pairs, workers * -(-pairs // (max(1, studies // n) * workers)))
-        stops = [pairs * (i + 1) // count for i in range(count)]
-        for a, b in zip([0] + stops, stops):
-            # the part of scenario k holds the block's pairs in [k reps, (k + 1) reps)
-            units.append(tuple(
-                (sc, tuple(range(max(a - k * reps, 0), min(b - k * reps, reps))))
-                for k, sc in enumerate(scenarios)
-                if k * reps < b and a < (k + 1) * reps
-            ))
+        bound = max(1, studies // n)
+        # the group's pieces, in its own pair indices: its pairs in each share
+        cuts = [0] + [s - start for s in shares if start < s < start + pairs] + [pairs]
+        for low, high in zip(cuts, cuts[1:]):
+            count = -(-(high - low) // bound)
+            stops = [low + (high - low) * (i + 1) // count for i in range(count)]
+            for a, b in zip([low] + stops, stops):
+                # the part of scenario k holds the block's pairs in [k reps, (k + 1) reps)
+                units.append(tuple(
+                    (sc, tuple(range(max(a - k * reps, 0), min(b - k * reps, reps))))
+                    for k, sc in enumerate(scenarios)
+                    if k * reps < b and a < (k + 1) * reps
+                ))
+        start += pairs
     return units
 
 

@@ -9,13 +9,16 @@ from scipy.special import erfc
 from metapred import (
     DegenerateDispersionWarning,
     MetaDataset,
+    Scenario,
     cochran_q,
     dl_tau2,
     i_squared,
     pooled_mu,
     q_test_pvalue,
     reml_tau2,
+    replication_stream,
     robust_variance,
+    simulate_dataset,
 )
 from oracles import grid_search_reml
 
@@ -251,12 +254,59 @@ class TestREML:
         from metapred.errors import NumericFailure
 
         def flat(y, v, tau2):
-            return [1.0] * len(tau2), [0.0] * len(tau2)
+            # sum w = sum w^2 = sum w^3 = 1 and sum w^2 r^2 = 2: score 1,
+            # information 0
+            return [(1.0, 1.0, 1.0, 2.0)] * len(tau2)
 
-        monkeypatch.setattr(core, "_restricted_scores", flat)
+        monkeypatch.setattr(core, "_restricted_sums", flat)
         with pytest.raises(NumericFailure, match="information is not positive") as err:
             reml_tau2(SPREAD)
         assert err.value.last_value == dl_tau2(SPREAD).tau2
+
+
+def _replicated(scenario, master_seed, rep_index):
+    return simulate_dataset(replication_stream(master_seed, scenario, rep_index), scenario)[0]
+
+
+# datasets on which Fisher scoring does not reach the REML estimate within
+# 200 steps, with the hex of the last iterate it stops at
+REML_STALLS = {
+    # score roots at 0.0930 (a minimum) and 0.13724 (a local maximum); the
+    # restricted likelihood is larger at 0, where scoring never goes
+    "wrong-maximum": (_replicated(Scenario(3, 0.0), 3, 306), "0x1.19122a3526aeep-3"),
+    # one root near 0.0093, approached from above without crossing it
+    "creep-from-above": (_replicated(Scenario(5, 0.1), 7, 1957), "0x1.3140fd343466ep-7"),
+    # one root at 0.34544, approached from below by steps of about 0.94x
+    "creep-from-below": (
+        dataset([-0.625, 3.0, -1.0625, 1.75, 1.25], [0.125, 3.0, 0.125, 1.75, 1.25]),
+        "0x1.61ba64d206a89p-2",
+    ),
+    # the score is negative on [0, 4], so REML is 0; scoring stops at 0.5876
+    "creep-to-zero": (
+        dataset([-5.0, 0.0, -0.625, 0.0], [2.0625, 0.5, 2.625, 0.921875]),
+        "0x1.2cda6c69172b0p-1",
+    ),
+}
+
+
+class TestREMLStalls:
+    @pytest.mark.xfail(strict=True, reason="Fisher scoring stalls (ROADMAP item 1)")
+    @pytest.mark.parametrize("case", list(REML_STALLS))
+    def test_reaches_the_grid_search_maximum(self, case):
+        ds = REML_STALLS[case][0]
+        oracle = grid_search_reml(ds.effects, ds.variances)
+        assert reml_tau2(ds).tau2 == pytest.approx(oracle, abs=1e-5)
+
+    @pytest.mark.parametrize("case", list(REML_STALLS))
+    def test_stall_keeps_its_last_iterate(self, case):
+        # pins the scoring loop's iterates bit for bit until the solver is
+        # replaced
+        from metapred.errors import NumericFailure
+
+        ds, last_value = REML_STALLS[case]
+        with pytest.raises(NumericFailure, match="did not converge within 200 steps") as err:
+            reml_tau2(ds)
+        assert err.value.last_value.hex() == last_value
 
 
 class TestRobustVariance:

@@ -542,11 +542,12 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_block_size_does_not_change_records(self, monkeypatch, parallelism):
-        # run_study cuts the replications of the scenarios that share n and
-        # level into the fewest near-equal blocks, a multiple of the workers
-        # in number, of at most studies // n replications (studies is
-        # _BLOCK_STUDIES with a Bayesian tag, else _PLUGIN_STUDIES); blocks
-        # of 1, of 2 and of the default size give the same records
+        # run_study cuts the study's replications into one near-equal share
+        # per worker, and each share's part of a group of scenarios that
+        # share n and level into the fewest near-equal blocks of at most
+        # studies // n replications (studies is _BLOCK_STUDIES with a
+        # Bayesian tag, else _PLUGIN_STUDIES); blocks of 1, of 2 and of the
+        # default size give the same records
         import metapred.simulate as sim
 
         plugin = ("hts", "hts-hk", "hts-sj", "dl")
@@ -570,16 +571,17 @@ class TestRunStudy:
                 master_seed=17,
             )
             expected = run_study(config, parallelism=1)
-            # at the default bound the three n = 4 scenarios are one block
-            # per worker, and a block holds replications of two or three
-            default = (getattr(sim, bound), -(-3 * 19 // workers))
+            # at the default bound the 57 replications of the three n = 4
+            # scenarios are one block per share they meet: one block at one
+            # worker; at two, the first share's 38 (two scenarios) and 19
+            default = (getattr(sim, bound), min(3 * 19, -(-4 * 19 // workers)))
             for studies, largest in ((4, 1), (10, 2), default):
                 monkeypatch.setattr(sim, bound, studies)
                 sizes.clear()
                 straddles.clear()
                 assert run_study(config, parallelism=parallelism) == expected
                 assert max(sizes) == largest and sum(sizes) == 4 * 19
-            assert straddles == [True] * workers + [False] * workers
+            assert straddles == [True] + [False] * workers
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_are_the_fewest_balanced_pieces_that_fit(self, workers):
@@ -599,6 +601,23 @@ class TestRunStudy:
         groups = {}
         for sc in scenarios:
             groups.setdefault((sc.n, sc.level), []).append(sc)
+
+        def group_cut(config, studies):
+            # the cut of each group alone into the fewest near-equal blocks
+            # of at most studies // n: the one-worker reference
+            units = []
+            for (n, _), group in groups.items():
+                pairs = [(sc, i) for sc in group for i in range(config.reps)]
+                count = -(-len(pairs) // max(1, studies // n))
+                stops = [len(pairs) * (i + 1) // count for i in range(count)]
+                for a, b in zip([0] + stops, stops):
+                    units.append(tuple(
+                        (sc, tuple(i for s, i in pairs[a:b] if s == sc))
+                        for sc in group
+                        if any(s == sc for s, _ in pairs[a:b])
+                    ))
+            return units
+
         for methods, studies in (
             (("hts", "hts-hk", "dl"), sim._PLUGIN_STUDIES),
             (("hts", "cred:jeffreys"), sim._BLOCK_STUDIES),
@@ -606,27 +625,37 @@ class TestRunStudy:
             for reps in (1, 2, 5, 100, 1000, 7919):
                 config = SimConfig(scenarios=scenarios, methods=methods, reps=reps)
                 units = sim._blocks(config, workers)
+                if workers == 1:
+                    assert units == group_cut(config, studies)
                 keys = [{(sc.n, sc.level) for sc, _ in unit} for unit in units]
-                assert all(len(key) == 1 for key in keys)  # a unit holds one group
+                assert all(len(key) == 1 for key in keys)  # a block holds one group
                 keys = [key.pop() for key in keys]
-                # each group's units are one run, the runs in config order
-                assert [k for i, k in enumerate(keys) if keys.index(k) == i] == list(groups)
-                assert keys == sorted(keys, key=list(groups).index)
-                for key, group in groups.items():
-                    cut = [unit for unit, k in zip(units, keys) if k == key]
-                    assert all(reps_of for unit in cut for _, reps_of in unit)
-                    pairs = [(sc, i) for unit in cut for sc, reps_of in unit for i in reps_of]
-                    assert pairs == [(sc, i) for sc in group for i in range(reps)]
-                    sizes = [sum(len(reps_of) for _, reps_of in unit) for unit in cut]
-                    bound = max(1, studies // key[0])
-                    assert max(sizes) <= bound
-                    assert max(sizes) - min(sizes) <= 1
-                    # a multiple of the workers, unless every block is one
-                    # replication
-                    assert len(cut) % workers == 0 or max(sizes) == 1
-                    # the fewest: one block fewer per worker would not fit
-                    if len(cut) > workers:
-                        assert -(-len(pairs) // (len(cut) - workers)) > bound
+                # every pair once and in order: group after group in config
+                # order, scenario after scenario within a group
+                assert all(reps_of for unit in units for _, reps_of in unit)
+                pairs = [(sc, i) for unit in units for sc, reps_of in unit for i in reps_of]
+                assert pairs == [(sc, i) for g in groups.values() for sc in g for i in range(reps)]
+                sizes = [sum(len(reps_of) for _, reps_of in unit) for unit in units]
+                bounds = [max(1, studies // key[0]) for key in keys]
+                assert all(size <= bound for size, bound in zip(sizes, bounds))
+                # the shares are near-equal, and a block ends at each
+                # share's end and each group's end
+                shares = [len(pairs) * (i + 1) // workers for i in range(workers)]
+                share_sizes = np.diff([0] + shares)
+                assert max(share_sizes) - min(share_sizes) <= 1
+                ends = np.cumsum(sizes).tolist()
+                group_ends = np.cumsum([reps * len(g) for g in groups.values()]).tolist()
+                assert set(shares) | set(group_ends) <= set(ends)
+                # a piece (a group's pairs within a share) is the fewest
+                # near-equal blocks that fit
+                pieces = {}
+                cuts = sorted(set(shares) | set(group_ends))
+                for end, size, bound in zip(ends, sizes, bounds):
+                    piece = pieces.setdefault(next(c for c in cuts if c >= end), [bound])
+                    piece.append(size)
+                for bound, *piece in pieces.values():
+                    assert max(piece) - min(piece) <= 1
+                    assert len(piece) == -(-sum(piece) // bound)
         # only a Bayesian tag keeps blocks at _BLOCK_STUDIES // n
         for methods, larger in ((("hts", "dl"), True), (("hts", "uniform"), False)):
             config = SimConfig(scenarios=(Scenario(7, 0.1),), methods=methods, reps=1000)
@@ -634,13 +663,64 @@ class TestRunStudy:
             largest = max(sum(len(reps_of) for _, reps_of in unit) for unit in units)
             assert (largest > sim._BLOCK_STUDIES // 7) == larger
         # a frequentist study of four scenarios of 100 replications, two per
-        # n: one block per n and worker
+        # n: one block per n at one and two workers, and at three the shares
+        # end inside both groups
         config = SimConfig(
             scenarios=tuple(Scenario(n, t) for n in (5, 30) for t in (0.0, 0.1)),
             methods=("hts", "hts-hk", "hts-sj", "dl"),
             reps=100,
         )
-        assert len(sim._blocks(config, workers)) == 2 * workers
+        units = sim._blocks(config, workers)
+        sizes = [sum(len(reps_of) for _, reps_of in unit) for unit in units]
+        assert sizes == {1: [200, 200], 2: [200, 200], 3: [133, 67, 66, 134]}[workers]
+        # a single group still gets one block per worker
+        config = SimConfig(scenarios=(Scenario(5, 0.0),), methods=("hts",), reps=100)
+        assert len(sim._blocks(config, workers)) == workers
+
+    def test_shares_across_groups_give_the_same_records(self, monkeypatch):
+        # three groups cut over four workers: shares end inside the first
+        # two groups and a share holds blocks of two groups, yet the records
+        # equal the one-worker study's; the executor runs in process
+        import os
+
+        import metapred.simulate as sim
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        units = []
+        real_blocks = sim._blocks
+
+        def recorded(config, workers):
+            units[:] = real_blocks(config, workers)
+            return units
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(sim, "_blocks", recorded)
+        config = SimConfig(
+            scenarios=(
+                Scenario(4, 0.1), Scenario(5, 0.02), Scenario(4, 0.3), Scenario(6, 0.05),
+                Scenario(4, 0.0),
+            ),
+            methods=("hts", "jeffreys", "hts-hk", "dl"),
+            reps=5,
+            master_seed=23,
+        )
+        expected = run_study(config, parallelism=1)
+        assert run_study(config, parallelism=4) == expected
+        # shares of 6, 6, 6 and 7 over groups of 15, 5 and 5 replications
+        assert [sum(len(reps) for _, reps in unit) for unit in units] == [6, 6, 3, 3, 2, 5]
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_blocks_across_scenarios_give_each_scenario_its_own_records(self, parallelism):
